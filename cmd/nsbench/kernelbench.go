@@ -14,17 +14,18 @@ import (
 )
 
 // The kernel benchmark mode (-kernel-bench): time the naive and tiled
-// GEMM/conv kernels over the workload suite's real operator shapes, place
-// the achieved FLOP/s of each against the modeled devices' rooflines, and
-// write the table as JSON (the checked-in BENCH_kernels.json). This is the
-// measurement behind the dispatch-table thresholds in
-// internal/tensor/dispatch.go and the CI kernel smoke job's assertions.
+// GEMM/conv kernels over the workload suite's real operator shapes, plus
+// the NVSA joint-codebook GEMV, place the achieved FLOP/s of each against
+// the modeled devices' rooflines, and write the table as JSON (the
+// checked-in BENCH_kernels.json). This is the measurement behind the
+// dispatch-table thresholds in internal/tensor/dispatch.go and the CI
+// kernel smoke job's assertions.
 
 // kernelBenchRow is one (shape, kernel) measurement.
 type kernelBenchRow struct {
 	Name           string  `json:"name"`
-	Op             string  `json:"op"`     // "gemm" or "conv2d"
-	Kernel         string  `json:"kernel"` // "naive" or "tiled"
+	Op             string  `json:"op"`     // "gemm", "conv2d" or "gemv"
+	Kernel         string  `json:"kernel"` // "naive" or "tiled"; GEMV has only naive
 	AutoPick       string  `json:"auto_pick"`
 	Reps           int     `json:"reps"`
 	NsPerOp        int64   `json:"ns_per_op"`
@@ -32,6 +33,7 @@ type kernelBenchRow struct {
 	AlgBytes       int64   `json:"alg_bytes"`
 	AI             float64 `json:"ai_flops_per_byte"`
 	AchievedGFLOPs float64 `json:"achieved_gflops"`
+	AchievedGBs    float64 `json:"achieved_gb_per_s"` // AlgBytes per second
 
 	// Roofline placement per modeled device: ceiling at this shape's AI
 	// and achieved/ceiling percentage.
@@ -113,6 +115,14 @@ var kernelConvShapes = []struct {
 	{"conv-vsait-mid-1x16x16x32", 1, 16, 16, 32},
 }
 
+// kernelGemvShape is NVSA's joint-codebook cleanup, the suite's largest
+// GEMV: it streams the whole codebook once per query, so it is placed by
+// bandwidth as much as by FLOP/s.
+var kernelGemvShape = struct {
+	name string
+	m, k int
+}{"gemv-nvsa-jointcb-2700x4096", 2700, 4096}
+
 // runKernelBench measures every shape under both kernels, prints the
 // comparison table, and writes the JSON document to path.
 func runKernelBench(path string) error {
@@ -120,30 +130,34 @@ func runKernelBench(path string) error {
 	var rows []kernelBenchRow
 	derived := map[string]interface{}{}
 
+	measure := func(name, op string, kern tensor.Kernel, autoPick string, flops, bytes int64, run func()) int64 {
+		ns, reps := benchKernel(run)
+		row := kernelBenchRow{
+			Name: name, Op: op, Kernel: kern.String(), AutoPick: autoPick,
+			Reps: reps, NsPerOp: ns, FLOPs: flops, AlgBytes: bytes,
+			AchievedGFLOPs: float64(flops) / float64(ns),
+			AchievedGBs:    float64(bytes) / float64(ns),
+			Roofline:       map[string]kernelRoofline{},
+		}
+		if bytes > 0 {
+			row.AI = float64(flops) / float64(bytes)
+		}
+		for _, d := range devices {
+			att := d.Roofline().Attainable(row.AI)
+			r := kernelRoofline{CeilingGFLOPs: att}
+			if att > 0 {
+				r.Pct = 100 * row.AchievedGFLOPs / att
+			}
+			row.Roofline[d.Name] = r
+		}
+		rows = append(rows, row)
+		return ns
+	}
 	bench := func(name, op, autoPick string, flops, bytes int64, run func(tensor.Kernel)) map[string]int64 {
 		per := map[string]int64{}
 		for _, kern := range []tensor.Kernel{tensor.KernelNaive, tensor.KernelTiled} {
 			k := kern
-			ns, reps := benchKernel(func() { run(k) })
-			per[kern.String()] = ns
-			row := kernelBenchRow{
-				Name: name, Op: op, Kernel: kern.String(), AutoPick: autoPick,
-				Reps: reps, NsPerOp: ns, FLOPs: flops, AlgBytes: bytes,
-				Roofline: map[string]kernelRoofline{},
-			}
-			if bytes > 0 {
-				row.AI = float64(flops) / float64(bytes)
-			}
-			row.AchievedGFLOPs = float64(flops) / float64(ns)
-			for _, d := range devices {
-				att := d.Roofline().Attainable(row.AI)
-				r := kernelRoofline{CeilingGFLOPs: att}
-				if att > 0 {
-					r.Pct = 100 * row.AchievedGFLOPs / att
-				}
-				row.Roofline[d.Name] = r
-			}
-			rows = append(rows, row)
+			per[kern.String()] = measure(name, op, kern, autoPick, flops, bytes, func() { run(k) })
 		}
 		derived["speedup_"+name] = float64(per["naive"]) / float64(per["tiled"])
 		return per
@@ -178,6 +192,15 @@ func runKernelBench(path string) error {
 		})
 		printKernelRow(w, s.name, auto, per, flops, bytes)
 	}
+	gv := kernelGemvShape
+	g := tensor.NewRNG(3)
+	a, x := g.Normal(0, 1, gv.m, gv.k), g.Normal(0, 1, gv.k)
+	flops, bytes := tensor.FlopsMatMul(gv.m, gv.k, 1), tensor.BytesMatMul(gv.m, gv.k, 1)
+	ns := measure(gv.name, "gemv", tensor.KernelNaive, tensor.KernelNaive.String(), flops, bytes, func() {
+		tensor.MatVecOn(tensor.Serial, a, x)
+	})
+	fmt.Fprintf(w, "%-30s %5s %14d %14s %9s %10.2f %7s  %.2f GB/s\n",
+		gv.name, "naive", ns, "-", "-", float64(flops)/float64(ns), "-", float64(bytes)/float64(ns))
 	w.Flush()
 
 	doc := kernelBenchFile{

@@ -8,7 +8,10 @@
 // Table-IV analysis reports.
 package cachesim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Cache is one set-associative level with LRU replacement.
 type Cache struct {
@@ -16,10 +19,15 @@ type Cache struct {
 	lineSize int
 	sets     int
 	ways     int
-	// tags[set][way] holds line tags; lru[set][way] holds recency counters.
-	tags [][]uint64
-	lru  [][]uint64
-	tick uint64
+	// Address split: when lineSize (sets) is a power of two, lineShift
+	// (setShift) is its log2 and the line index (set, tag) come from
+	// shifts and masks; otherwise from division.
+	linePow2, setsPow2  bool
+	lineShift, setShift uint
+	// tags holds sets×ways line tags. Each set's ways are kept in recency
+	// order: tags[s*ways] is the most recently used line of set s and
+	// tags[s*ways+ways-1] the LRU victim.
+	tags []uint64
 
 	Accesses uint64
 	Misses   uint64
@@ -36,21 +44,25 @@ func NewCache(name string, sizeBytes, ways, lineSize int) *Cache {
 		sets = 1
 	}
 	c := &Cache{
-		name:     name,
-		lineSize: lineSize,
-		sets:     sets,
-		ways:     ways,
-		tags:     make([][]uint64, sets),
-		lru:      make([][]uint64, sets),
+		name:      name,
+		lineSize:  lineSize,
+		sets:      sets,
+		ways:      ways,
+		linePow2:  bits.OnesCount(uint(lineSize)) == 1,
+		setsPow2:  bits.OnesCount(uint(sets)) == 1,
+		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
+		setShift:  uint(bits.TrailingZeros(uint(sets))),
+		tags:      make([]uint64, sets*ways),
 	}
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, ways)
-		c.lru[i] = make([]uint64, ways)
-		for w := range c.tags[i] {
-			c.tags[i][w] = ^uint64(0) // invalid
-		}
-	}
+	c.invalidate()
 	return c
+}
+
+// invalidate marks every way of every set empty.
+func (c *Cache) invalidate() {
+	for i := range c.tags {
+		c.tags[i] = ^uint64(0)
+	}
 }
 
 // Name returns the level's label.
@@ -62,35 +74,41 @@ func (c *Cache) LineSize() int { return c.lineSize }
 // Access touches the line containing addr. It returns true on hit. On miss
 // the line is installed with LRU replacement.
 func (c *Cache) Access(addr uint64) bool {
-	c.tick++
 	c.Accesses++
-	line := addr / uint64(c.lineSize)
-	set := int(line % uint64(c.sets))
-	tag := line / uint64(c.sets)
-	ways := c.tags[set]
-	for w, t := range ways {
-		if t == tag {
-			c.lru[set][w] = c.tick
+	var line, set, tag uint64
+	if c.linePow2 {
+		line = addr >> c.lineShift
+	} else {
+		line = addr / uint64(c.lineSize)
+	}
+	if c.setsPow2 {
+		set, tag = line&(uint64(c.sets)-1), line>>c.setShift
+	} else {
+		tag = line / uint64(c.sets)
+		set = line - tag*uint64(c.sets)
+	}
+	base := int(set) * c.ways
+	ways := c.tags[base : base+c.ways]
+	// One pass moves the line to the front of the recency order: each way
+	// takes its predecessor's tag until the line's own way is reached (a
+	// hit), or the whole set has shifted and the last way's tag, the LRU
+	// victim, has dropped out (a miss).
+	prev := tag
+	for w, cur := range ways {
+		ways[w] = prev
+		if cur == tag {
 			return true
 		}
+		prev = cur
 	}
 	c.Misses++
-	// Replace the least recently used way.
-	victim := 0
-	for w := 1; w < c.ways; w++ {
-		if c.lru[set][w] < c.lru[set][victim] {
-			victim = w
-		}
-	}
-	ways[victim] = tag
-	c.lru[set][victim] = c.tick
 	return false
 }
 
 // Clone returns a fresh cache with the same geometry and empty contents
 // and counters. Concurrent simulations must not share a Cache (Access
-// mutates tags, recency and counters on every call); cloning the geometry
-// gives each goroutine its own state.
+// mutates tags, recency order and counters on every call); cloning the
+// geometry gives each goroutine its own state.
 func (c *Cache) Clone() *Cache {
 	return NewCache(c.name, c.sets*c.ways*c.lineSize, c.ways, c.lineSize)
 }
@@ -105,13 +123,8 @@ func (c *Cache) HitRate() float64 {
 
 // Reset clears statistics and contents.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		for w := range c.tags[i] {
-			c.tags[i][w] = ^uint64(0)
-			c.lru[i][w] = 0
-		}
-	}
-	c.Accesses, c.Misses, c.tick = 0, 0, 0
+	c.invalidate()
+	c.Accesses, c.Misses = 0, 0
 }
 
 // Hierarchy is an inclusive two-level cache hierarchy in front of DRAM.

@@ -313,3 +313,121 @@ func TestSweepCountsFailedPoints(t *testing.T) {
 		}
 	}
 }
+
+// refLRU is one tick-stamped true-LRU cache level: per-way recency
+// stamps, a way scan for the victim and divisions for the address split.
+// It is the reference the DSE cache profiles are checked against.
+type refLRU struct {
+	line, sets   uint64
+	tags, stamps [][]uint64
+	tick         uint64
+	acc, miss    uint64
+}
+
+func newRefLRU(sizeBytes, ways, line int) *refLRU {
+	sets := sizeBytes / (ways * line)
+	if sets == 0 {
+		sets = 1
+	}
+	c := &refLRU{line: uint64(line), sets: uint64(sets)}
+	for s := 0; s < sets; s++ {
+		tags := make([]uint64, ways)
+		for w := range tags {
+			tags[w] = ^uint64(0)
+		}
+		c.tags = append(c.tags, tags)
+		c.stamps = append(c.stamps, make([]uint64, ways))
+	}
+	return c
+}
+
+func (c *refLRU) access(addr uint64) bool {
+	c.tick++
+	c.acc++
+	line := addr / c.line
+	set, tag := line%c.sets, line/c.sets
+	victim := 0
+	for w, t := range c.tags[set] {
+		if t == tag {
+			c.stamps[set][w] = c.tick
+			return true
+		}
+		if c.stamps[set][w] < c.stamps[set][victim] {
+			victim = w
+		}
+	}
+	c.miss++
+	c.tags[set][victim], c.stamps[set][victim] = tag, c.tick
+	return false
+}
+
+func (c *refLRU) hitRate() float64 {
+	if c.acc == 0 {
+		return 0
+	}
+	return 1 - float64(c.miss)/float64(c.acc)
+}
+
+// TestEvaluateLineBytesAxis sweeps a line_bytes axis that holds a
+// non-power-of-two line (96 B) alongside 64 and 128 B, across two
+// associativities. Every point must score, and each geometry's simulated
+// element-wise hit rates must equal the reference LRU's on the same
+// stream: EltwiseStream's two chained two-input passes, re-emitted here
+// address by address.
+func TestEvaluateLineBytesAxis(t *testing.T) {
+	g, err := Resolve(hwsim.RTX2080Ti, Space{
+		LineBytes: Axis{Values: []float64{64, 96, 128}},
+		Ways:      Axis{Values: []float64{4, 8}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &trace.Trace{}
+	for i := 0; i < 4; i++ {
+		tr.Events = append(tr.Events, trace.Event{Seq: i, Kernel: "vectorized_elem", Phase: trace.Symbolic, FLOPs: 1 << 20, Bytes: 3 << 20})
+	}
+	e := NewEngine(g, tr)
+	for i := 0; i < g.Size(); i++ {
+		if res := e.Evaluate(i); res.Err != "" {
+			t.Fatalf("point %d (%+v): %s", i, res.Knobs, res.Err)
+		}
+	}
+	if len(e.profiles) != 6 {
+		t.Fatalf("%d cache profiles, want 6", len(e.profiles))
+	}
+	ci := int(hwsim.ClassEltwise)
+	for k, p := range e.profiles {
+		l1 := newRefLRU(k.l1KB*1024, k.ways, k.lineBytes)
+		l2 := newRefLRU(k.l2KB*1024, 16, k.lineBytes)
+		access := func(addr uint64) {
+			if !l1.access(addr) {
+				l2.access(addr)
+			}
+		}
+		ws := uint64(e.sig.classBytes[ci] / e.sig.classCount[ci] / 3)
+		emitted := 0
+	stream:
+		for pass := 0; pass < 2; pass++ {
+			for off := uint64(0); off < ws; off += uint64(k.lineBytes) {
+				for r := 0; r < 2; r++ {
+					src := uint64(pass-r) << 40
+					if pass-r < 0 {
+						src = uint64(16+r) << 40
+					}
+					access(src + off)
+					if emitted++; emitted >= profileBudget {
+						break stream
+					}
+				}
+				access(uint64(pass+1)<<40 + off)
+				if emitted++; emitted >= profileBudget {
+					break stream
+				}
+			}
+		}
+		if p.l1Hit[ci] != l1.hitRate() || p.l2Hit[ci] != l2.hitRate() {
+			t.Errorf("geometry %+v: hit rates L1 %v L2 %v, reference L1 %v L2 %v",
+				k, p.l1Hit[ci], p.l2Hit[ci], l1.hitRate(), l2.hitRate())
+		}
+	}
+}

@@ -82,18 +82,43 @@ func MatVecOn(r Runner, a, x *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatVec dimension mismatch %v x %v", a.shape, x.shape))
 	}
 	out := New(m)
-	ad, xd := a.data, x.data
+	ad, xd, od := a.data, x.data, out.data
 	r.For(m, grainFor(2*int64(k)), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var s float32
-			row := ad[i*k : (i+1)*k]
-			for p, v := range row {
-				s += v * xd[p]
-			}
-			out.data[i] = s
-		}
+		matVecRows(ad, xd, od, k, lo, hi)
 	})
 	return out
+}
+
+// matVecRows computes outputs [lo, hi) of an m×k · k product four rows at
+// a time. A single row's float32 add chain is latency-bound; four
+// independent chains overlap in the pipeline and share each load of x.
+// Every row keeps its own accumulator and the serial p-order, so each
+// output is bit-identical to the one-row loop (and to MatMul's column).
+func matVecRows(ad, xd, od []float32, k, lo, hi int) {
+	xd = xd[:k]
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		r0 := ad[i*k:][:len(xd)]
+		r1 := ad[(i+1)*k:][:len(xd)]
+		r2 := ad[(i+2)*k:][:len(xd)]
+		r3 := ad[(i+3)*k:][:len(xd)]
+		var s0, s1, s2, s3 float32
+		for p, v := range xd {
+			s0 += r0[p] * v
+			s1 += r1[p] * v
+			s2 += r2[p] * v
+			s3 += r3[p] * v
+		}
+		od[i], od[i+1], od[i+2], od[i+3] = s0, s1, s2, s3
+	}
+	for ; i < hi; i++ {
+		var s float32
+		row := ad[i*k:][:len(xd)]
+		for p, v := range row {
+			s += v * xd[p]
+		}
+		od[i] = s
+	}
 }
 
 // BatchMatMul multiplies two rank-3 tensors batch-wise: (B×m×k)·(B×k×n) → B×m×n.

@@ -141,29 +141,45 @@ func TestTiledConv2DBitIdenticalRandomShapes(t *testing.T) {
 
 // TestMatVecMatchesMatMulColumn pins the package accumulation contract:
 // MatVec accumulates in float32, so MatVec(a, x) is bit-identical to
-// MatMul(a, x viewed as a k×1 column) under every kernel.
+// MatMul(a, x viewed as a k×1 column) under every kernel — on the serial
+// runner and on 2- and 3-worker backends, whose chunk edges fall off the
+// four-row blocks of the GEMV loop. The 2700×4096 NVSA joint-codebook
+// shape runs once.
 func TestMatVecMatchesMatMulColumn(t *testing.T) {
-	prop := func(m8, k16 uint16, seed int64) bool {
-		m, k := int(m8%48)+1, int(k16%700)+1
-		rng := rand.New(rand.NewSource(seed))
-		a, x := randTensor(rng, m, k), randTensor(rng, k)
+	runners := []Runner{Serial}
+	for _, w := range []int{2, 3} {
+		be := backend.NewParallel(w)
+		defer be.Close()
+		runners = append(runners, be)
+	}
+	check := func(a, x *Tensor) bool {
+		m, k := a.Shape()[0], a.Shape()[1]
 		col := New(k, 1)
 		copy(col.Data(), x.Data())
-		mv := MatVecOn(Serial, a, x)
 		for _, kern := range []Kernel{KernelNaive, KernelTiled, KernelAuto} {
 			mm := MatMulKernelOn(Serial, kern, a, col)
-			for i, v := range mv.Data() {
-				if mm.Data()[i] != v {
-					t.Errorf("kernel %v: element %d: MatVec %v, MatMul column %v", kern, i, v, mm.Data()[i])
-					return false
+			for ri, r := range runners {
+				mv := MatVecOn(r, a, x)
+				for i, v := range mv.Data() {
+					if mm.Data()[i] != v {
+						t.Errorf("%dx%d runner %d kernel %v: element %d: MatVec %v, MatMul column %v", m, k, ri, kern, i, v, mm.Data()[i])
+						return false
+					}
 				}
 			}
 		}
 		return true
 	}
+	prop := func(m8, k16 uint16, seed int64) bool {
+		m, k := int(m8%160)+1, int(k16%700)+1
+		rng := rand.New(rand.NewSource(seed))
+		return check(randTensor(rng, m, k), randTensor(rng, k))
+	}
 	if err := quick.Check(prop, equivCfg(14)); err != nil {
 		t.Error(err)
 	}
+	rng := rand.New(rand.NewSource(15))
+	check(randTensor(rng, 2700, 4096), randTensor(rng, 4096))
 }
 
 // TestGemmDispatchTable pins the auto-dispatch decisions: pure shape
