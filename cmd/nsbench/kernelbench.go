@@ -15,8 +15,9 @@ import (
 
 // The kernel benchmark mode (-kernel-bench): time the naive and tiled
 // GEMM/conv kernels over the workload suite's real operator shapes, plus
-// the NVSA joint-codebook GEMV, place the achieved FLOP/s of each against
-// the modeled devices' rooflines, and write the table as JSON (the
+// the NVSA joint-codebook GEMV and one batched cleanup stage, place the
+// achieved FLOP/s of each against the modeled devices' rooflines, and
+// write the table as JSON (the
 // checked-in BENCH_kernels.json). This is the measurement behind the
 // dispatch-table thresholds in internal/tensor/dispatch.go and the CI
 // kernel smoke job's assertions.
@@ -24,8 +25,8 @@ import (
 // kernelBenchRow is one (shape, kernel) measurement.
 type kernelBenchRow struct {
 	Name           string  `json:"name"`
-	Op             string  `json:"op"`     // "gemm", "conv2d" or "gemv"
-	Kernel         string  `json:"kernel"` // "naive" or "tiled"; GEMV has only naive
+	Op             string  `json:"op"`     // "gemm", "conv2d", "gemv" or "cleanup"
+	Kernel         string  `json:"kernel"` // "naive" or "tiled"; GEMV has only naive; cleanup: naive = per-query GEMVs, tiled = one batched call
 	AutoPick       string  `json:"auto_pick"`
 	Reps           int     `json:"reps"`
 	NsPerOp        int64   `json:"ns_per_op"`
@@ -123,6 +124,17 @@ var kernelGemvShape = struct {
 	m, k int
 }{"gemv-nvsa-jointcb-2700x4096", 2700, 4096}
 
+// kernelCleanupName is one NVSA cleanup stage against the same codebook:
+// 16 queries run as 16 MatVecOn calls (naive, the codebook streamed per
+// query) and as one MatVecsOn call (the skinny GEMM the auto table picks,
+// the codebook streamed once). Both rows do the same FLOPs; AlgBytes
+// counts the codebook once per call, so the GB/s columns compare the
+// traffic each form actually needs.
+const (
+	kernelCleanupName    = "cleanup-nvsa-jointcb-2700x4096x16"
+	kernelCleanupQueries = 16
+)
+
 // runKernelBench measures every shape under both kernels, prints the
 // comparison table, and writes the JSON document to path.
 func runKernelBench(path string) error {
@@ -165,7 +177,7 @@ func runKernelBench(path string) error {
 
 	w := bufio.NewWriter(os.Stdout)
 	fmt.Fprintln(w, "Kernel benchmarks — naive vs tiled over the workload suite's operator shapes")
-	fmt.Fprintf(w, "%-30s %5s %14s %14s %9s %10s %8s\n",
+	fmt.Fprintf(w, "%-34s %5s %14s %14s %9s %10s %8s\n",
 		"shape", "auto", "naive ns/op", "tiled ns/op", "speedup", "GFLOP/s", "Xeon%")
 	for _, s := range kernelGemmShapes {
 		g := tensor.NewRNG(1)
@@ -199,8 +211,28 @@ func runKernelBench(path string) error {
 	ns := measure(gv.name, "gemv", tensor.KernelNaive, tensor.KernelNaive.String(), flops, bytes, func() {
 		tensor.MatVecOn(tensor.Serial, a, x)
 	})
-	fmt.Fprintf(w, "%-30s %5s %14d %14s %9s %10.2f %7s  %.2f GB/s\n",
+	fmt.Fprintf(w, "%-34s %5s %14d %14s %9s %10.2f %7s  %.2f GB/s\n",
 		gv.name, "naive", ns, "-", "-", float64(flops)/float64(ns), "-", float64(bytes)/float64(ns))
+
+	xs := make([]*tensor.Tensor, kernelCleanupQueries)
+	for j := range xs {
+		xs[j] = g.Normal(0, 1, gv.k)
+	}
+	n := int64(kernelCleanupQueries)
+	auto := tensor.GemmKernelFor(gv.m, gv.k, kernelCleanupQueries)
+	loopBytes, batchBytes := n*bytes, tensor.BytesMatMul(gv.m, gv.k, kernelCleanupQueries)
+	loopNs := measure(kernelCleanupName, "cleanup", tensor.KernelNaive, auto.String(), n*flops, loopBytes, func() {
+		for _, x := range xs {
+			tensor.MatVecOn(tensor.Serial, a, x)
+		}
+	})
+	batchNs := measure(kernelCleanupName, "cleanup", auto, auto.String(), n*flops, batchBytes, func() {
+		tensor.MatVecsOn(tensor.Serial, tensor.KernelAuto, a, xs)
+	})
+	derived["speedup_"+kernelCleanupName] = float64(loopNs) / float64(batchNs)
+	fmt.Fprintf(w, "%-34s %5s %14d %14d %8.2fx %10.2f %7s  %.2f -> %.2f GB/s\n",
+		kernelCleanupName, auto, loopNs, batchNs, float64(loopNs)/float64(batchNs),
+		float64(n*flops)/float64(batchNs), "-", float64(loopBytes)/float64(loopNs), float64(batchBytes)/float64(batchNs))
 	w.Flush()
 
 	doc := kernelBenchFile{
@@ -248,7 +280,7 @@ func printKernelRow(w *bufio.Writer, name, auto string, per map[string]int64, fl
 	if att > 0 {
 		pct = 100 * tiledG / att
 	}
-	fmt.Fprintf(w, "%-30s %5s %14d %14d %8.2fx %10.2f %7.1f%%\n",
+	fmt.Fprintf(w, "%-34s %5s %14d %14d %8.2fx %10.2f %7.1f%%\n",
 		name, auto, per["naive"], per["tiled"],
 		float64(per["naive"])/float64(per["tiled"]), tiledG, pct)
 }

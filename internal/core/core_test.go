@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/ops"
 	"github.com/neurosym/nsbench/internal/trace"
+	"github.com/neurosym/nsbench/internal/workloads/nvsa"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -277,5 +279,92 @@ func TestMovementShareComputed(t *testing.T) {
 	// (the paper: >80%% of transfer traffic is host→device).
 	if r.MovementH2DPct < 50 {
 		t.Fatalf("H2D share of movement = %v, want majority", r.MovementH2DPct)
+	}
+}
+
+// TestFig2cProjectedScaling is the deterministic sibling of
+// TestFig2cScaling: the same 2×2 and 3×3 NVSA tasks projected onto the
+// Jetson TX2 model, whose times depend only on the recorded shapes and
+// costs, never on how busy the host was. 3×3 must still cost clearly more
+// than 2×2.
+func TestFig2cProjectedScaling(t *testing.T) {
+	var total [2]float64
+	for i, m := range []int{2, 3} {
+		w := nvsa.New(nvsa.Config{M: m})
+		r, err := Characterize(w, Options{ProjectDevices: []hwsim.Device{hwsim.JetsonTX2}})
+		CloseWorkload(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total[i] = float64(r.Projections[0].Total)
+	}
+	scale := total[1] / total[0]
+	t.Logf("TX2-projected 3x3/2x2 scale = %.3f", scale)
+	if scale < 1.2 {
+		t.Fatalf("TX2-projected 3x3/2x2 scale = %v (%v / %v), want > 1.2", scale, total[1], total[0])
+	}
+}
+
+// TestNVSAGoldenReport pins the deterministic part of the default NVSA
+// report — dataflow structure, memory and per-stage costs — so an
+// execution change (such as batching the codebook cleanup queries) must
+// leave the characterization exactly as it was.
+func TestNVSAGoldenReport(t *testing.T) {
+	w, err := BuildWorkload("NVSA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Characterize(w, Options{})
+	CloseWorkload(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	df := r.Dataflow
+	gotDF := [6]int{df.Events, df.Edges, df.Depth, df.MaxWidth, df.NeuralToSymbolic, df.SymbolicToNeural}
+	if want := [6]int{1278, 1720, 43, 322, 1, 0}; gotDF != want {
+		t.Errorf("dataflow events/edges/depth/width/n2s/s2n = %v, want %v", gotDF, want)
+	}
+	wantMem := MemoryReport{
+		NeuralAlloc:    6527616,
+		SymbolicAlloc:  7605264,
+		ParamsByKind:   map[string]int64{"codebook": 44728320, "weight": 307328},
+		TotalParams:    45035648,
+		PeakNeuralOp:   1572864,
+		PeakSymbolicOp: 44263984,
+	}
+	if !reflect.DeepEqual(r.Memory, wantMem) {
+		t.Errorf("memory = %+v, want %+v", r.Memory, wantMem)
+	}
+	type stage struct {
+		name         string
+		flops, bytes int64
+		events       int
+	}
+	want := []stage{
+		{"pmf_to_vsa:number", 72, 864, 8},
+		{"codebook_encode:number", 1376256, 3146304, 32},
+		{"prob:number", 378406496, 711661156, 249},
+		{"execute:number", 774225, 115264, 10},
+		{"pmf_to_vsa:type", 360, 12960, 24},
+		{"codebook_encode:type", 13041664, 2883904, 48},
+		{"prob:type", 283804026, 533728652, 197},
+		{"execute:type", 774189, 115008, 10},
+		{"pmf_to_vsa:size", 432, 15552, 24},
+		{"codebook_encode:size", 13172736, 3146112, 48},
+		{"prob:size", 283804096, 533729532, 197},
+		{"execute:size", 774168, 114808, 5},
+		{"pmf_to_vsa:color", 720, 25920, 24},
+		{"codebook_encode:color", 13697024, 4194944, 48},
+		{"prob:color", 283804376, 533733052, 197},
+		{"execute:color", 774184, 114888, 5},
+		{"scene_inference", 354240000, 708569344, 32},
+		{"vsa_to_pmf", 177120520, 354287968, 81},
+	}
+	var got []stage
+	for _, s := range r.Stages {
+		got = append(got, stage{s.Stage, s.FLOPs, s.Bytes, s.Events})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("stages =\n%v\nwant\n%v", got, want)
 	}
 }

@@ -269,21 +269,28 @@ type op struct {
 	inputs   []*tensor.Tensor
 }
 
-// record times f, derives the event from the op description and the result,
-// and appends it to the trace. run must return the produced tensors (may be
-// empty for side-effect-only operators).
-//
-// For the timeline, record stamps the event's wall-clock start and the
-// engine's lane, and swaps the backend onto the kernel tracer for the
-// duration of run so every split dispatch leaves worker-attributed chunk
-// spans in the trace. The swap is engine-local state, safe because an
-// engine is single-goroutine by contract; it is idempotent for nested
-// records (the tracer simply stays installed).
+// record times run, derives the event from the op description and the
+// result, and appends it to the trace. run must return the produced tensors
+// (may be empty for side-effect-only operators).
 func (e *Engine) record(o op, run func() []*tensor.Tensor) []*tensor.Tensor {
+	start, dur, outs := e.timed(o.kernel, run)
+	e.emit(o, start, dur, outs)
+	return outs
+}
+
+// timed runs one kernel execution and returns its wall-clock start,
+// duration and outputs.
+//
+// For the timeline, it swaps the backend onto the kernel tracer for the
+// duration of run so every split dispatch leaves worker-attributed chunk
+// spans (labelled kernel) in the trace. The swap is engine-local state,
+// safe because an engine is single-goroutine by contract; it is
+// idempotent for nested records (the tracer simply stays installed).
+func (e *Engine) timed(kernel string, run func() []*tensor.Tensor) (time.Time, time.Duration, []*tensor.Tensor) {
 	kt := e.kt
 	prevBE := e.be
 	prevKernel, prevPhase := kt.kernel, kt.phase
-	kt.label(o.kernel, e.phase)
+	kt.label(kernel, e.phase)
 	e.be = kt
 
 	start := time.Now()
@@ -293,7 +300,13 @@ func (e *Engine) record(o op, run func() []*tensor.Tensor) []*tensor.Tensor {
 	e.be = prevBE
 	kt.label(prevKernel, prevPhase)
 	kt.drain(e.tr)
+	return start, dur, outs
+}
 
+// emit builds the event for one op over the given execution interval and
+// outputs, stamped with the engine's stage, phase and lane, and appends it
+// to the trace and the observer.
+func (e *Engine) emit(o op, start time.Time, dur time.Duration, outs []*tensor.Tensor) {
 	ev := trace.Event{
 		Name:     o.name,
 		Kernel:   o.kernel,
@@ -339,7 +352,6 @@ func (e *Engine) record(o op, run func() []*tensor.Tensor) []*tensor.Tensor {
 	if e.observer != nil {
 		e.observer(&ev)
 	}
-	return outs
 }
 
 // one unwraps a single-output record call, tolerating operators that

@@ -1,7 +1,9 @@
 package ops
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"github.com/neurosym/nsbench/internal/sparse"
 	"github.com/neurosym/nsbench/internal/tensor"
@@ -260,5 +262,80 @@ func TestReshapeAliasTracked(t *testing.T) {
 	ev := e.Trace().Events[0]
 	if ev.Category != trace.DataTransform || len(ev.Outputs) != 1 {
 		t.Fatalf("reshape event = %+v", ev)
+	}
+}
+
+// MatVecs must leave the trace that n MatVec calls leave, field by field,
+// under replica amplification too; only the timing differs: one measured
+// run split evenly into back-to-back events that sum to it. The observer
+// sees every event.
+func TestMatVecsRecordsMatVecEvents(t *testing.T) {
+	g := tensor.NewRNG(9)
+	a := g.Normal(0, 1, 37, 29)
+	for _, n := range []int{1, 3, 4, 6, 16} {
+		for _, replicas := range []int{1, 3} {
+			xs := make([]*tensor.Tensor, n)
+			xs[0] = tensor.New(29) // an all-zero output: sparsity 1
+			for j := 1; j < n; j++ {
+				xs[j] = g.Normal(0, 1, 29)
+			}
+			seq, bat := New(), New()
+			for _, e := range []*Engine{seq, bat} {
+				e.SetPhase(trace.Symbolic)
+				e.SetStage("cleanup")
+				e.MeasureSparsity(true)
+				e.SetReplicas(replicas)
+			}
+			var observed []trace.Event
+			bat.SetObserver(func(ev *trace.Event) { observed = append(observed, *ev) })
+			want := make([]*tensor.Tensor, n)
+			for j, x := range xs {
+				want[j] = seq.MatVec(a, x)
+			}
+			before := time.Now()
+			got := bat.MatVecs(a, xs)
+			elapsed := time.Since(before)
+
+			se, be := seq.Trace().Events, bat.Trace().Events
+			if len(got) != n || len(se) != n || len(be) != n || len(observed) != n {
+				t.Fatalf("n=%d: %d outputs, %d MatVec events, %d MatVecs events, %d observed", n, len(got), len(se), len(be), len(observed))
+			}
+			var total time.Duration
+			for j := range xs {
+				for i, v := range want[j].Data() {
+					if got[j].Data()[i] != v {
+						t.Fatalf("n=%d query %d element %d: MatVecs %v, MatVec %v", n, j, i, got[j].Data()[i], v)
+					}
+				}
+				s, b := se[j], be[j]
+				if len(b.Outputs) != 1 || b.Outputs[0] != got[j].ID() {
+					t.Fatalf("n=%d query %d: outputs %v, want [%d]", n, j, b.Outputs, got[j].ID())
+				}
+				obs := observed[j]
+				obs.Seq = b.Seq
+				if !reflect.DeepEqual(obs, b) {
+					t.Fatalf("n=%d query %d: observer saw %+v, trace holds %+v", n, j, obs, b)
+				}
+				if j > 0 && !b.Start.Equal(be[j-1].Start.Add(be[j-1].Dur)) {
+					t.Fatalf("n=%d query %d: start %v does not follow the previous event's end", n, j, b.Start)
+				}
+				if d := b.Dur - be[0].Dur; d < -1 || d > 1 {
+					t.Fatalf("n=%d query %d: duration %v, first %v: not an even split", n, j, b.Dur, be[0].Dur)
+				}
+				total += b.Dur
+				s.Start, s.Dur, s.Outputs = time.Time{}, 0, nil
+				b.Start, b.Dur, b.Outputs = time.Time{}, 0, nil
+				if !reflect.DeepEqual(s, b) {
+					t.Fatalf("n=%d replicas=%d query %d:\nMatVec  %+v\nMatVecs %+v", n, replicas, j, s, b)
+				}
+			}
+			if be[0].Start.Before(before) || total <= 0 || total > elapsed {
+				t.Fatalf("n=%d: events span %v from %v, want within the %v call from %v", n, total, be[0].Start, elapsed, before)
+			}
+		}
+	}
+	e := New()
+	if outs := e.MatVecs(a, nil); len(outs) != 0 || e.Trace().Len() != 0 {
+		t.Fatalf("no queries: %d outputs, %d events", len(outs), e.Trace().Len())
 	}
 }

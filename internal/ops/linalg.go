@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"time"
+
 	"github.com/neurosym/nsbench/internal/tensor"
 	"github.com/neurosym/nsbench/internal/trace"
 )
@@ -37,17 +39,42 @@ func (e *Engine) MatMulBatch(a, b *tensor.Tensor, batch int) *tensor.Tensor {
 	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.MatMulKernelOn(e.be, e.kernel, a, b)} }))
 }
 
-// MatVec records an instrumented GEMV.
-func (e *Engine) MatVec(a, x *tensor.Tensor) *tensor.Tensor {
+// matVecOp describes one GEMV of a (m×k) with x.
+func matVecOp(a, x *tensor.Tensor) op {
 	m, k := a.Dim(0), a.Dim(1)
-	return one(e.record(op{
+	return op{
 		name:     "MatVec",
 		kernel:   "sgemv",
 		category: trace.MatMul,
 		flops:    tensor.FlopsMatMul(m, k, 1),
 		bytes:    tensor.BytesMatMul(m, k, 1),
 		inputs:   []*tensor.Tensor{a, x},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.MatVecOn(e.be, a, x)} }))
+	}
+}
+
+// MatVec records an instrumented GEMV.
+func (e *Engine) MatVec(a, x *tensor.Tensor) *tensor.Tensor {
+	return one(e.record(matVecOp(a, x), func() []*tensor.Tensor { return []*tensor.Tensor{tensor.MatVecOn(e.be, a, x)} }))
+}
+
+// MatVecs runs independent GEMV queries against one matrix (cleanup
+// queries against a codebook) as a single batched kernel, so the matrix
+// streams once per batch instead of once per query (tensor.MatVecsOn;
+// output j is bit-identical to MatVec(a, xs[j])). The trace still records
+// one sgemv event per query, each exactly what MatVec(a, xs[j]) records —
+// shapes, costs, inputs, output, sparsity, replica amplification — so the
+// characterization and the device projections see len(xs) GEMVs that each
+// read the whole matrix; only the host ran them as a batch. The one
+// measured duration is split evenly across the events, which start back
+// to back and sum to it.
+func (e *Engine) MatVecs(a *tensor.Tensor, xs []*tensor.Tensor) []*tensor.Tensor {
+	start, dur, outs := e.timed("sgemv", func() []*tensor.Tensor { return tensor.MatVecsOn(e.be, e.kernel, a, xs) })
+	n := time.Duration(len(xs))
+	for j, x := range xs {
+		lo, hi := dur*time.Duration(j)/n, dur*time.Duration(j+1)/n
+		e.emit(matVecOp(a, x), start.Add(lo), hi-lo, outs[j:j+1])
+	}
+	return outs
 }
 
 // BatchMatMul records an instrumented batched GEMM.

@@ -9,10 +9,11 @@ import (
 // TestKernelSpeedupSmoke is the CI guard on the tiled kernels' reason to
 // exist: on large shapes the tiled GEMM/conv must actually beat naive.
 // Gated behind NSBENCH_KERNEL_SMOKE because it needs a quiet machine and
-// ~a second of timed work. The asserted floors (1.5x GEMM, 1.2x conv) sit
-// well under the recorded speedups in BENCH_kernels.json (4-5x and ~2x)
-// so scheduler noise cannot flake the job, while still catching any
-// regression that would invalidate the dispatch table.
+// ~a second of timed work. The asserted floors (1.5x GEMM, 1.2x conv, 1.5x
+// batched cleanup) sit well under the recorded speedups in
+// BENCH_kernels.json (4-5x, ~2x and ~3x) so scheduler noise cannot flake
+// the job, while still catching any regression that would invalidate the
+// dispatch table or the batched cleanup path.
 func TestKernelSpeedupSmoke(t *testing.T) {
 	if os.Getenv("NSBENCH_KERNEL_SMOKE") == "" {
 		t.Skip("set NSBENCH_KERNEL_SMOKE=1 to run the kernel speedup smoke")
@@ -46,5 +47,23 @@ func TestKernelSpeedupSmoke(t *testing.T) {
 	tiled = minNs(func() { Conv2DKernelOn(Serial, KernelTiled, in, w, bias, 1, 1) }, 5)
 	if speedup := float64(naive) / float64(tiled); speedup < 1.2 {
 		t.Errorf("tiled conv on 1x16x16x32: %.2fx over naive (naive %dns, tiled %dns), want >= 1.2x", speedup, naive, tiled)
+	}
+
+	// Batched cleanup: one 16-query MatVecsOn against NVSA's joint codebook
+	// must beat 16 MatVecOn calls, each of which streams the whole matrix.
+	cb := g.Normal(0, 1, 2700, 4096)
+	xs := make([]*Tensor, 16)
+	for j := range xs {
+		xs[j] = g.Normal(0, 1, 4096)
+	}
+	loop := minNs(func() {
+		for _, x := range xs {
+			MatVecOn(Serial, cb, x)
+		}
+	}, 3)
+	batched := minNs(func() { MatVecsOn(Serial, KernelAuto, cb, xs) }, 3)
+	t.Logf("batched 16-query cleanup: GEMVs %dns, batched %dns (%.2fx)", loop, batched, float64(loop)/float64(batched))
+	if speedup := float64(loop) / float64(batched); speedup < 1.5 {
+		t.Errorf("batched 16-query cleanup on 2700x4096: %.2fx over 16 GEMVs (GEMVs %dns, batched %dns), want >= 1.5x", speedup, loop, batched)
 	}
 }

@@ -121,6 +121,48 @@ func matVecRows(ad, xd, od []float32, k, lo, hi int) {
 	}
 }
 
+// MatVecsOn returns a·xs[j] for every query vector, output j bit-identical
+// to MatVecOn(r, a, xs[j]). The queries are independent, so they run as one
+// skinny GEMM on kern: packed as the columns of a k×n′ operand and passed
+// through MatMulKernelOn, whose column j is MatVec's output j under the
+// package accumulation contract. The matrix then streams once per batch
+// instead of once per query. n′ rounds n up to the micro-tile width with
+// zero columns, so the tiled kernel never drops into its scalar edge path;
+// the padded outputs are discarded. Below one micro-tile of queries the
+// GEMM has nothing to share and each query runs as its own MatVecOn.
+func MatVecsOn(r Runner, kern Kernel, a *Tensor, xs []*Tensor) []*Tensor {
+	out := make([]*Tensor, len(xs))
+	if len(xs) < gemmNR {
+		for j, x := range xs {
+			out[j] = MatVecOn(r, a, x)
+		}
+		return out
+	}
+	if a.Rank() != 2 {
+		panic(fmt.Sprintf("tensor: MatVecs needs a rank-2 matrix, got %v", a.shape))
+	}
+	m, k := a.shape[0], a.shape[1]
+	np := (len(xs) + gemmNR - 1) / gemmNR * gemmNR
+	b := New(k, np)
+	for j, x := range xs {
+		if x.Rank() != 1 || x.shape[0] != k {
+			panic(fmt.Sprintf("tensor: MatVecs dimension mismatch %v x %v", a.shape, x.shape))
+		}
+		for p, v := range x.data {
+			b.data[p*np+j] = v
+		}
+	}
+	prod := MatMulKernelOn(r, kern, a, b).data
+	for j := range xs {
+		o := New(m)
+		for i := range o.data {
+			o.data[i] = prod[i*np+j]
+		}
+		out[j] = o
+	}
+	return out
+}
+
 // BatchMatMul multiplies two rank-3 tensors batch-wise: (B×m×k)·(B×k×n) → B×m×n.
 func BatchMatMul(a, b *Tensor) *Tensor { return BatchMatMulOn(Serial, a, b) }
 

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -180,6 +182,104 @@ func TestMatVecMatchesMatMulColumn(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(15))
 	check(randTensor(rng, 2700, 4096), randTensor(rng, 4096))
+}
+
+// matVecsQueryCounts straddle the micro-tile width: below it (the MatVecOn
+// loop), exact multiples, and one to three past a multiple, where padding
+// columns fill the last tile.
+var matVecsQueryCounts = []int{1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 16, 17}
+
+// TestMatVecsMatchesMatVec pins the batched cleanup kernel: output j of
+// MatVecsOn is bit-identical to MatVecOn(a, xs[j]) for every query count,
+// kernel and runner (2- and 3-worker chunk edges fall inside four-row
+// blocks). The 2700×4096 NVSA joint-codebook shape runs once with the 16
+// queries of one scene-inference stage.
+func TestMatVecsMatchesMatVec(t *testing.T) {
+	runners := []Runner{Serial}
+	for _, w := range []int{2, 3} {
+		be := backend.NewParallel(w)
+		defer be.Close()
+		runners = append(runners, be)
+	}
+	check := func(a *Tensor, xs []*Tensor) bool {
+		want := make([]*Tensor, len(xs))
+		for j, x := range xs {
+			want[j] = MatVecOn(Serial, a, x)
+		}
+		for ri, r := range runners {
+			for _, kern := range []Kernel{KernelAuto, KernelNaive, KernelTiled} {
+				got := MatVecsOn(r, kern, a, xs)
+				if len(got) != len(xs) {
+					t.Errorf("MatVecs returned %d outputs for %d queries", len(got), len(xs))
+					return false
+				}
+				for j := range xs {
+					name := fmt.Sprintf("MatVecs %v n=%d runner %d kernel %v query %d", a.Shape(), len(xs), ri, kern, j)
+					if !bitsEqual(t, name, want[j], got[j]) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	queries := func(rng *rand.Rand, n, k int) []*Tensor {
+		xs := make([]*Tensor, n)
+		for j := range xs {
+			xs[j] = randTensor(rng, k)
+		}
+		return xs
+	}
+	prop := func(m8, k16 uint16, seed int64) bool {
+		m, k := int(m8%160)+1, int(k16%700)+1
+		rng := rand.New(rand.NewSource(seed))
+		a := randTensor(rng, m, k)
+		for _, n := range matVecsQueryCounts {
+			if !check(a, queries(rng, n, k)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, equivCfg(16)); err != nil {
+		t.Error(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	check(randTensor(rng, 2700, 4096), queries(rng, 16, 4096))
+}
+
+// TestMatVecsIsolatesNonFinite: queries share the matrix, never each
+// other's columns, so a NaN or Inf in one query reaches only that query's
+// output — the padded GEMM must not smear it across the batch.
+func TestMatVecsIsolatesNonFinite(t *testing.T) {
+	be := backend.NewParallel(2)
+	defer be.Close()
+	rng := rand.New(rand.NewSource(18))
+	a := randTensor(rng, 37, 29)
+	xs := make([]*Tensor, 6)
+	for j := range xs {
+		xs[j] = randTensor(rng, 29)
+	}
+	xs[1].Data()[3] = float32(math.NaN())
+	xs[4].Data()[0] = float32(math.Inf(1))
+	for _, r := range []Runner{Serial, be} {
+		for _, kern := range []Kernel{KernelAuto, KernelNaive, KernelTiled} {
+			got := MatVecsOn(r, kern, a, xs)
+			for j, x := range xs {
+				want := MatVecOn(Serial, a, x)
+				poisoned := j == 1 || j == 4
+				if got[j].AllFinite() == poisoned {
+					t.Fatalf("kernel %v query %d: all finite = %v, want %v", kern, j, !poisoned, poisoned)
+				}
+				for i, v := range want.Data() {
+					g := got[j].Data()[i]
+					if g != v && !(math.IsNaN(float64(g)) && math.IsNaN(float64(v))) {
+						t.Fatalf("kernel %v query %d element %d: MatVecs %v, MatVec %v", kern, j, i, g, v)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestGemmDispatchTable pins the auto-dispatch decisions: pure shape

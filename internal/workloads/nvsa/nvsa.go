@@ -275,6 +275,7 @@ func (w *NVSA) SolveBatch(e *ops.Engine, task raven.Task, n int) (int, error) {
 		var best abduction.CandidateRule
 		e.InStage("prob:"+a.String(), func() {
 			scores := abduction.Abduce(e, a, m, rows)
+			var bound []*tensor.Tensor
 			for range abduction.Candidates(a, m) {
 				for r := 0; r < m-1; r++ {
 					row := scene[r]
@@ -283,14 +284,16 @@ func (w *NVSA) SolveBatch(e *ops.Engine, task raven.Task, n int) (int, error) {
 						q = e.CircularConv(q, e.Roll(s, k+1))
 					}
 					_ = e.Dot(q, row[len(row)-1])
-					// Probability readout of the hypothesis: the bound row
-					// context is cleaned up against the joint codebook —
-					// NVSA's algebraic substitution for exhaustive
-					// probability computation, and the component whose cost
-					// grows with the rule hypothesis space (Fig. 2c).
-					_ = e.MatVec(w.jointCB, q)
+					bound = append(bound, q)
 				}
 			}
+			// Probability readout of every hypothesis: each bound row
+			// context is cleaned up against the joint codebook — NVSA's
+			// algebraic substitution for exhaustive probability
+			// computation, and the component whose cost grows with the
+			// rule hypothesis space (Fig. 2c). No query depends on another
+			// query's readout, so the stage issues them as one batch.
+			_ = e.MatVecs(w.jointCB, bound)
 			e.Logic("RuleDetect:"+a.String(), int64(len(scores)), int64(len(scores))*4, nil, func() []*tensor.Tensor {
 				best, _ = abduction.BestRule(a, m, scores)
 				return nil
@@ -315,10 +318,10 @@ func (w *NVSA) SolveBatch(e *ops.Engine, task raven.Task, n int) (int, error) {
 	// scene vector up against the joint codebook of all attribute
 	// combinations. These large matrix-vector cleanup queries are the
 	// memory-bound streaming workload the roofline analysis attributes to
-	// NVSA's symbolic phase.
+	// NVSA's symbolic phase. They are recorded as one GEMV per panel; the
+	// host runs them as one batch that reads the codebook once.
 	e.InStage("scene_inference", func() {
-		for pi := range panels {
-			probe := e.MatVec(w.jointCB, panelVec[pi])
+		for _, probe := range e.MatVecs(w.jointCB, panelVec) {
 			_ = e.Softmax(probe)
 		}
 	})
@@ -327,12 +330,12 @@ func (w *NVSA) SolveBatch(e *ops.Engine, task raven.Task, n int) (int, error) {
 	// against every candidate in the vector-symbolic space.
 	scores := tensor.New(len(task.Choices))
 	e.InStage("vsa_to_pmf", func() {
+		// Transform every candidate back through the joint codebook
+		// (VSA → PMF): the cleanup readout of each candidate's scene.
+		probes := e.MatVecs(w.jointCB, panelVec[ctx:])
 		for ci := range task.Choices {
 			choicePMFs := pmfs[ctx+ci]
-			// Transform the candidate back through the joint codebook
-			// (VSA → PMF): the cleanup readout of the candidate's scene.
-			probe := e.MatVec(w.jointCB, panelVec[ctx+ci])
-			_ = e.Softmax(probe)
+			_ = e.Softmax(probes[ci])
 			total := tensor.Scalar(1)
 			for _, a := range w.attrs {
 				dot := e.Dot(predicted[a], choicePMFs[a])

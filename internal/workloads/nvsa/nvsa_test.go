@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/ops"
 	"github.com/neurosym/nsbench/internal/raven"
 	"github.com/neurosym/nsbench/internal/trace"
@@ -30,6 +31,21 @@ func TestRunProducesBothPhases(t *testing.T) {
 	// Symbolic must dominate (the paper's 92.1% observation).
 	if share := tr.PhaseShare(trace.Symbolic); share < 0.5 {
 		t.Fatalf("symbolic share = %v, want > 0.5", share)
+	}
+}
+
+// TestProjectedSymbolicShare is the deterministic sibling of
+// TestRunProducesBothPhases: the default run projected onto the Jetson TX2
+// model, whose times depend only on the recorded shapes and costs, must
+// still be dominated by the symbolic phase.
+func TestProjectedSymbolicShare(t *testing.T) {
+	w := New(Config{})
+	e := ops.New()
+	if err := w.Run(e); err != nil {
+		t.Fatal(err)
+	}
+	if share := hwsim.JetsonTX2.ProjectTrace(e.Trace()).PhaseShare(trace.Symbolic); share <= 0.5 {
+		t.Fatalf("TX2-projected symbolic share = %v, want > 0.5", share)
 	}
 }
 
