@@ -192,8 +192,13 @@ func Tab4(device hwsim.Device, opts Options) ([]hwsim.KernelStats, error) {
 		device.KernelStats("sgemm_nn", pick(trace.Neural, "conv2d", "sgemm_nn")),
 		device.KernelStats("relu_nn", pick(trace.Neural, "relu_nn")),
 		// The symbolic streaming-vector kernels: codebook-cleanup GEMVs
-		// stream the whole codebook per query and are the archetypal
-		// memory-bound vectorized kernel of NVSA's backend.
+		// stream the whole codebook per query on the modeled devices and
+		// are the archetypal memory-bound vectorized kernel of NVSA's
+		// backend. The host runs each cleanup stage as one batched GEMM
+		// (Engine.MatVecs), so the measured fields of this row
+		// (MeasuredTime, AchievedGFLOPs, RooflinePct) come from the batched
+		// run split evenly across the per-query events, not from a
+		// per-query streaming rate.
 		device.KernelStats("vectorized_elem", pick(trace.Symbolic, "sgemv", "vectorized_elem")),
 		device.KernelStats("elementwise", pick(trace.Symbolic, "elementwise", "softmax", "reduce")),
 	}

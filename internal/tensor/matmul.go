@@ -128,14 +128,10 @@ func matVecRows(ad, xd, od []float32, k, lo, hi int) {
 // package accumulation contract. The matrix then streams once per batch
 // instead of once per query. n′ rounds n up to the micro-tile width with
 // zero columns, so the tiled kernel never drops into its scalar edge path;
-// the padded outputs are discarded. Below one micro-tile of queries the
-// GEMM has nothing to share and each query runs as its own MatVecOn.
+// the padded outputs are discarded.
 func MatVecsOn(r Runner, kern Kernel, a *Tensor, xs []*Tensor) []*Tensor {
 	out := make([]*Tensor, len(xs))
-	if len(xs) < gemmNR {
-		for j, x := range xs {
-			out[j] = MatVecOn(r, a, x)
-		}
+	if len(xs) == 0 {
 		return out
 	}
 	if a.Rank() != 2 {
