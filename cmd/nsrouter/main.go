@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"github.com/neurosym/nsbench/internal/cluster"
+	"github.com/neurosym/nsbench/internal/frontdoor"
 	"github.com/neurosym/nsbench/internal/logging"
 	"github.com/neurosym/nsbench/internal/membership"
 )
@@ -99,7 +100,7 @@ func main() {
 		fatal(err)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: rt.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: rt.Handler(), ReadHeaderTimeout: frontdoor.ReadHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "nsrouter: listening on %s, fronting %d static replicas (dynamic join %v)\n",

@@ -47,6 +47,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/neurosym/nsbench/internal/frontdoor"
 	"github.com/neurosym/nsbench/internal/logging"
 	"github.com/neurosym/nsbench/internal/membership"
 	"github.com/neurosym/nsbench/internal/ops"
@@ -100,7 +101,7 @@ func main() {
 		fatal(err)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: frontdoor.ReadHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "nsserve: listening on %s (backend %s)\n", *addr, *backendName)

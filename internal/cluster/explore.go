@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/neurosym/nsbench/internal/dse"
+	"github.com/neurosym/nsbench/internal/frontdoor"
 	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/serve"
 )
@@ -32,7 +33,7 @@ import (
 // to the front a single replica would compute over the whole grid, and
 // byte-identical to it because point evaluation is deterministic.
 func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodPost) {
+	if !frontdoor.AllowMethods(w, r, http.MethodPost) {
 		return
 	}
 	raw, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
@@ -91,7 +92,7 @@ func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
 		Shards:     shards,
 	}})
 
-	id := requestID(r)
+	id := frontdoor.RequestID(r)
 	start := time.Now()
 	summaries := make([]*dse.Summary, shards)
 	errs := make([]error, shards)

@@ -3,8 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -28,67 +26,23 @@ func TestExploreSmoke(t *testing.T) {
 	if os.Getenv("NSEXPLORE_SMOKE") == "" {
 		t.Skip("set NSEXPLORE_SMOKE=1 to run the explore binary smoke test")
 	}
-	bin := t.TempDir()
-	nsserve := filepath.Join(bin, "nsserve")
-	nsrouter := filepath.Join(bin, "nsrouter")
-	nsexplore := filepath.Join(bin, "nsexplore")
-	nsbench := filepath.Join(bin, "nsbench")
-	for target, pkg := range map[string]string{
-		nsserve:   "./cmd/nsserve",
-		nsrouter:  "./cmd/nsrouter",
-		nsexplore: "./cmd/nsexplore",
-		nsbench:   "./cmd/nsbench",
-	} {
-		cmd := exec.Command("go", "build", "-o", target, pkg)
-		cmd.Dir = "../.." // module root; the test runs in internal/cluster
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", pkg, err, out)
-		}
-	}
+	l := newLauncher(t, "nsserve", "nsrouter", "nsexplore", "nsbench")
+	addrA, addrB, addrR := freeAddr(t), freeAddr(t), freeAddr(t)
 
-	freePort := func() string {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		return l.Addr().String()
-	}
-	addrA, addrB, addrR := freePort(), freePort(), freePort()
-
-	start := func(name string, args ...string) {
-		cmd := exec.Command(name, args...)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("starting %s: %v", name, err)
-		}
-		t.Cleanup(func() {
-			cmd.Process.Kill()
-			cmd.Wait()
-		})
-	}
-	start(nsserve, "-addr", addrA, "-quiet")
-	start(nsserve, "-addr", addrB, "-quiet")
-	start(nsrouter,
+	l.start("nsserve", os.Stderr, "-addr", addrA, "-quiet")
+	l.start("nsserve", os.Stderr, "-addr", addrB, "-quiet")
+	l.start("nsrouter", os.Stderr,
 		"-addr", addrR,
 		"-replicas", fmt.Sprintf("http://%s,http://%s", addrA, addrB),
 		"-probe-interval", "50ms")
 
 	for name, addr := range map[string]string{"replica A": addrA, "replica B": addrB, "router": addrR} {
-		addr := addr
-		await(t, name+" ready", func() bool {
-			resp, err := http.Get("http://" + addr + "/readyz")
-			if err != nil {
-				return false
-			}
-			resp.Body.Close()
-			return resp.StatusCode == http.StatusOK
-		})
+		awaitReady(t, name, addr)
 	}
 
 	sweep := func(server, out string) dse.Artifact {
 		t.Helper()
-		cmd := exec.Command(nsexplore, "-server", server, "-workload", "NVSA", "-out", out, "-quiet")
+		cmd := exec.Command(l.bin("nsexplore"), "-server", server, "-workload", "NVSA", "-out", out, "-quiet")
 		if o, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("nsexplore against %s: %v\n%s", server, err, o)
 		}
@@ -102,8 +56,8 @@ func TestExploreSmoke(t *testing.T) {
 		}
 		return art
 	}
-	single := sweep("http://"+addrA, filepath.Join(bin, "single.json"))
-	routed := sweep("http://"+addrR, filepath.Join(bin, "routed.json"))
+	single := sweep("http://"+addrA, filepath.Join(l.dir, "single.json"))
+	routed := sweep("http://"+addrR, filepath.Join(l.dir, "routed.json"))
 
 	for name, art := range map[string]dse.Artifact{"single": single, "routed": routed} {
 		if art.GridSize < 200 {
@@ -136,9 +90,9 @@ func TestExploreSmoke(t *testing.T) {
 	// cached trace is than re-characterizing per point (floor: 50x).
 	artPath := os.Getenv("NSEXPLORE_ARTIFACT")
 	if artPath == "" {
-		artPath = filepath.Join(bin, "BENCH_explore.json")
+		artPath = filepath.Join(l.dir, "BENCH_explore.json")
 	}
-	cmd := exec.Command(nsbench, "-explore", artPath)
+	cmd := exec.Command(l.bin("nsbench"), "-explore", artPath)
 	cmd.Dir = "../.."
 	if o, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("nsbench -explore: %v\n%s", err, o)

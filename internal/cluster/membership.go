@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 
+	"github.com/neurosym/nsbench/internal/frontdoor"
 	"github.com/neurosym/nsbench/internal/membership"
 )
 
@@ -78,7 +79,7 @@ func (rt *Router) membershipEnabled(w http.ResponseWriter) bool {
 
 // handleClusterJoin registers a replica or refreshes its heartbeat.
 func (rt *Router) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodPost) {
+	if !frontdoor.AllowMethods(w, r, http.MethodPost) {
 		return
 	}
 	if !rt.membershipEnabled(w) {
@@ -94,7 +95,7 @@ func (rt *Router) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 
 // handleClusterLeave withdraws a replica immediately (graceful drain).
 func (rt *Router) handleClusterLeave(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodPost) {
+	if !frontdoor.AllowMethods(w, r, http.MethodPost) {
 		return
 	}
 	if !rt.membershipEnabled(w) {
@@ -111,7 +112,7 @@ func (rt *Router) handleClusterLeave(w http.ResponseWriter, r *http.Request) {
 // handleClusterMembers lists the membership table with each node's
 // routing state and load signals, plus the recent-departure ledger.
 func (rt *Router) handleClusterMembers(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet) {
+	if !frontdoor.AllowMethods(w, r, http.MethodGet) {
 		return
 	}
 	joins, leaves := rt.member.Counts()

@@ -36,8 +36,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -54,10 +52,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/neurosym/nsbench/internal/frontdoor"
 	"github.com/neurosym/nsbench/internal/membership"
 	"github.com/neurosym/nsbench/internal/metrics"
 	"github.com/neurosym/nsbench/internal/serve"
-	"github.com/neurosym/nsbench/internal/slo"
 	"github.com/neurosym/nsbench/internal/trace"
 )
 
@@ -117,19 +115,6 @@ type Config struct {
 	// NodeName identifies the router process in stitched traces (its pid
 	// label). Empty selects "nsrouter-<hostname>-<pid>".
 	NodeName string
-	// SLO parameterizes burn-rate windows and the budget period; the zero
-	// value selects the slo package defaults.
-	SLO slo.Config
-	// SLOAvailabilityTarget is the non-5xx success-ratio objective over
-	// all routed responses; 0 selects 0.999.
-	SLOAvailabilityTarget float64
-	// SLOLatencyTarget is the fraction of routed /v1/characterize
-	// responses that must finish within SLOLatencyThreshold; 0 selects
-	// 0.95.
-	SLOLatencyTarget float64
-	// SLOLatencyThreshold is the routed latency objective's cutoff; 0
-	// selects 500ms (the replica-side default plus routing overhead).
-	SLOLatencyThreshold time.Duration
 }
 
 func (c *Config) defaults() {
@@ -165,16 +150,11 @@ func (c *Config) defaults() {
 		c.NodeName = fmt.Sprintf("nsrouter-%s-%d", host, os.Getpid())
 	}
 	c.Health.defaults()
-	if c.SLOAvailabilityTarget == 0 {
-		c.SLOAvailabilityTarget = 0.999
-	}
-	if c.SLOLatencyTarget == 0 {
-		c.SLOLatencyTarget = 0.95
-	}
-	if c.SLOLatencyThreshold == 0 {
-		c.SLOLatencyThreshold = 500 * time.Millisecond
-	}
 }
+
+// sloLatencyThreshold is the routed characterize_latency objective's
+// cutoff: the replica's 250ms plus routing overhead.
+const sloLatencyThreshold = 500 * time.Millisecond
 
 // Router shards requests across nsserve replicas. Construct with New,
 // expose via Handler, Close when done.
@@ -191,10 +171,9 @@ type Router struct {
 	inflight sync.Map
 
 	reg          *metrics.Registry
-	httpReqs     *metrics.CounterVec   // nsrouter_http_requests_total{endpoint,code}
-	httpLat      *metrics.HistogramVec // nsrouter_http_request_seconds{endpoint}
-	nodeReqs     *metrics.CounterVec   // nsrouter_node_requests_total{node,code}
-	nodeErrs     *metrics.CounterVec   // nsrouter_node_errors_total{node}
+	door         *frontdoor.Door     // request IDs, HTTP metrics, probes, /metrics, SLOs
+	nodeReqs     *metrics.CounterVec // nsrouter_node_requests_total{node,code}
+	nodeErrs     *metrics.CounterVec // nsrouter_node_errors_total{node}
 	retries      *metrics.Counter
 	hedgeFired   *metrics.Counter
 	hedgeWon     *metrics.Counter
@@ -210,17 +189,9 @@ type Router struct {
 	// request ID — the router's slice of a stitched cross-process trace.
 	// nil when Config.RecorderSize is negative.
 	recorder *trace.Recorder
-	// slos tracks the routed availability and latency objectives;
-	// sloGood/sloTotal are the availability feed counted in instrument.
-	slos     *slo.Set
-	sloGood  metrics.Counter
-	sloTotal metrics.Counter
 
 	exploreSweeps *metrics.Counter // ns_explore_sweeps_total (router-level fan-outs)
 	exploreShards *metrics.Counter // ns_explore_shards_total (shard streams completed)
-
-	reqNonce string
-	reqSeq   atomic.Uint64
 
 	closeOnce sync.Once
 }
@@ -242,10 +213,6 @@ func New(cfg Config) (*Router, error) {
 		client: &http.Client{}, // per-attempt deadlines come from contexts
 		logger: cfg.Logger,
 		reg:    reg,
-		httpReqs: reg.CounterVec("nsrouter_http_requests_total",
-			"Routed HTTP requests by endpoint and status code.", "endpoint", "code"),
-		httpLat: reg.HistogramVec("nsrouter_http_request_seconds",
-			"Routing latency by endpoint, upstream time included.", metrics.LatencyBuckets(), "endpoint"),
 		nodeReqs: reg.CounterVec("nsrouter_node_requests_total",
 			"Upstream responses by replica and status code.", "node", "code"),
 		nodeErrs: reg.CounterVec("nsrouter_node_errors_total",
@@ -274,7 +241,6 @@ func New(cfg Config) (*Router, error) {
 			"Design-space sweeps fanned out across the cluster."),
 		exploreShards: reg.Counter("ns_explore_shards_total",
 			"Sweep shard streams completed by replicas."),
-		reqNonce: newNonce(),
 	}
 	if cfg.RecorderSize > 0 {
 		rt.recorder = trace.NewRecorder(cfg.RecorderSize)
@@ -334,28 +300,14 @@ func New(cfg Config) (*Router, error) {
 		func() float64 { return float64(len(rt.health.Ejected())) })
 	reg.GaugeFunc("ns_cluster_members", "Current cluster membership (static + dynamic).",
 		func() float64 { return float64(rt.member.Len()) })
-	metrics.NewGoCollector(reg)
-	metrics.RegisterBuildInfo(reg)
-	rt.slos = slo.NewSet(cfg.SLO)
-	if err := rt.slos.Add(slo.Objective{
-		Name:        "availability",
-		Description: "Non-5xx responses across all routed endpoints (health/readiness probes excluded).",
-		Target:      cfg.SLOAvailabilityTarget,
-		Source:      slo.FromCounters(rt.sloGood.Value, rt.sloTotal.Value),
-	}); err != nil {
-		return nil, err
-	}
-	if err := rt.slos.Add(slo.Objective{
-		Name: "characterize_latency",
-		Description: fmt.Sprintf("Routed /v1/characterize responses within %s (histogram-bucket resolution).",
-			cfg.SLOLatencyThreshold),
-		Target: cfg.SLOLatencyTarget,
-		Source: slo.FromHistogram(rt.httpLat.With("/v1/characterize"), cfg.SLOLatencyThreshold.Seconds()),
-	}); err != nil {
-		return nil, err
-	}
-	rt.slos.Register(reg)
-	rt.slos.Start()
+	rt.door = frontdoor.New(reg, cfg.Logger, frontdoor.Tier{
+		MetricPrefix:     "nsrouter",
+		IDPrefix:         "nsr",
+		LogMessage:       "route",
+		LatencyThreshold: sloLatencyThreshold,
+		Ready:            func() bool { return rt.ring.Len() > 0 },
+		NotReady:         "no live replicas",
+	})
 	rt.health.Start()
 	if cfg.Membership.Enabled {
 		rt.member.Start()
@@ -396,116 +348,27 @@ func (rt *Router) Close() {
 	rt.closeOnce.Do(func() {
 		rt.member.Close()
 		rt.health.Close()
-		rt.slos.Close()
+		rt.door.Close()
 		rt.client.CloseIdleConnections()
 	})
 }
 
 // Handler returns the router's route table, mirroring the replica API so
-// clients point at the router unchanged.
+// clients point at the router unchanged. The front door serves /metrics
+// (the router's own registry), /healthz, /readyz (503 while the ring is
+// empty) and /v1/slo.
 func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/characterize", rt.instrument("/v1/characterize", rt.handleCharacterize))
-	mux.HandleFunc("/v1/explore", rt.instrument("/v1/explore", rt.handleExplore))
-	mux.HandleFunc("/v1/workloads", rt.instrument("/v1/workloads", rt.handleWorkloads))
-	mux.HandleFunc("/v1/trace", rt.instrument("/v1/trace", rt.handleTrace))
-	mux.HandleFunc("/v1/stats", rt.instrument("/v1/stats", rt.handleStats))
-	mux.HandleFunc("/v1/slo", rt.instrument("/v1/slo", rt.handleSLO))
-	mux.HandleFunc("/v1/cluster/join", rt.instrument("/v1/cluster/join", rt.handleClusterJoin))
-	mux.HandleFunc("/v1/cluster/leave", rt.instrument("/v1/cluster/leave", rt.handleClusterLeave))
-	mux.HandleFunc("/v1/cluster/members", rt.instrument("/v1/cluster/members", rt.handleClusterMembers))
-	mux.HandleFunc("/metrics", rt.instrument("/metrics", rt.handleMetrics))
-	mux.HandleFunc("/healthz", rt.instrument("/healthz", rt.handleHealthz))
-	mux.HandleFunc("/readyz", rt.instrument("/readyz", rt.handleReadyz))
+	d := rt.door
+	mux := d.Mux()
+	d.Handle(mux, "/v1/characterize", rt.handleCharacterize)
+	d.Handle(mux, "/v1/explore", rt.handleExplore)
+	d.Handle(mux, "/v1/workloads", rt.handleWorkloads)
+	d.Handle(mux, "/v1/trace", rt.handleTrace)
+	d.Handle(mux, "/v1/stats", rt.handleStats)
+	d.Handle(mux, "/v1/cluster/join", rt.handleClusterJoin)
+	d.Handle(mux, "/v1/cluster/leave", rt.handleClusterLeave)
+	d.Handle(mux, "/v1/cluster/members", rt.handleClusterMembers)
 	return mux
-}
-
-// newNonce returns a short random hex tag for request-ID generation.
-func newNonce() string {
-	var b [4]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "static"
-	}
-	return hex.EncodeToString(b[:])
-}
-
-type ctxKey int
-
-const ctxKeyRequestID ctxKey = iota
-
-// requestID returns the ID instrument assigned to (or accepted from) r.
-func requestID(r *http.Request) string {
-	id, _ := r.Context().Value(ctxKeyRequestID).(string)
-	return id
-}
-
-// instrument wraps h with per-endpoint request/latency metrics and
-// request-ID handling: an inbound X-Request-ID is kept (and forwarded to
-// the replica that serves the request, landing in its flight recorder),
-// otherwise one is minted here — either way the ID is echoed on the
-// response and ties the router's log line to the replica's.
-func (rt *Router) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	lat := rt.httpLat.With(endpoint)
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		id := r.Header.Get("X-Request-ID")
-		if id == "" {
-			id = fmt.Sprintf("nsr-%s-%d", rt.reqNonce, rt.reqSeq.Add(1))
-		}
-		w.Header().Set("X-Request-ID", id)
-		r = r.WithContext(context.WithValue(r.Context(), ctxKeyRequestID, id))
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		dur := time.Since(start)
-		lat.ObserveSeconds(dur.Nanoseconds())
-		rt.httpReqs.With(endpoint, strconv.Itoa(sw.code)).Inc()
-		// Availability SLO feed: every routed response counts, 5xx bad —
-		// except the probe endpoints: /readyz answers 503 by design while
-		// the ring is empty (startup, every replica ejected), and that
-		// honest "not ready" must not burn the availability budget.
-		if endpoint != "/healthz" && endpoint != "/readyz" {
-			rt.sloTotal.Inc()
-			if sw.code < 500 {
-				rt.sloGood.Inc()
-			}
-		}
-		if rt.logger != nil {
-			rt.logger.Info("route",
-				"method", r.Method, "path", r.URL.Path,
-				"status", sw.code, "dur", dur, "id", id)
-		}
-	}
-}
-
-// statusWriter captures the response status for the request counter.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the underlying writer so the fanned-out /v1/explore
-// stream reaches the client incrementally through the instrumentation.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// allowMethods gates r to the listed methods (405 + Allow otherwise).
-func allowMethods(w http.ResponseWriter, r *http.Request, methods ...string) bool {
-	for _, m := range methods {
-		if r.Method == m {
-			return true
-		}
-	}
-	w.Header().Set("Allow", strings.Join(methods, ", "))
-	http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	return false
 }
 
 // maxBodyBytes bounds request and upstream bodies. Reports are tens of
@@ -875,13 +738,13 @@ func retryAfterSeconds(d time.Duration) string {
 // (and hedging when enabled). The canonical form is what gets forwarded,
 // so replicas parse one spelling per key no matter what clients sent.
 func (rt *Router) handleCharacterize(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodPost) {
+	if !frontdoor.AllowMethods(w, r, http.MethodPost) {
 		return
 	}
 	// Root span: the routed request's full extent — every per-hop span
 	// (proxy attempts, backoffs) nests inside it on the stitched timeline.
 	routeStart := time.Now()
-	id := requestID(r)
+	id := frontdoor.RequestID(r)
 	defer func() { rt.recordRouterSpan(id, "route.characterize", routeStart) }()
 	raw, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	if err != nil {
@@ -903,7 +766,7 @@ func (rt *Router) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	up, err := rt.forward(r.Context(), key, http.MethodPost, "/v1/characterize", body, requestID(r), true)
+	up, err := rt.forward(r.Context(), key, http.MethodPost, "/v1/characterize", body, frontdoor.RequestID(r), true)
 	if err != nil {
 		rt.routeError(w, r, err)
 		return
@@ -970,27 +833,12 @@ func (rt *Router) fill(node string, canon serve.Request, report []byte, id strin
 	rt.recordRouterSpanLane(id, "fill("+node+") "+outcome, 2, start)
 }
 
-// handleSLO reports the router's objectives: error budgets, windowed
-// burn rates, and alert state.
-func (rt *Router) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet) {
-		return
-	}
-	b, err := json.Marshal(rt.slos.Report())
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(b)
-}
-
 // handleTrace routes the debug timeline endpoint by the same canonical
 // key as characterize, so the replica that owns (and has cached) a key
 // also serves its traces. With request_id= it instead assembles the
 // stitched cross-process view of one past request (see trace.go).
 func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet) {
+	if !frontdoor.AllowMethods(w, r, http.MethodGet) {
 		return
 	}
 	q := r.URL.Query()
@@ -1007,7 +855,7 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.URL.RawQuery != "" {
 		path += "?" + r.URL.RawQuery
 	}
-	up, err := rt.forward(r.Context(), key, http.MethodGet, path, nil, requestID(r), false)
+	up, err := rt.forward(r.Context(), key, http.MethodGet, path, nil, frontdoor.RequestID(r), false)
 	if err != nil {
 		rt.routeError(w, r, err)
 		return
@@ -1019,59 +867,13 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 // listing is identical everywhere; a fixed routing key just keeps it on
 // one node's workloadsOnce path).
 func (rt *Router) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet) {
+	if !frontdoor.AllowMethods(w, r, http.MethodGet) {
 		return
 	}
-	up, err := rt.forward(r.Context(), "\x00workloads", http.MethodGet, "/v1/workloads", nil, requestID(r), false)
+	up, err := rt.forward(r.Context(), "\x00workloads", http.MethodGet, "/v1/workloads", nil, frontdoor.RequestID(r), false)
 	if err != nil {
 		rt.routeError(w, r, err)
 		return
 	}
 	writeUpstream(w, up)
-}
-
-// handleMetrics exposes the router's own registry (replica metrics are
-// scraped from the replicas; aggregating text expositions would lose
-// label identity).
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet, http.MethodHead) {
-		return
-	}
-	w.Header().Set("Content-Type", metrics.PromContentType)
-	if r.Method == http.MethodHead {
-		return
-	}
-	rt.reg.WriteProm(w)
-}
-
-// handleHealthz is the router's liveness probe.
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet, http.MethodHead) {
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		fmt.Fprintln(w, "ok")
-	}
-}
-
-// handleReadyz reports readiness: the router can serve only while at
-// least one replica is live in the ring.
-func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet, http.MethodHead) {
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if rt.ring.Len() == 0 {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		if r.Method != http.MethodHead {
-			fmt.Fprintln(w, "no live replicas")
-		}
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		fmt.Fprintln(w, "ready")
-	}
 }

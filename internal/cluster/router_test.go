@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -198,8 +200,8 @@ func TestRouterClientCancelAnswers499(t *testing.T) {
 	if rec.Code != statusClientClosedRequest {
 		t.Fatalf("client-canceled route answered %d, want 499", rec.Code)
 	}
-	if good, total := rt.sloGood.Value(), rt.sloTotal.Value(); good != total {
-		t.Fatalf("availability feed good/total = %d/%d after a client cancel, want equal", good, total)
+	if good, total := rt.door.SLOFeed(); good.Value() != total.Value() {
+		t.Fatalf("availability feed good/total = %d/%d after a client cancel, want equal", good.Value(), total.Value())
 	}
 }
 
@@ -377,6 +379,76 @@ func TestRouterAggregatedStats(t *testing.T) {
 	for _, ns := range agg.Nodes {
 		if ns.Err != "" {
 			t.Fatalf("node %s errored: %s", ns.Node, ns.Err)
+		}
+	}
+}
+
+// TestRouterAggregatedStatsSumsEveryField: every numeric field of a
+// replica snapshot reaches the cluster total, set by reflection so a
+// field added to serve.Snapshot cannot be left out of the sum. Sums are
+// exact; the two means are recomputed from the summed totals
+// (AvgOccupancy weighted by each replica's batch count).
+func TestRouterAggregatedStatsSumsEveryField(t *testing.T) {
+	var snaps [2]serve.Snapshot
+	typ := reflect.TypeOf(serve.Snapshot{})
+	for n := range snaps {
+		v := reflect.ValueOf(&snaps[n]).Elem()
+		for i := 0; i < typ.NumField(); i++ {
+			x := (i + 1) * (1 + 9*n) // node 1 holds 10x node 0
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Int, reflect.Int64:
+				f.SetInt(int64(x))
+			case reflect.Float64:
+				f.SetFloat(float64(x) + 0.5)
+			default:
+				t.Fatalf("Snapshot.%s has kind %s: extend this test", typ.Field(i).Name, f.Kind())
+			}
+		}
+	}
+	var urls []string
+	for _, snap := range snaps {
+		snap := snap
+		mux := http.NewServeMux()
+		mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {})
+		mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) { json.NewEncoder(w).Encode(snap) })
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		urls = append(urls, srv.URL)
+	}
+	rt := newTestRouter(t, Config{Replicas: urls, Health: fastHealth()})
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var agg ClusterStats
+	if err := json.Unmarshal(rec.Body.Bytes(), &agg); err != nil {
+		t.Fatalf("stats: %d %s: %v", rec.Code, rec.Body, err)
+	}
+	a, b := snaps[0], snaps[1]
+	got := reflect.ValueOf(agg.Cluster)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		var want, have float64
+		switch f := got.Field(i); f.Kind() {
+		case reflect.Float64:
+			have = f.Float()
+		default:
+			have = float64(f.Int())
+		}
+		switch name {
+		case "AvgRunNanos":
+			want = float64((a.RunNanos + b.RunNanos) / (a.Runs + b.Runs))
+		case "AvgOccupancy":
+			want = (a.AvgOccupancy*float64(a.BatchesRun) + b.AvgOccupancy*float64(b.BatchesRun)) /
+				float64(a.BatchesRun+b.BatchesRun)
+		default:
+			av, bv := reflect.ValueOf(a).Field(i), reflect.ValueOf(b).Field(i)
+			if av.Kind() == reflect.Float64 {
+				want = av.Float() + bv.Float()
+			} else {
+				want = float64(av.Int() + bv.Int())
+			}
+		}
+		if have == 0 || math.Abs(have-want) > 1e-9*math.Abs(want) {
+			t.Errorf("cluster %s = %v, want %v", name, have, want)
 		}
 	}
 }

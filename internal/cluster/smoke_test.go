@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"syscall"
 	"testing"
@@ -26,30 +24,12 @@ func TestClusterSmoke(t *testing.T) {
 	if os.Getenv("NSBENCH_CLUSTER_SMOKE") == "" {
 		t.Skip("set NSBENCH_CLUSTER_SMOKE=1 to run the binary smoke test")
 	}
-	bin := t.TempDir()
-	nsserve := filepath.Join(bin, "nsserve")
-	nsrouter := filepath.Join(bin, "nsrouter")
-	for target, pkg := range map[string]string{nsserve: "./cmd/nsserve", nsrouter: "./cmd/nsrouter"} {
-		cmd := exec.Command("go", "build", "-o", target, pkg)
-		cmd.Dir = "../.." // module root; the test runs in internal/cluster
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", pkg, err, out)
-		}
-	}
-
-	freePort := func() string {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		return l.Addr().String()
-	}
-	addrA, addrB, addrR := freePort(), freePort(), freePort()
+	l := newLauncher(t, "nsserve", "nsrouter")
+	addrA, addrB, addrR := freeAddr(t), freeAddr(t), freeAddr(t)
 
 	logPath := os.Getenv("NSBENCH_ROUTER_LOG")
 	if logPath == "" {
-		logPath = filepath.Join(bin, "router.log")
+		logPath = filepath.Join(l.dir, "router.log")
 	}
 	routerLog, err := os.Create(logPath)
 	if err != nil {
@@ -57,36 +37,17 @@ func TestClusterSmoke(t *testing.T) {
 	}
 	defer routerLog.Close()
 
-	start := func(name string, stderr *os.File, args ...string) *exec.Cmd {
-		cmd := exec.Command(name, args...)
-		cmd.Stderr = stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("starting %s: %v", name, err)
-		}
-		t.Cleanup(func() {
-			cmd.Process.Kill()
-			cmd.Wait()
-		})
-		return cmd
-	}
 	// -drain-grace keeps a SIGTERMed replica answering (with /readyz 503)
 	// long enough for the router's 50ms probes to eject it cleanly.
-	repA := start(nsserve, os.Stderr, "-addr", addrA, "-quiet", "-drain-grace", "1s")
-	start(nsserve, os.Stderr, "-addr", addrB, "-quiet", "-drain-grace", "1s")
-	start(nsrouter, routerLog,
+	repA := l.start("nsserve", os.Stderr, "-addr", addrA, "-quiet", "-drain-grace", "1s")
+	l.start("nsserve", os.Stderr, "-addr", addrB, "-quiet", "-drain-grace", "1s")
+	l.start("nsrouter", routerLog,
 		"-addr", addrR,
 		"-replicas", fmt.Sprintf("http://%s,http://%s", addrA, addrB),
 		"-probe-interval", "50ms", "-eject-after", "2", "-readmit-after", "2")
 
+	awaitReady(t, "router", addrR)
 	base := "http://" + addrR
-	await(t, "router ready", func() bool {
-		resp, err := http.Get(base + "/readyz")
-		if err != nil {
-			return false
-		}
-		resp.Body.Close()
-		return resp.StatusCode == http.StatusOK
-	})
 
 	workloads := []string{"LNN", "LTN"}
 	devices := []string{"RTX 2080 Ti", "Xavier NX", "Jetson TX2", "Xeon Silver 4114"}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/neurosym/nsbench/internal/frontdoor"
 	"github.com/neurosym/nsbench/internal/serve"
 )
 
@@ -18,9 +19,8 @@ type NodeStats struct {
 }
 
 // ClusterStats is the aggregated GET /v1/stats payload: the counter sums
-// across every live replica plus the per-node detail the sums hide.
-// AvgRunNanos is recomputed from the summed totals (a mean of means
-// would weight idle replicas equally with busy ones).
+// across every live replica (serve.Snapshot.Add) plus the per-node
+// detail the sums hide.
 type ClusterStats struct {
 	LiveNodes    int      `json:"live_nodes"`
 	EjectedNodes []string `json:"ejected_nodes"`
@@ -56,7 +56,7 @@ func (rt *Router) aggregate(r *http.Request) ClusterStats {
 		go func(i int, node string) {
 			defer wg.Done()
 			ns := NodeStats{Node: node}
-			up, err := rt.attempt(r.Context(), node, http.MethodGet, "/v1/stats", nil, requestID(r), 0)
+			up, err := rt.attempt(r.Context(), node, http.MethodGet, "/v1/stats", nil, frontdoor.RequestID(r), 0)
 			switch {
 			case err != nil:
 				ns.Err = err.Error()
@@ -86,36 +86,16 @@ func (rt *Router) aggregate(r *http.Request) ClusterStats {
 	sort.Strings(out.DepartedNodes)
 	sort.Slice(out.Nodes, func(i, j int) bool { return out.Nodes[i].Node < out.Nodes[j].Node })
 	for _, ns := range out.Nodes {
-		if ns.Err != "" {
-			continue
+		if ns.Err == "" {
+			out.Cluster.Add(ns.Stats)
 		}
-		s := ns.Stats
-		c := &out.Cluster
-		c.Requests += s.Requests
-		c.CacheHits += s.CacheHits
-		c.CacheMiss += s.CacheMiss
-		c.DedupJoins += s.DedupJoins
-		c.Rejected += s.Rejected
-		c.Timeouts += s.Timeouts
-		c.Abandoned += s.Abandoned
-		c.Failures += s.Failures
-		c.Runs += s.Runs
-		c.RunNanos += s.RunNanos
-		c.CacheSize += s.CacheSize
-		c.QueueDepth += s.QueueDepth
-		c.BatchesRun += s.BatchesRun
-		c.SweepsRun += s.SweepsRun
-		c.PointsEvaluated += s.PointsEvaluated
-	}
-	if out.Cluster.Runs > 0 {
-		out.Cluster.AvgRunNanos = out.Cluster.RunNanos / out.Cluster.Runs
 	}
 	return out
 }
 
 // handleStats serves the aggregated cluster counters.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet) {
+	if !frontdoor.AllowMethods(w, r, http.MethodGet) {
 		return
 	}
 	b, err := json.Marshal(rt.aggregate(r))

@@ -6,6 +6,7 @@ import (
 	"net/url"
 	"sync"
 
+	"github.com/neurosym/nsbench/internal/frontdoor"
 	"github.com/neurosym/nsbench/internal/trace"
 )
 
@@ -36,7 +37,7 @@ func (rt *Router) collectRequestTraces(r *http.Request, id string) []trace.Reque
 		go func(i int, node string) {
 			defer wg.Done()
 			path := "/v1/trace?request_id=" + url.QueryEscape(id)
-			up, err := rt.attempt(r.Context(), node, http.MethodGet, path, nil, requestID(r), 0)
+			up, err := rt.attempt(r.Context(), node, http.MethodGet, path, nil, frontdoor.RequestID(r), 0)
 			if err != nil || up.code != http.StatusOK {
 				return
 			}

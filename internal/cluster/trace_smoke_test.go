@@ -5,11 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -30,58 +27,22 @@ func TestTraceSmoke(t *testing.T) {
 	if os.Getenv("NSTRACE_SMOKE") == "" {
 		t.Skip("set NSTRACE_SMOKE=1 to run the stitched-trace smoke test")
 	}
-	bin := t.TempDir()
-	nsserve := filepath.Join(bin, "nsserve")
-	nsrouter := filepath.Join(bin, "nsrouter")
-	for target, pkg := range map[string]string{nsserve: "./cmd/nsserve", nsrouter: "./cmd/nsrouter"} {
-		cmd := exec.Command("go", "build", "-o", target, pkg)
-		cmd.Dir = "../.."
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", pkg, err, out)
-		}
-	}
+	l := newLauncher(t, "nsserve", "nsrouter")
+	addrA, addrB, addrR := freeAddr(t), freeAddr(t), freeAddr(t)
+	addrDead := freeAddr(t) // never started: every attempt is a transport error
 
-	freePort := func() string {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		return l.Addr().String()
-	}
-	addrA, addrB, addrR := freePort(), freePort(), freePort()
-	addrDead := freePort() // never started: every attempt is a transport error
-
-	start := func(name string, args ...string) {
-		cmd := exec.Command(name, args...)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("starting %s: %v", name, err)
-		}
-		t.Cleanup(func() {
-			cmd.Process.Kill()
-			cmd.Wait()
-		})
-	}
-	start(nsserve, "-addr", addrA, "-quiet", "-node-name", "replica-a")
-	start(nsserve, "-addr", addrB, "-quiet", "-node-name", "replica-b")
+	l.start("nsserve", os.Stderr, "-addr", addrA, "-quiet", "-node-name", "replica-a")
+	l.start("nsserve", os.Stderr, "-addr", addrB, "-quiet", "-node-name", "replica-b")
 	// The dead node must stay in the ring for the whole run: a one-hour
 	// probe interval means the health checker never gets to eject it.
-	start(nsrouter,
+	l.start("nsrouter", os.Stderr,
 		"-addr", addrR,
 		"-replicas", fmt.Sprintf("http://%s,http://%s,http://%s", addrA, addrB, addrDead),
 		"-node-name", "nsrouter-smoke",
 		"-probe-interval", "1h", "-quiet")
 
+	awaitReady(t, "router", addrR)
 	base := "http://" + addrR
-	await(t, "router ready", func() bool {
-		resp, err := http.Get(base + "/readyz")
-		if err != nil {
-			return false
-		}
-		resp.Body.Close()
-		return resp.StatusCode == http.StatusOK
-	})
 
 	// Mixed traffic with explicit request IDs. Keys owned by the dead
 	// node fail their first attempt at the transport and retry onto a

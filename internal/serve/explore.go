@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/neurosym/nsbench/internal/dse"
+	"github.com/neurosym/nsbench/internal/frontdoor"
 	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/metrics"
 	"github.com/neurosym/nsbench/internal/trace"
@@ -105,7 +106,7 @@ func newExploreMetrics(reg *metrics.Registry) exploreMetrics {
 // sweeps — a 10k-point grid is real CPU work — answering 429 +
 // Retry-After when saturated, mirroring the admission queue's contract.
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodPost) {
+	if !frontdoor.AllowMethods(w, r, http.MethodPost) {
 		return
 	}
 	var req ExploreRequest
@@ -155,7 +156,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	s.xm.shardsInFly.Inc()
 	defer s.xm.shardsInFly.Dec()
 
-	id := requestID(r)
+	id := frontdoor.RequestID(r)
 	tr, err := s.workloadTrace(key, canon, id)
 	if err != nil {
 		s.st.failures.Inc()

@@ -29,9 +29,6 @@
 package serve
 
 import (
-	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -47,10 +44,10 @@ import (
 	"time"
 
 	"github.com/neurosym/nsbench/internal/core"
+	"github.com/neurosym/nsbench/internal/frontdoor"
 	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/metrics"
 	"github.com/neurosym/nsbench/internal/ops"
-	"github.com/neurosym/nsbench/internal/slo"
 	"github.com/neurosym/nsbench/internal/trace"
 )
 
@@ -106,19 +103,6 @@ type Config struct {
 	// "<hostname>-<pid>". A routing tier typically overrides it with the
 	// replica's URL when it assembles the stitched view.
 	NodeName string
-	// SLO parameterizes the burn-rate windows and budget period of the
-	// server's objectives; the zero value selects the slo package
-	// defaults (1s sampling, 1h period, 1m/5m windows).
-	SLO slo.Config
-	// SLOAvailabilityTarget is the non-5xx success-ratio objective over
-	// all HTTP responses; 0 selects 0.999.
-	SLOAvailabilityTarget float64
-	// SLOLatencyTarget is the fraction of /v1/characterize responses that
-	// must finish within SLOLatencyThreshold; 0 selects 0.95.
-	SLOLatencyTarget float64
-	// SLOLatencyThreshold is the latency objective's cutoff; 0 selects
-	// 250ms.
-	SLOLatencyThreshold time.Duration
 }
 
 func (c *Config) defaults() {
@@ -153,16 +137,11 @@ func (c *Config) defaults() {
 		}
 		c.NodeName = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	if c.SLOAvailabilityTarget == 0 {
-		c.SLOAvailabilityTarget = 0.999
-	}
-	if c.SLOLatencyTarget == 0 {
-		c.SLOLatencyTarget = 0.95
-	}
-	if c.SLOLatencyThreshold == 0 {
-		c.SLOLatencyThreshold = 250 * time.Millisecond
-	}
 }
+
+// sloLatencyThreshold is the characterize_latency objective's cutoff on a
+// replica.
+const sloLatencyThreshold = 250 * time.Millisecond
 
 // Request selects one characterization: a registered workload and the
 // reference device for roofline/projection analysis.
@@ -279,30 +258,17 @@ type Server struct {
 	exploreSem chan struct{}
 	xm         exploreMetrics
 
-	reg      *metrics.Registry
-	st       stats
-	httpReqs *metrics.CounterVec   // nsserve_http_requests_total{endpoint,code}
-	httpLat  *metrics.HistogramVec // nsserve_http_request_seconds{endpoint}
+	reg  *metrics.Registry
+	st   stats
+	door *frontdoor.Door // request IDs, HTTP metrics, probes, /metrics, SLOs
 
 	// recorder is the flight recorder fed by every characterization's
 	// observer chain; nil when Config.RecorderSize is negative.
 	recorder *trace.Recorder
-	// slos tracks the server's availability and latency objectives;
-	// sloGood/sloTotal are its availability feed (non-5xx / all HTTP
-	// responses), counted in instrument. Unregistered counters: the SLO
-	// plane exports its own ns_slo_* view of them.
-	slos     *slo.Set
-	sloGood  metrics.Counter
-	sloTotal metrics.Counter
 	// opObs streams per-operator timings into the registry. Kept so
 	// per-run observers can chain it with recorder attribution.
 	opObs  trace.Observer
 	logger *slog.Logger
-
-	// Request-ID generation: a per-process nonce plus a counter, so IDs
-	// are unique across restarts without coordination.
-	reqNonce string
-	reqSeq   atomic.Uint64
 
 	// draining flips readiness (/readyz) to 503 ahead of listener
 	// shutdown so load balancers and the cluster router eject this
@@ -325,20 +291,15 @@ func New(cfg Config) (*Server, error) {
 		reg = metrics.NewRegistry()
 	}
 	s := &Server{
-		cfg:     cfg,
-		pool:    cfg.Engine.NewPool(),
-		cache:   newLRU(cfg.CacheSize),
-		flights: make(map[string]*flight),
-		queue:   make(chan []*flight, cfg.QueueDepth),
-		pending: make(map[string]*batchGroup),
-		reg:     reg,
-		st:      newStats(reg),
-		httpReqs: reg.CounterVec("nsserve_http_requests_total",
-			"HTTP requests by endpoint and status code.", "endpoint", "code"),
-		httpLat: reg.HistogramVec("nsserve_http_request_seconds",
-			"HTTP request latency by endpoint.", metrics.LatencyBuckets(), "endpoint"),
+		cfg:        cfg,
+		pool:       cfg.Engine.NewPool(),
+		cache:      newLRU(cfg.CacheSize),
+		flights:    make(map[string]*flight),
+		queue:      make(chan []*flight, cfg.QueueDepth),
+		pending:    make(map[string]*batchGroup),
+		reg:        reg,
+		st:         newStats(reg),
 		logger:     cfg.Logger,
-		reqNonce:   newNonce(),
 		traces:     make(map[string]*traceEntry),
 		exploreSem: make(chan struct{}, cfg.ExploreConcurrency),
 	}
@@ -355,29 +316,15 @@ func New(cfg Config) (*Server, error) {
 			defer s.mu.Unlock()
 			return float64(s.cache.Len())
 		})
-	metrics.NewGoCollector(reg)
-	metrics.RegisterBuildInfo(reg)
 	ops.RegisterPoolMetrics(reg, s.pool)
-	s.slos = slo.NewSet(cfg.SLO)
-	if err := s.slos.Add(slo.Objective{
-		Name:        "availability",
-		Description: "Non-5xx responses across all endpoints (health/readiness probes excluded).",
-		Target:      cfg.SLOAvailabilityTarget,
-		Source:      slo.FromCounters(s.sloGood.Value, s.sloTotal.Value),
-	}); err != nil {
-		return nil, err
-	}
-	if err := s.slos.Add(slo.Objective{
-		Name: "characterize_latency",
-		Description: fmt.Sprintf("/v1/characterize responses within %s (histogram-bucket resolution).",
-			cfg.SLOLatencyThreshold),
-		Target: cfg.SLOLatencyTarget,
-		Source: slo.FromHistogram(s.httpLat.With("/v1/characterize"), cfg.SLOLatencyThreshold.Seconds()),
-	}); err != nil {
-		return nil, err
-	}
-	s.slos.Register(reg)
-	s.slos.Start()
+	s.door = frontdoor.New(reg, cfg.Logger, frontdoor.Tier{
+		MetricPrefix:     "nsserve",
+		IDPrefix:         "ns",
+		LogMessage:       "request",
+		LatencyThreshold: sloLatencyThreshold,
+		Ready:            func() bool { return !s.draining.Load() },
+		NotReady:         "draining",
+	})
 	// Stream per-operator timings from every characterization into the
 	// registry: the live form of the paper's operator breakdown.
 	s.opObs = ops.NewOpObserver(reg)
@@ -393,22 +340,20 @@ func New(cfg Config) (*Server, error) {
 // metrics before exposing the handler).
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
-// Handler returns the server's route table. Every endpoint is
-// instrumented with a request counter (by status code) and a latency
-// histogram, both visible at /metrics.
+// Handler returns the server's route table: the front door's /metrics,
+// /healthz, /readyz (503 while draining) and /v1/slo plus the serving
+// endpoints, every one instrumented with a request counter (by status
+// code) and a latency histogram, both visible at /metrics.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/workloads", s.instrument("/v1/workloads", s.handleWorkloads))
-	mux.HandleFunc("/v1/characterize", s.instrument("/v1/characterize", s.handleCharacterize))
-	mux.HandleFunc("/v1/cache/fill", s.instrument("/v1/cache/fill", s.handleCacheFill))
-	mux.HandleFunc("/v1/explore", s.instrument("/v1/explore", s.handleExplore))
-	mux.HandleFunc("/v1/trace", s.instrument("/v1/trace", s.handleTrace))
-	mux.HandleFunc("/v1/stats", s.instrument("/v1/stats", s.handleStats))
-	mux.HandleFunc("/v1/slo", s.instrument("/v1/slo", s.handleSLO))
-	mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
-	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.HandleFunc("/readyz", s.instrument("/readyz", s.handleReadyz))
-	mux.HandleFunc("/debug/trace", s.instrument("/debug/trace", s.handleDebugTrace))
+	d := s.door
+	mux := d.Mux()
+	d.Handle(mux, "/v1/workloads", s.handleWorkloads)
+	d.Handle(mux, "/v1/characterize", s.handleCharacterize)
+	d.Handle(mux, "/v1/cache/fill", s.handleCacheFill)
+	d.Handle(mux, "/v1/explore", s.handleExplore)
+	d.Handle(mux, "/v1/trace", s.handleTrace)
+	d.Handle(mux, "/v1/stats", s.handleStats)
+	d.Handle(mux, "/debug/trace", s.handleDebugTrace)
 	if s.cfg.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -417,124 +362,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
-}
-
-// newNonce returns a short random hex tag for request-ID generation.
-func newNonce() string {
-	var b [4]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "static"
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// ctxKeyRequestID carries the request's ID through the handler chain.
-type ctxKey int
-
-const ctxKeyRequestID ctxKey = iota
-
-// requestID returns the ID instrument assigned to (or accepted from) r.
-func requestID(r *http.Request) string {
-	id, _ := r.Context().Value(ctxKeyRequestID).(string)
-	return id
-}
-
-// instrument wraps h with per-endpoint request/latency metrics, assigns
-// every request an ID (honoring an inbound X-Request-ID so IDs correlate
-// across services, else generating one), echoes it on the response, and —
-// when the server has a logger — emits one structured line per request.
-// The latency child is resolved once here; only the (endpoint, code)
-// counter pays a labeled lookup per request, after the response is written.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	lat := s.httpLat.With(endpoint)
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		id := r.Header.Get("X-Request-ID")
-		if id == "" {
-			id = fmt.Sprintf("ns-%s-%d", s.reqNonce, s.reqSeq.Add(1))
-		}
-		w.Header().Set("X-Request-ID", id)
-		r = r.WithContext(context.WithValue(r.Context(), ctxKeyRequestID, id))
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		dur := time.Since(start)
-		lat.ObserveSeconds(dur.Nanoseconds())
-		s.httpReqs.With(endpoint, strconv.Itoa(sw.code)).Inc()
-		// Availability SLO feed: every served response counts, 5xx counts
-		// bad — except the probe endpoints, whose 503 is the readiness
-		// contract working as designed (a draining replica answering
-		// "not ready" must not burn the error budget it is protecting).
-		if endpoint != "/healthz" && endpoint != "/readyz" {
-			s.sloTotal.Inc()
-			if sw.code < 500 {
-				s.sloGood.Inc()
-			}
-		}
-		if s.logger != nil {
-			s.logger.Info("request",
-				"method", r.Method, "path", r.URL.Path,
-				"status", sw.code, "dur", dur, "id", id)
-		}
-	}
-}
-
-// statusWriter captures the response status for the request counter.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the underlying writer so streaming endpoints
-// (/v1/explore) can push NDJSON chunks through the instrumentation wrapper.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// allowMethods gates r to the listed methods. On a mismatch it answers
-// 405 with the Allow header RFC 9110 §15.5.6 requires and reports false.
-func allowMethods(w http.ResponseWriter, r *http.Request, methods ...string) bool {
-	for _, m := range methods {
-		if r.Method == m {
-			return true
-		}
-	}
-	w.Header().Set("Allow", strings.Join(methods, ", "))
-	http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	return false
-}
-
-// handleMetrics exposes the registry in the Prometheus text format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet, http.MethodHead) {
-		return
-	}
-	w.Header().Set("Content-Type", metrics.PromContentType)
-	if r.Method == http.MethodHead {
-		return
-	}
-	s.reg.WriteProm(w)
-}
-
-// handleHealthz is the liveness probe: a cheap 200 that proves the
-// process is up, accepting connections, and routing requests. It
-// deliberately checks nothing deeper — a draining or saturated server is
-// still *alive*. Routing decisions belong to readiness (/readyz).
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet, http.MethodHead) {
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		fmt.Fprintln(w, "ok")
-	}
 }
 
 // BeginDrain marks the server not-ready: /readyz starts answering 503 so
@@ -546,28 +373,6 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 
 // Draining reports whether BeginDrain (or Close) has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
-
-// handleReadyz is the readiness probe: 200 while the server wants new
-// traffic, 503 once it is draining or shut down. Load balancers and the
-// cluster router route on this; liveness (/healthz) stays 200 throughout
-// a drain so orchestrators don't kill a replica that is merely retiring.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet, http.MethodHead) {
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		if r.Method != http.MethodHead {
-			fmt.Fprintln(w, "draining")
-		}
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		fmt.Fprintln(w, "ready")
-	}
-}
 
 // Close drains the admission queue and tears down the characterization
 // workers and the shared backend pool. Stop the HTTP listener first
@@ -587,7 +392,7 @@ func (s *Server) Close() {
 		close(s.queue)
 		s.wg.Wait()
 		s.pool.Close()
-		s.slos.Close()
+		s.door.Close()
 	})
 }
 
@@ -595,7 +400,7 @@ func (s *Server) Close() {
 // categories. The list is built once: workload construction is heavyweight
 // (codebooks, weights), and the registry is fixed at init time.
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet) {
+	if !frontdoor.AllowMethods(w, r, http.MethodGet) {
 		return
 	}
 	s.workloadsOnce.Do(func() {
@@ -624,7 +429,7 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 
 // handleStats reports the operational counters.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet) {
+	if !frontdoor.AllowMethods(w, r, http.MethodGet) {
 		return
 	}
 	snap := s.st.snapshot()
@@ -662,11 +467,11 @@ func (s *Server) recordServeSpanAt(id, name string, start, end time.Time) {
 // recorded as spans under the request ID so a stitched cross-process
 // timeline shows where the request's time went before the engine ran.
 func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodPost) {
+	if !frontdoor.AllowMethods(w, r, http.MethodPost) {
 		return
 	}
 	reqStart := time.Now()
-	id := requestID(r)
+	id := frontdoor.RequestID(r)
 	defer func() { s.recordServeSpan(id, "serve.characterize", reqStart) }()
 	s.st.requests.Inc()
 	var req Request
@@ -776,11 +581,11 @@ type FillRequest struct {
 // replacing an entry in place means a concurrent hit can't observe a
 // swap. Responds 204 on install, 200 on an ignored duplicate.
 func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodPost) {
+	if !frontdoor.AllowMethods(w, r, http.MethodPost) {
 		return
 	}
 	fillStart := time.Now()
-	id := requestID(r)
+	id := frontdoor.RequestID(r)
 	defer func() { s.recordServeSpan(id, "serve.cache_fill", fillStart) }()
 	var fill FillRequest
 	if err := json.NewDecoder(r.Body).Decode(&fill); err != nil {
@@ -946,7 +751,7 @@ func (s *Server) runObserver(id string) trace.Observer {
 // this endpoint bypasses the report cache and admission queue: it is a
 // debugging surface, not the serving hot path.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet) {
+	if !frontdoor.AllowMethods(w, r, http.MethodGet) {
 		return
 	}
 	q := r.URL.Query()
@@ -967,7 +772,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	report, err := s.run(canon, requestID(r))
+	report, err := s.run(canon, frontdoor.RequestID(r))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -979,7 +784,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		err = report.Trace.WriteJSON(w)
 	}
 	if err != nil && s.logger != nil {
-		s.logger.Error("trace write failed", "id", requestID(r), "err", err)
+		s.logger.Error("trace write failed", "id", frontdoor.RequestID(r), "err", err)
 	}
 }
 
@@ -996,20 +801,6 @@ func (s *Server) handleRequestTrace(w http.ResponseWriter, id string) {
 	}
 	rt := s.recorder.RequestTrace(id, s.cfg.NodeName)
 	b, err := json.Marshal(rt)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, b)
-}
-
-// handleSLO reports the server's objectives: error budgets, windowed
-// burn rates, and alert state, as computed by the slo sampler.
-func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet) {
-		return
-	}
-	b, err := json.Marshal(s.slos.Report())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -1035,7 +826,7 @@ type debugTraceEntry struct {
 // handleDebugTrace dumps the flight recorder: the last N operator events
 // the server executed, each tagged with the request ID that caused it.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet) {
+	if !frontdoor.AllowMethods(w, r, http.MethodGet) {
 		return
 	}
 	if s.recorder == nil {

@@ -38,7 +38,7 @@ func TestSLOEndpointReportsObjectives(t *testing.T) {
 
 func TestSLOEndpointSeesErrorBurst(t *testing.T) {
 	resetCtl(false)
-	s := newTestServer(t, Config{SLOAvailabilityTarget: 0.99})
+	s := newTestServer(t, Config{})
 	h := s.Handler()
 
 	// Clean traffic first: the availability feed counts every served
@@ -47,9 +47,10 @@ func TestSLOEndpointSeesErrorBurst(t *testing.T) {
 		get(h, "/v1/workloads")
 	}
 	// Inject a 5xx burst directly into the availability feed (the
-	// instrument hook's "total without good" path).
+	// front door's "total without good" path).
+	_, total := s.door.SLOFeed()
 	for i := 0; i < 5; i++ {
-		s.sloTotal.Inc()
+		total.Inc()
 	}
 
 	rec := get(h, "/v1/slo")
@@ -75,8 +76,8 @@ func TestSLOEndpointSeesErrorBurst(t *testing.T) {
 	if avail.BudgetConsumed <= 0 {
 		t.Fatalf("budget consumed = %v, want > 0 after burst", avail.BudgetConsumed)
 	}
-	// The burst is a large fraction of a small sample against a 1% budget:
-	// every window must be burning.
+	// The burst is a large fraction of a small sample against the 0.1%
+	// budget: every window must be burning.
 	for _, w := range avail.Windows {
 		if w.BurnRate <= 1 {
 			t.Fatalf("window %s burn = %v, want > 1", w.Name, w.BurnRate)

@@ -123,6 +123,38 @@ type Snapshot struct {
 	CacheFills int64 `json:"cache_fills"`
 }
 
+// Add accumulates o into s, as a routing tier totals its replicas:
+// counters and gauges sum, and the two means are recomputed from the
+// sums — AvgRunNanos as RunNanos/Runs and AvgOccupancy as the
+// batch-weighted mean — since a mean of means would weight an idle
+// replica equally with a busy one.
+func (s *Snapshot) Add(o Snapshot) {
+	items := s.AvgOccupancy*float64(s.BatchesRun) + o.AvgOccupancy*float64(o.BatchesRun)
+	s.Requests += o.Requests
+	s.CacheHits += o.CacheHits
+	s.CacheMiss += o.CacheMiss
+	s.DedupJoins += o.DedupJoins
+	s.Rejected += o.Rejected
+	s.Timeouts += o.Timeouts
+	s.Abandoned += o.Abandoned
+	s.Failures += o.Failures
+	s.Runs += o.Runs
+	s.RunNanos += o.RunNanos
+	s.CacheSize += o.CacheSize
+	s.QueueDepth += o.QueueDepth
+	s.BatchesRun += o.BatchesRun
+	s.SweepsRun += o.SweepsRun
+	s.PointsEvaluated += o.PointsEvaluated
+	s.CacheFills += o.CacheFills
+	s.AvgRunNanos, s.AvgOccupancy = 0, 0
+	if s.Runs > 0 {
+		s.AvgRunNanos = s.RunNanos / s.Runs
+	}
+	if s.BatchesRun > 0 {
+		s.AvgOccupancy = items / float64(s.BatchesRun)
+	}
+}
+
 // snapshot reads every counter once. Counters are read individually, so a
 // snapshot taken under load is approximate — fine for monitoring — with
 // one deliberate ordering: Runs is read *before* RunNanos while writers
