@@ -15,7 +15,8 @@ import (
 
 // The kernel benchmark mode (-kernel-bench): time the naive and tiled
 // GEMM/conv kernels over the workload suite's real operator shapes, plus
-// the NVSA joint-codebook GEMV and one batched cleanup stage, place the
+// the NVSA joint-codebook GEMV, one batched cleanup stage, PrAE's largest
+// joint-scene expansion and a VSA circular convolution, place the
 // achieved FLOP/s of each against the modeled devices' rooflines, and
 // write the table as JSON (the
 // checked-in BENCH_kernels.json). This is the measurement behind the
@@ -26,7 +27,7 @@ import (
 type kernelBenchRow struct {
 	Name           string  `json:"name"`
 	Op             string  `json:"op"`     // "gemm", "conv2d", "gemv" or "cleanup"
-	Kernel         string  `json:"kernel"` // "naive" or "tiled"; GEMV has only naive; cleanup: naive = per-query GEMVs, tiled = one batched call
+	Kernel         string  `json:"kernel"` // "naive" or "tiled"; GEMV has only naive; cleanup: naive = per-query GEMVs, tiled = one batched call; joint: naive = index vectors + two Gathers, tiled = index-free expansion; circconv has only auto (the FFT path)
 	AutoPick       string  `json:"auto_pick"`
 	Reps           int     `json:"reps"`
 	NsPerOp        int64   `json:"ns_per_op"`
@@ -135,6 +136,24 @@ const (
 	kernelCleanupQueries = 16
 )
 
+// kernelJointShape is PrAE's largest joint-scene expansion (the color step
+// of a scene chain): naive builds the two index vectors and runs two
+// Gathers, as Joint once did; tiled is the index-free OuterExpandOn into
+// reused buffers, as Joint now runs on pooled scratch. AlgBytes is the
+// modelled gather traffic, index reads included, for both rows: the
+// traced events still declare it.
+var kernelJointShape = struct {
+	name   string
+	la, lb int
+}{"joint-prae-15360x10", 15360, 10}
+
+// kernelCircConvName is one VSA binding at NVSA's hypervector width, on
+// the FFT path CircularConvOn takes for power-of-two lengths.
+const (
+	kernelCircConvName = "circconv-4096"
+	kernelCircConvN    = 4096
+)
+
 // runKernelBench measures every shape under both kernels, prints the
 // comparison table, and writes the JSON document to path.
 func runKernelBench(path string) error {
@@ -233,6 +252,37 @@ func runKernelBench(path string) error {
 	fmt.Fprintf(w, "%-34s %5s %14d %14d %8.2fx %10.2f %7s  %.2f -> %.2f GB/s\n",
 		kernelCleanupName, auto, loopNs, batchNs, float64(loopNs)/float64(batchNs),
 		float64(n*flops)/float64(batchNs), "-", float64(loopBytes)/float64(loopNs), float64(batchBytes)/float64(batchNs))
+
+	js := kernelJointShape
+	ja, jb := g.Normal(0, 1, js.la), g.Normal(0, 1, js.lb)
+	jn := js.la * js.lb
+	jointBytes := 2 * (tensor.BytesCopy(jn) + 4*int64(jn))
+	gatherNs := measure(js.name, "joint", tensor.KernelNaive, tensor.KernelTiled.String(), 0, jointBytes, func() {
+		idxA, idxB := make([]int, jn), make([]int, jn)
+		for i := 0; i < js.la; i++ {
+			for j := 0; j < js.lb; j++ {
+				idxA[i*js.lb+j], idxB[i*js.lb+j] = i, j
+			}
+		}
+		tensor.Gather(ja.Reshape(js.la, 1), idxA)
+		tensor.Gather(jb.Reshape(js.lb, 1), idxB)
+	})
+	ea, eb := tensor.New(jn), tensor.New(jn)
+	expandNs := measure(js.name, "joint", tensor.KernelTiled, tensor.KernelTiled.String(), 0, jointBytes, func() {
+		tensor.OuterExpandOn(tensor.Serial, ea, eb, ja, jb)
+	})
+	derived["speedup_"+js.name] = float64(gatherNs) / float64(expandNs)
+	fmt.Fprintf(w, "%-34s %5s %14d %14d %8.2fx %10s %7s  %.2f -> %.2f GB/s\n",
+		js.name, "tiled", gatherNs, expandNs, float64(gatherNs)/float64(expandNs), "-", "-",
+		float64(jointBytes)/float64(gatherNs), float64(jointBytes)/float64(expandNs))
+
+	ca, cb := g.Normal(0, 1, kernelCircConvN), g.Normal(0, 1, kernelCircConvN)
+	flops, bytes = tensor.FlopsCircularConvFFT(kernelCircConvN), tensor.BytesCircularConv(kernelCircConvN)
+	ns = measure(kernelCircConvName, "circconv", tensor.KernelAuto, tensor.KernelAuto.String(), flops, bytes, func() {
+		tensor.CircularConvOn(tensor.Serial, ca, cb)
+	})
+	fmt.Fprintf(w, "%-34s %5s %14d %14s %9s %10.2f %7s  %.2f GB/s\n",
+		kernelCircConvName, "auto", ns, "-", "-", float64(flops)/float64(ns), "-", float64(bytes)/float64(ns))
 	w.Flush()
 
 	doc := kernelBenchFile{

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/neurosym/nsbench/internal/serve"
 	"github.com/neurosym/nsbench/internal/trace"
 )
 
@@ -27,9 +28,14 @@ func TestTraceSmoke(t *testing.T) {
 	if os.Getenv("NSTRACE_SMOKE") == "" {
 		t.Skip("set NSTRACE_SMOKE=1 to run the stitched-trace smoke test")
 	}
+	workloads := []string{"LNN", "LTN"}
+	devices := []string{"RTX 2080 Ti", "Xavier NX", "Jetson TX2", "Xeon Silver 4114"}
 	l := newLauncher(t, "nsserve", "nsrouter")
 	addrA, addrB, addrR := freeAddr(t), freeAddr(t), freeAddr(t)
-	addrDead := freeAddr(t) // never started: every attempt is a transport error
+	// Never started: every attempt is a transport error. Its port is
+	// chosen so that it owns at least one workload×device key the traffic
+	// sends; a port owning none would force no retry at all.
+	addrDead := deadOwnerAddr(t, []string{addrA, addrB}, workloads, devices)
 
 	l.start("nsserve", os.Stderr, "-addr", addrA, "-quiet", "-node-name", "replica-a")
 	l.start("nsserve", os.Stderr, "-addr", addrB, "-quiet", "-node-name", "replica-b")
@@ -47,8 +53,6 @@ func TestTraceSmoke(t *testing.T) {
 	// Mixed traffic with explicit request IDs. Keys owned by the dead
 	// node fail their first attempt at the transport and retry onto a
 	// live replica — every request must still answer 200.
-	workloads := []string{"LNN", "LTN"}
-	devices := []string{"RTX 2080 Ti", "Xavier NX", "Jetson TX2", "Xeon Silver 4114"}
 	const total = 60
 	for i := 0; i < total; i++ {
 		body := fmt.Sprintf(`{"workload":%q,"device":%q}`,
@@ -125,6 +129,33 @@ func TestTraceSmoke(t *testing.T) {
 	if pids := countTracePids(t, traceBytes); pids < 2 {
 		t.Fatalf("stitched trace spans %d pids, want >= 2 (router + replica)", pids)
 	}
+}
+
+// deadOwnerAddr returns a free loopback address that, joining live on a
+// default router ring (nodes are "http://" + addr), is the primary owner
+// of at least one workload×device request key.
+func deadOwnerAddr(t *testing.T, live, workloads, devices []string) string {
+	t.Helper()
+	for try := 0; try < 64; try++ {
+		addr := freeAddr(t)
+		ring := NewRing(0)
+		for _, a := range append(live[:len(live):len(live)], addr) {
+			ring.Add("http://" + a)
+		}
+		for _, w := range workloads {
+			for _, d := range devices {
+				_, key, err := serve.Canonicalize(serve.Request{Workload: w, Device: d})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if owner, _ := ring.Get(key); owner == "http://"+addr {
+					return addr
+				}
+			}
+		}
+	}
+	t.Fatal("no free port made the dead replica own any request key")
+	return ""
 }
 
 // countTracePids counts distinct pids among non-metadata trace events.

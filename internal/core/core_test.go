@@ -368,3 +368,61 @@ func TestNVSAGoldenReport(t *testing.T) {
 		t.Errorf("stages =\n%v\nwant\n%v", got, want)
 	}
 }
+
+// TestPrAEGoldenReport pins the deterministic part of the default PrAE
+// report in the style of TestNVSAGoldenReport: dataflow structure, memory,
+// and per-stage costs and measured sparsity. Joint-scene expansion is
+// PrAE's hot path; how it executes (index vectors or not, fresh or pooled
+// buffers) must leave the characterization exactly as it was.
+func TestPrAEGoldenReport(t *testing.T) {
+	w, err := BuildWorkload("PrAE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Characterize(w, Options{})
+	CloseWorkload(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	df := r.Dataflow
+	gotDF := [6]int{df.Events, df.Edges, df.Depth, df.MaxWidth, df.NeuralToSymbolic, df.SymbolicToNeural}
+	if want := [6]int{879, 1145, 27, 274, 1, 0}; gotDF != want {
+		t.Errorf("dataflow events/edges/depth/width/n2s/s2n = %v, want %v", gotDF, want)
+	}
+	wantMem := MemoryReport{
+		NeuralAlloc:    3494912,
+		SymbolicAlloc:  61305040,
+		ParamsByKind:   map[string]int64{"weight": 9536},
+		TotalParams:    9536,
+		PeakNeuralOp:   1572864,
+		PeakSymbolicOp: 1843200,
+	}
+	if !reflect.DeepEqual(r.Memory, wantMem) {
+		t.Errorf("memory = %+v, want %+v", r.Memory, wantMem)
+	}
+	type stage struct {
+		name         string
+		flops, bytes int64
+		events       int
+		sparsity     float64
+	}
+	want := []stage{
+		{"scene_inference", 10117120, 118456320, 160, 0.9723763769157088},
+		{"abduce:number", 1632, 29540, 153, 0.9412022817025011},
+		{"execute:number", 0, 188, 2, 0.8947368421052632},
+		{"abduce:type", 378, 4940, 125, 0.9031339031339032},
+		{"execute:type", 0, 108, 2, 0.8181818181818182},
+		{"abduce:size", 448, 5820, 125, 0.9234449760765551},
+		{"execute:size", 54, 384, 7, 0.6190476190476191},
+		{"abduce:color", 728, 9340, 125, 0.9475218658892128},
+		{"execute:color", 90, 640, 7, 0.6571428571428571},
+		{"select", 4001800, 70321376, 154, 0.9641324626865672},
+	}
+	var got []stage
+	for _, s := range r.Stages {
+		got = append(got, stage{s.Stage, s.FLOPs, s.Bytes, s.Events, s.Sparsity})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("stages =\n%v\nwant\n%v", got, want)
+	}
+}

@@ -40,6 +40,16 @@ func (e *Engine) Sub(a, b *tensor.Tensor) *tensor.Tensor { return e.binary("Sub"
 // Mul records an instrumented Hadamard product.
 func (e *Engine) Mul(a, b *tensor.Tensor) *tensor.Tensor { return e.binary("Mul", a, b, tensor.MulOn) }
 
+// MulInPlace records exactly the event Mul(a, b) records but writes the
+// product over a's storage instead of allocating. The result is a new
+// value in the dataflow graph (fresh ID) that owns a's storage, so a must
+// not be read afterwards; a pooled a (see ExpandOuter) hands its buffer on.
+func (e *Engine) MulInPlace(a, b *tensor.Tensor) *tensor.Tensor {
+	return e.binary("Mul", a, b, func(r tensor.Runner, a, b *tensor.Tensor) *tensor.Tensor {
+		return tensor.MulToOn(r, tensor.FromSlice(a.Data(), a.Shape()...), a, b)
+	})
+}
+
 // Div records an instrumented element-wise division.
 func (e *Engine) Div(a, b *tensor.Tensor) *tensor.Tensor { return e.binary("Div", a, b, tensor.DivOn) }
 

@@ -98,14 +98,55 @@ func (e *Engine) Slice(a *tensor.Tensor, lo, hi int) *tensor.Tensor {
 // Gather records an instrumented irregular row gather. The byte cost uses
 // random-access convention: every gathered row is a strided read.
 func (e *Engine) Gather(a *tensor.Tensor, idx []int) *tensor.Tensor {
+	return one(e.record(gatherOp(a, len(idx)), func() []*tensor.Tensor { return []*tensor.Tensor{tensor.Gather(a, idx)} }))
+}
+
+// gatherOp describes a gather of rows rows of a: the copied rows plus one
+// 4-byte index read per row.
+func gatherOp(a *tensor.Tensor, rows int) op {
 	inner := a.Size() / max(a.Dim(0), 1)
-	return one(e.record(op{
+	return op{
 		name:     "Gather",
 		kernel:   "gather",
 		category: trace.DataTransform,
-		bytes:    tensor.BytesCopy(len(idx)*inner) + int64(len(idx))*4,
+		bytes:    tensor.BytesCopy(rows*inner) + int64(rows)*4,
 		inputs:   []*tensor.Tensor{a},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.Gather(a, idx)} }))
+	}
+}
+
+// ExpandOuter expands vectors a and b into the flat operands of their
+// outer product, ea[i*lb+j] = a[i] and eb[i*lb+j] = b[j], with one
+// index-free kernel run (tensor.OuterExpandOn). It records exactly the two
+// events that gathering a and b with the equivalent index vectors records:
+// the modelled kernel is still a gather that reads its indices, so FLOPs,
+// bytes (index bytes included), alloc, inputs and measured sparsity are
+// Gather's. The measured duration is split evenly across the two events.
+//
+// ea and eb are drawn from the backend's scratch pool; hand them back with
+// Release once nothing reads them.
+func (e *Engine) ExpandOuter(a, b *tensor.Tensor) (ea, eb *tensor.Tensor) {
+	n := a.Size() * b.Size()
+	start, dur, outs := e.timed("gather", func() []*tensor.Tensor {
+		ea = tensor.FromSlice(e.be.Scratch32(n), n)
+		eb = tensor.FromSlice(e.be.Scratch32(n), n)
+		tensor.OuterExpandOn(e.be, ea, eb, a, b)
+		return []*tensor.Tensor{ea, eb}
+	})
+	half := dur / 2
+	e.emit(gatherOp(a, n), start, half, outs[:1])
+	e.emit(gatherOp(b, n), start.Add(half), dur-half, outs[1:])
+	return ea, eb
+}
+
+// Release hands the storage of tensors nothing reads any more back to the
+// backend's scratch pool, where the next pooled output of its size class
+// reuses it. It records no event. The caller must hold no other reference
+// to the storage, reshaped views included. Storage the pool did not hand
+// out is kept only if its capacity is a pool size class.
+func (e *Engine) Release(ts ...*tensor.Tensor) {
+	for _, t := range ts {
+		e.be.Release32(t.Data())
+	}
 }
 
 // MaskedSelect records an instrumented masked selection.

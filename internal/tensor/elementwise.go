@@ -14,10 +14,15 @@ const grainEltwise = 8192
 // chunked over the flat index space of r. Every element is independent, so
 // chunked execution is trivially bit-identical to serial.
 func binOpOn(r Runner, name string, a, b *Tensor, f func(x, y float32) float32) *Tensor {
-	if !a.SameShape(b) {
-		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", name, a.shape, b.shape))
+	return binOpToOn(r, name, New(a.shape...), a, b, f)
+}
+
+// binOpToOn is binOpOn writing into out, which must have a's element
+// count and may alias a or b: element i is read before it is written.
+func binOpToOn(r Runner, name string, out, a, b *Tensor, f func(x, y float32) float32) *Tensor {
+	if !a.SameShape(b) || out.Size() != a.Size() {
+		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v into %v", name, a.shape, b.shape, out.shape))
 	}
-	out := New(a.shape...)
 	ad, bd, od := a.data, b.data, out.data
 	r.For(len(od), grainEltwise, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -69,6 +74,10 @@ func Mul(a, b *Tensor) *Tensor { return binOp("Mul", a, b, mulf) }
 
 // MulOn is Mul dispatched on r.
 func MulOn(r Runner, a, b *Tensor) *Tensor { return binOpOn(r, "Mul", a, b, mulf) }
+
+// MulToOn writes a * b element-wise into out and returns it. out must have
+// a's element count and may alias a or b.
+func MulToOn(r Runner, out, a, b *Tensor) *Tensor { return binOpToOn(r, "Mul", out, a, b, mulf) }
 
 // Div returns a / b element-wise. Division by zero follows IEEE semantics.
 func Div(a, b *Tensor) *Tensor { return binOp("Div", a, b, divf) }

@@ -10,10 +10,11 @@ import (
 // exist: on large shapes the tiled GEMM/conv must actually beat naive.
 // Gated behind NSBENCH_KERNEL_SMOKE because it needs a quiet machine and
 // ~a second of timed work. The asserted floors (1.5x GEMM, 1.2x conv, 1.5x
-// batched cleanup) sit well under the recorded speedups in
-// BENCH_kernels.json (4-5x, ~2x and ~3x) so scheduler noise cannot flake
-// the job, while still catching any regression that would invalidate the
-// dispatch table or the batched cleanup path.
+// batched cleanup, 2x index-free joint expansion) sit well under the
+// recorded speedups in BENCH_kernels.json (4-5x, ~2x, ~3x and ~19x) so
+// scheduler noise cannot flake the job, while still catching any
+// regression that would invalidate the dispatch table, the batched
+// cleanup path or the index-free expansion.
 func TestKernelSpeedupSmoke(t *testing.T) {
 	if os.Getenv("NSBENCH_KERNEL_SMOKE") == "" {
 		t.Skip("set NSBENCH_KERNEL_SMOKE=1 to run the kernel speedup smoke")
@@ -65,5 +66,26 @@ func TestKernelSpeedupSmoke(t *testing.T) {
 	t.Logf("batched 16-query cleanup: GEMVs %dns, batched %dns (%.2fx)", loop, batched, float64(loop)/float64(batched))
 	if speedup := float64(loop) / float64(batched); speedup < 1.5 {
 		t.Errorf("batched 16-query cleanup on 2700x4096: %.2fx over 16 GEMVs (GEMVs %dns, batched %dns), want >= 1.5x", speedup, loop, batched)
+	}
+
+	// PrAE's largest joint expansion: the index-free kernel into reused
+	// buffers must beat building the two index vectors and gathering.
+	const la, lb = 15360, 10
+	ja, jb := g.Normal(0, 1, la), g.Normal(0, 1, lb)
+	gather := minNs(func() {
+		idxA, idxB := make([]int, la*lb), make([]int, la*lb)
+		for i := 0; i < la; i++ {
+			for j := 0; j < lb; j++ {
+				idxA[i*lb+j], idxB[i*lb+j] = i, j
+			}
+		}
+		Gather(ja.Reshape(la, 1), idxA)
+		Gather(jb.Reshape(lb, 1), idxB)
+	}, 5)
+	ea, eb := New(la*lb), New(la*lb)
+	expand := minNs(func() { OuterExpandOn(Serial, ea, eb, ja, jb) }, 5)
+	t.Logf("joint expansion 15360x10: gathers %dns, index-free %dns (%.2fx)", gather, expand, float64(gather)/float64(expand))
+	if speedup := float64(gather) / float64(expand); speedup < 2 {
+		t.Errorf("index-free joint expansion on 15360x10: %.2fx over index vectors + gathers (gathers %dns, index-free %dns), want >= 2x", speedup, gather, expand)
 	}
 }

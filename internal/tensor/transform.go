@@ -197,6 +197,33 @@ func Gather(a *Tensor, idx []int) *Tensor {
 	return out
 }
 
+// OuterExpandOn writes the flat operands of the outer product of a and b
+// without index vectors: ea repeats each element of a len(b) times and eb
+// tiles b len(a) times, so ea[i*lb+j] = a[i] and eb[i*lb+j] = b[j]. It is
+// bit-identical to Gather over a and b with the equivalent index vectors.
+// Every element of ea and eb is written, so both may be unzeroed scratch.
+// Rows i of the expansion are chunked on r.
+func OuterExpandOn(r Runner, ea, eb, a, b *Tensor) {
+	ad, bd := a.data, b.data
+	la, lb := len(ad), len(bd)
+	if len(ea.data) != la*lb || len(eb.data) != la*lb {
+		panic(fmt.Sprintf("tensor: OuterExpand of %d×%d needs %d-element outputs, got %d and %d", la, lb, la*lb, len(ea.data), len(eb.data)))
+	}
+	r.For(la, max(1, grainEltwise/max(lb, 1)), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row, v := ea.data[i*lb:(i+1)*lb], ad[i]
+			for j := range row {
+				row[j] = v
+			}
+		}
+		// Tile b by doubling copies: log2(hi-lo) memmoves, not hi-lo.
+		tile := eb.data[lo*lb : hi*lb]
+		for n := copy(tile, bd); n < len(tile); {
+			n += copy(tile[n:], tile[:n])
+		}
+	})
+}
+
 // MaskedSelect returns a flat tensor of the elements of a where mask is
 // nonzero. mask must have a's shape.
 func MaskedSelect(a, mask *Tensor) *Tensor {

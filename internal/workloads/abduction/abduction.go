@@ -69,22 +69,14 @@ func ShiftPMF(e *ops.Engine, p *tensor.Tensor, k int) *tensor.Tensor {
 // Joint returns the joint PMF of two independent attribute PMFs as a
 // flattened len(a)*len(b) tensor, computed with explicit expansion and an
 // element-wise product (the exhaustive probability representation whose
-// extreme sparsity Fig. 5 characterizes).
+// extreme sparsity Fig. 5 characterizes). The expansion is traced as the
+// two gathers it models; the joint's storage comes from the engine's
+// scratch pool, so a caller may Release it once nothing reads it.
 func Joint(e *ops.Engine, a, b *tensor.Tensor) *tensor.Tensor {
-	la, lb := a.Dim(0), b.Dim(0)
-	// Expand a to [la*lb] by repeating each element lb times, and b by
-	// tiling the whole vector la times.
-	idxA := make([]int, la*lb)
-	idxB := make([]int, la*lb)
-	for i := 0; i < la; i++ {
-		for j := 0; j < lb; j++ {
-			idxA[i*lb+j] = i
-			idxB[i*lb+j] = j
-		}
-	}
-	ea := e.Gather(a.Reshape(la, 1), idxA).Reshape(la * lb)
-	eb := e.Gather(b.Reshape(lb, 1), idxB).Reshape(la * lb)
-	return e.Mul(ea, eb)
+	ea, eb := e.ExpandOuter(a, b)
+	joint := e.MulInPlace(ea, eb)
+	e.Release(eb)
+	return joint
 }
 
 // RowProb computes P(rule | row PMFs) for one complete row of three panels

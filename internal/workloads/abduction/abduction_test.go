@@ -1,11 +1,17 @@
 package abduction
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
+	"time"
 
+	"github.com/neurosym/nsbench/internal/backend"
 	"github.com/neurosym/nsbench/internal/ops"
 	"github.com/neurosym/nsbench/internal/raven"
 	"github.com/neurosym/nsbench/internal/tensor"
+	"github.com/neurosym/nsbench/internal/trace"
 )
 
 // onehot builds a PMF with all mass at v over lv levels.
@@ -225,4 +231,129 @@ func TestPropAbduceRecoversGeneratedRules(t *testing.T) {
 			}
 		}
 	}
+}
+
+// poisonBackend hands out Scratch32 buffers pre-filled with NaN sentinels
+// and never reuses a released one, in the style of tensor's poisonRunner:
+// an expansion or product that left any pooled element unwritten turns
+// the sentinels into NaN outputs and fails loudly.
+type poisonBackend struct {
+	backend.Backend
+	drawn, released int
+}
+
+func (p *poisonBackend) Scratch32(n int) []float32 {
+	p.drawn++
+	buf := make([]float32, n)
+	for i := range buf {
+		buf[i] = float32(math.NaN())
+	}
+	return buf
+}
+
+func (p *poisonBackend) Release32([]float32) { p.released++ }
+
+// gatherJoint is the index-vector reference Joint: build the two index
+// vectors, gather each operand with them, multiply.
+func gatherJoint(e *ops.Engine, a, b *tensor.Tensor) *tensor.Tensor {
+	la, lb := a.Dim(0), b.Dim(0)
+	idxA, idxB := make([]int, la*lb), make([]int, la*lb)
+	for i := 0; i < la; i++ {
+		for j := 0; j < lb; j++ {
+			idxA[i*lb+j], idxB[i*lb+j] = i, j
+		}
+	}
+	ea := e.Gather(a.Reshape(la, 1), idxA).Reshape(la * lb)
+	eb := e.Gather(b.Reshape(lb, 1), idxB).Reshape(la * lb)
+	return e.Mul(ea, eb)
+}
+
+// TestJointExpansionMatchesGather pins the index-free, pooled Joint to the
+// index-vector gather path it replaced: bit-identical values and the same
+// three recorded events (two Gathers and a Mul) with identical costs,
+// sparsity and dataflow, on PrAE's scene-chain shapes and the degenerate
+// 1×k and k×1 ones, serially and on a 2-worker pool, under poisoned scratch.
+func TestJointExpansionMatchesGather(t *testing.T) {
+	g := tensor.NewRNG(5)
+	// pmf draws a vector with about half its entries exactly zero, so the
+	// measured sparsity is not trivially 0 or 1.
+	pmf := func(n int) *tensor.Tensor {
+		p := g.Normal(0, 1, n)
+		for i, v := range p.Data() {
+			if v < 0 {
+				p.Data()[i] = 0
+			}
+		}
+		return p
+	}
+	shapes := [][2]int{{512, 5}, {2560, 6}, {15360, 10}, {1, 37}, {37, 1}, {1, 1}}
+	backends := []struct {
+		name string
+		be   backend.Backend
+	}{{"serial", backend.Serial{}}, {"parallel2", backend.NewParallel(2)}}
+	for _, bk := range backends {
+		defer bk.be.Close()
+		for _, sh := range shapes {
+			a, b := pmf(sh[0]), pmf(sh[1])
+			run := func(be backend.Backend, joint func(*ops.Engine, *tensor.Tensor, *tensor.Tensor) *tensor.Tensor) (*tensor.Tensor, []trace.Event) {
+				e := ops.New(ops.WithBackend(be))
+				e.SetPhase(trace.Symbolic)
+				e.SetStage("scene_inference")
+				e.MeasureSparsity(true)
+				e.SetSparsityEps(0.01)
+				return joint(e, a, b), e.Trace().Events
+			}
+			pb := &poisonBackend{Backend: bk.be}
+			got, gotEv := run(pb, Joint)
+			want, wantEv := run(bk.be, gatherJoint)
+			name := fmt.Sprintf("%s/%dx%d", bk.name, sh[0], sh[1])
+			if pb.drawn != 2 || pb.released != 1 {
+				t.Fatalf("%s: drew %d and released %d scratch buffers, want 2 and 1 (eb handed back, ea carries the joint)", name, pb.drawn, pb.released)
+			}
+			if got.Size() != want.Size() {
+				t.Fatalf("%s: joint has %d elements, want %d", name, got.Size(), want.Size())
+			}
+			for i, w := range want.Data() {
+				if v := got.Data()[i]; math.Float32bits(v) != math.Float32bits(w) {
+					t.Fatalf("%s: joint[%d] = %v, gather path %v", name, i, v, w)
+				}
+			}
+			if len(gotEv) != 3 || len(wantEv) != 3 {
+				t.Fatalf("%s: recorded %d events, gather path %d; want 3", name, len(gotEv), len(wantEv))
+			}
+			if gf, wf := dataflow(gotEv, a, b), dataflow(wantEv, a, b); !reflect.DeepEqual(gf, wf) {
+				t.Fatalf("%s: dataflow %v, gather path %v", name, gf, wf)
+			}
+			for i := range wantEv {
+				ge, we := gotEv[i], wantEv[i]
+				ge.Start, ge.Dur, ge.Inputs, ge.Outputs = time.Time{}, 0, nil, nil
+				we.Start, we.Dur, we.Inputs, we.Outputs = time.Time{}, 0, nil, nil
+				if !reflect.DeepEqual(ge, we) {
+					t.Fatalf("%s: event %d = %+v, gather path %+v", name, i, ge, we)
+				}
+			}
+		}
+	}
+}
+
+// dataflow renumbers each event's input and output tensor IDs in
+// first-seen order, with the shared operands a and b fixed as 0 and 1, so
+// runs that allocate different tensors can be compared edge for edge.
+func dataflow(evs []trace.Event, a, b *tensor.Tensor) [][2][]int {
+	seen := map[uint64]int{a.ID(): 0, b.ID(): 1}
+	ids := func(in []uint64) []int {
+		var out []int
+		for _, id := range in {
+			if _, ok := seen[id]; !ok {
+				seen[id] = len(seen)
+			}
+			out = append(out, seen[id])
+		}
+		return out
+	}
+	var flow [][2][]int
+	for _, ev := range evs {
+		flow = append(flow, [2][]int{ids(ev.Inputs), ids(ev.Outputs)})
+	}
+	return flow
 }

@@ -141,11 +141,9 @@ func (w *PrAE) Solve(e *ops.Engine, task raven.Task) (int, error) {
 		// Context panels and answer candidates alike get a scene
 		// representation — candidate selection compares in scene space.
 		for pi := range panels {
-			pos := raven.PerceivePositionPMF(panels[pi], w.cfg.Noise)
-			joint := abduction.Joint(e, pos, pmfs[pi][raven.Type])
-			joint = abduction.Joint(e, joint, pmfs[pi][raven.Size])
-			joint = abduction.Joint(e, joint, pmfs[pi][raven.Color])
+			joint := scene(e, raven.PerceivePositionPMF(panels[pi], w.cfg.Noise), pmfs[pi])
 			_ = e.NormalizeL1(joint)
+			e.Release(joint)
 		}
 	})
 
@@ -178,17 +176,13 @@ func (w *PrAE) Solve(e *ops.Engine, task raven.Task) (int, error) {
 	// planning in scene space), alongside the exact marginal dot products.
 	scores := tensor.New(len(task.Choices))
 	e.InStage("select", func() {
-		lastPos := raven.PerceivePositionPMF(panels[ctx-1], w.cfg.Noise)
-		predScene := abduction.Joint(e, lastPos, predicted[raven.Type])
-		predScene = abduction.Joint(e, predScene, predicted[raven.Size])
-		predScene = abduction.Joint(e, predScene, predicted[raven.Color])
+		predScene := scene(e, raven.PerceivePositionPMF(panels[ctx-1], w.cfg.Noise), predicted)
+		defer e.Release(predScene)
 		for ci := range task.Choices {
 			cp := pmfs[ctx+ci]
-			choicePos := raven.PerceivePositionPMF(panels[ctx+ci], w.cfg.Noise)
-			choiceScene := abduction.Joint(e, choicePos, cp[raven.Type])
-			choiceScene = abduction.Joint(e, choiceScene, cp[raven.Size])
-			choiceScene = abduction.Joint(e, choiceScene, cp[raven.Color])
+			choiceScene := scene(e, raven.PerceivePositionPMF(panels[ctx+ci], w.cfg.Noise), cp)
 			_ = e.Dot(predScene, choiceScene)
+			e.Release(choiceScene)
 			total := tensor.Scalar(1)
 			for _, a := range w.attrs {
 				total = e.Mul(total, e.Dot(predicted[a], cp[a]))
@@ -201,6 +195,20 @@ func (w *PrAE) Solve(e *ops.Engine, task raven.Task) (int, error) {
 		})
 	})
 	return chosen, nil
+}
+
+// scene builds the exhaustive joint scene distribution position × type ×
+// size × color, handing each intermediate joint back to the engine's
+// scratch pool once the next expansion has consumed it. The caller
+// Releases the returned scene the same way.
+func scene(e *ops.Engine, pos *tensor.Tensor, pmf map[raven.Attribute]*tensor.Tensor) *tensor.Tensor {
+	joint := abduction.Joint(e, pos, pmf[raven.Type])
+	for _, a := range []raven.Attribute{raven.Size, raven.Color} {
+		next := abduction.Joint(e, joint, pmf[a])
+		e.Release(joint)
+		joint = next
+	}
+	return joint
 }
 
 // SolveAccuracy runs n fresh tasks and returns the fraction answered correctly.

@@ -1,6 +1,8 @@
 package prae
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/neurosym/nsbench/internal/ops"
@@ -85,5 +87,31 @@ func TestCrossPhaseDependency(t *testing.T) {
 	g := trace.BuildGraph(e.Trace())
 	if n2s, _ := g.CrossPhaseEdges(); n2s == 0 {
 		t.Fatal("symbolic phase must consume neural outputs")
+	}
+}
+
+// TestRunAllocationBound guards the pooled joint-scene expansion: one
+// default Run allocated 131 MiB when every Joint built index vectors and
+// fresh expanded operands. GC is off for the run so the scratch pool is
+// never emptied mid-run and its reuse is deterministic; two collections
+// first empty it, so earlier tests cannot lend the run their buffers.
+func TestRunAllocationBound(t *testing.T) {
+	w := New(Config{})
+	defer w.Close()
+	e := ops.New()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := w.Run(e); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 48 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("PrAE Run allocated %.1f MiB", float64(got)/(1<<20))
+	if got > limit {
+		t.Fatalf("PrAE Run allocated %d bytes (%.1f MiB), want <= %d (48 MiB)", got, float64(got)/(1<<20), limit)
 	}
 }
