@@ -11,12 +11,14 @@ import (
 
 	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/tensor"
+	"github.com/neurosym/nsbench/internal/trace"
 )
 
 // The kernel benchmark mode (-kernel-bench): time the naive and tiled
 // GEMM/conv kernels over the workload suite's real operator shapes, plus
 // the NVSA joint-codebook GEMV, one batched cleanup stage, PrAE's largest
-// joint-scene expansion and a VSA circular convolution, place the
+// joint-scene expansion, a VSA circular convolution and the cache
+// simulation behind hwsim.KernelStats, place the
 // achieved FLOP/s of each against the modeled devices' rooflines, and
 // write the table as JSON (the
 // checked-in BENCH_kernels.json). This is the measurement behind the
@@ -26,8 +28,8 @@ import (
 // kernelBenchRow is one (shape, kernel) measurement.
 type kernelBenchRow struct {
 	Name           string  `json:"name"`
-	Op             string  `json:"op"`     // "gemm", "conv2d", "gemv" or "cleanup"
-	Kernel         string  `json:"kernel"` // "naive" or "tiled"; GEMV has only naive; cleanup: naive = per-query GEMVs, tiled = one batched call; joint: naive = index vectors + two Gathers, tiled = index-free expansion; circconv has only auto (the FFT path)
+	Op             string  `json:"op"`     // "gemm", "conv2d", "gemv", "cleanup", "joint", "circconv" or "kernelstats"
+	Kernel         string  `json:"kernel"` // "naive" or "tiled"; GEMV has only naive; cleanup: naive = per-query GEMVs, tiled = one batched call; joint: naive = index vectors + two Gathers, tiled = index-free expansion; circconv has only auto (the FFT path); kernelstats: naive = uncached stream simulation, memo = KernelStats on a warm stream memo
 	AutoPick       string  `json:"auto_pick"`
 	Reps           int     `json:"reps"`
 	NsPerOp        int64   `json:"ns_per_op"`
@@ -161,10 +163,10 @@ func runKernelBench(path string) error {
 	var rows []kernelBenchRow
 	derived := map[string]interface{}{}
 
-	measure := func(name, op string, kern tensor.Kernel, autoPick string, flops, bytes int64, run func()) int64 {
+	measure := func(name, op, kern, autoPick string, flops, bytes int64, run func()) int64 {
 		ns, reps := benchKernel(run)
 		row := kernelBenchRow{
-			Name: name, Op: op, Kernel: kern.String(), AutoPick: autoPick,
+			Name: name, Op: op, Kernel: kern, AutoPick: autoPick,
 			Reps: reps, NsPerOp: ns, FLOPs: flops, AlgBytes: bytes,
 			AchievedGFLOPs: float64(flops) / float64(ns),
 			AchievedGBs:    float64(bytes) / float64(ns),
@@ -188,7 +190,7 @@ func runKernelBench(path string) error {
 		per := map[string]int64{}
 		for _, kern := range []tensor.Kernel{tensor.KernelNaive, tensor.KernelTiled} {
 			k := kern
-			per[kern.String()] = measure(name, op, kern, autoPick, flops, bytes, func() { run(k) })
+			per[kern.String()] = measure(name, op, kern.String(), autoPick, flops, bytes, func() { run(k) })
 		}
 		derived["speedup_"+name] = float64(per["naive"]) / float64(per["tiled"])
 		return per
@@ -227,7 +229,7 @@ func runKernelBench(path string) error {
 	g := tensor.NewRNG(3)
 	a, x := g.Normal(0, 1, gv.m, gv.k), g.Normal(0, 1, gv.k)
 	flops, bytes := tensor.FlopsMatMul(gv.m, gv.k, 1), tensor.BytesMatMul(gv.m, gv.k, 1)
-	ns := measure(gv.name, "gemv", tensor.KernelNaive, tensor.KernelNaive.String(), flops, bytes, func() {
+	ns := measure(gv.name, "gemv", tensor.KernelNaive.String(), tensor.KernelNaive.String(), flops, bytes, func() {
 		tensor.MatVecOn(tensor.Serial, a, x)
 	})
 	fmt.Fprintf(w, "%-34s %5s %14d %14s %9s %10.2f %7s  %.2f GB/s\n",
@@ -240,12 +242,12 @@ func runKernelBench(path string) error {
 	n := int64(kernelCleanupQueries)
 	auto := tensor.GemmKernelFor(gv.m, gv.k, kernelCleanupQueries)
 	loopBytes, batchBytes := n*bytes, tensor.BytesMatMul(gv.m, gv.k, kernelCleanupQueries)
-	loopNs := measure(kernelCleanupName, "cleanup", tensor.KernelNaive, auto.String(), n*flops, loopBytes, func() {
+	loopNs := measure(kernelCleanupName, "cleanup", tensor.KernelNaive.String(), auto.String(), n*flops, loopBytes, func() {
 		for _, x := range xs {
 			tensor.MatVecOn(tensor.Serial, a, x)
 		}
 	})
-	batchNs := measure(kernelCleanupName, "cleanup", auto, auto.String(), n*flops, batchBytes, func() {
+	batchNs := measure(kernelCleanupName, "cleanup", auto.String(), auto.String(), n*flops, batchBytes, func() {
 		tensor.MatVecsOn(tensor.Serial, tensor.KernelAuto, a, xs)
 	})
 	derived["speedup_"+kernelCleanupName] = float64(loopNs) / float64(batchNs)
@@ -257,7 +259,7 @@ func runKernelBench(path string) error {
 	ja, jb := g.Normal(0, 1, js.la), g.Normal(0, 1, js.lb)
 	jn := js.la * js.lb
 	jointBytes := 2 * (tensor.BytesCopy(jn) + 4*int64(jn))
-	gatherNs := measure(js.name, "joint", tensor.KernelNaive, tensor.KernelTiled.String(), 0, jointBytes, func() {
+	gatherNs := measure(js.name, "joint", tensor.KernelNaive.String(), tensor.KernelTiled.String(), 0, jointBytes, func() {
 		idxA, idxB := make([]int, jn), make([]int, jn)
 		for i := 0; i < js.la; i++ {
 			for j := 0; j < js.lb; j++ {
@@ -268,7 +270,7 @@ func runKernelBench(path string) error {
 		tensor.Gather(jb.Reshape(js.lb, 1), idxB)
 	})
 	ea, eb := tensor.New(jn), tensor.New(jn)
-	expandNs := measure(js.name, "joint", tensor.KernelTiled, tensor.KernelTiled.String(), 0, jointBytes, func() {
+	expandNs := measure(js.name, "joint", tensor.KernelTiled.String(), tensor.KernelTiled.String(), 0, jointBytes, func() {
 		tensor.OuterExpandOn(tensor.Serial, ea, eb, ja, jb)
 	})
 	derived["speedup_"+js.name] = float64(gatherNs) / float64(expandNs)
@@ -278,11 +280,40 @@ func runKernelBench(path string) error {
 
 	ca, cb := g.Normal(0, 1, kernelCircConvN), g.Normal(0, 1, kernelCircConvN)
 	flops, bytes = tensor.FlopsCircularConvFFT(kernelCircConvN), tensor.BytesCircularConv(kernelCircConvN)
-	ns = measure(kernelCircConvName, "circconv", tensor.KernelAuto, tensor.KernelAuto.String(), flops, bytes, func() {
+	ns = measure(kernelCircConvName, "circconv", tensor.KernelAuto.String(), tensor.KernelAuto.String(), flops, bytes, func() {
 		tensor.CircularConvOn(tensor.Serial, ca, cb)
 	})
 	fmt.Fprintf(w, "%-34s %5s %14d %14s %9s %10.2f %7s  %.2f GB/s\n",
 		kernelCircConvName, "auto", ns, "-", "-", float64(flops)/float64(ns), "-", float64(bytes)/float64(ns))
+
+	// The cache simulation behind hwsim.KernelStats on NVSA's two
+	// analysed classes: its perception GEMMs and its 76 joint-codebook
+	// GEMVs (the symbolic element-wise class). naive runs the stream
+	// uncached (spec → Simulate); memo is KernelStats on a warm stream
+	// memo, what core.Analyze pays for a repeated class×device.
+	mm := func(m, k, n int) trace.Event {
+		return trace.Event{FLOPs: tensor.FlopsMatMul(m, k, n), Bytes: tensor.BytesMatMul(m, k, n)}
+	}
+	cleanup := make([]trace.Event, 76)
+	for i := range cleanup {
+		cleanup[i] = mm(gv.m, gv.k, 1)
+	}
+	for _, st := range []struct {
+		name, kernel string
+		events       []trace.Event
+	}{
+		{"kernelstats-nvsa-gemm", "sgemm_nn", []trace.Event{mm(16, 30, 4096), mm(16, 16, 4096)}},
+		{"kernelstats-nvsa-eltwise", "vectorized_elem", cleanup},
+	} {
+		for _, d := range devices {
+			name := st.name + "/" + d.Name
+			spec := d.KernelStream(st.kernel, st.events)
+			simNs := measure(name, "kernelstats", tensor.KernelNaive.String(), "memo", 0, 0, func() { spec.Simulate() })
+			memoNs := measure(name, "kernelstats", "memo", "memo", 0, 0, func() { d.KernelStats(st.kernel, st.events) })
+			derived["speedup_"+name] = float64(simNs) / float64(memoNs)
+			fmt.Fprintf(w, "%-44s %5s %14d %14d %8.0fx\n", name, "memo", simNs, memoNs, float64(simNs)/float64(memoNs))
+		}
+	}
 	w.Flush()
 
 	doc := kernelBenchFile{

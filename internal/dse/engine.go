@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/neurosym/nsbench/internal/cachesim"
 	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/roofline"
 	"github.com/neurosym/nsbench/internal/trace"
@@ -96,15 +95,19 @@ type cacheProfile struct {
 	l2Hit [5]float64
 }
 
-// profileBudget caps each representative stream; hit rates converge well
-// before this, and sweeps simulate one stream set per *geometry*, not per
-// point, so the budget bounds sweep setup cost, not per-point cost.
-const profileBudget = 1 << 16
+// profileStreams is the stream model sweeps score geometries with: the
+// same kernel-class → stream mapping as hwsim.KernelStats, with three
+// differences (ROADMAP item 3) — a 1<<16 access budget instead of 1<<21
+// (sweeps simulate one stream set per *geometry*, not per point, so the
+// budget bounds sweep setup cost); an element-wise working set of the mean
+// event's bytes/3 instead of the class's total bytes/(reads+1)/2; and no
+// unary in-place element-wise variant.
+var profileStreams = hwsim.StreamModel{Budget: 1 << 16, MeanEltwiseSet: true}
 
 // Engine evaluates grid points against one cached trace. Safe for
 // concurrent use: the signature is immutable after construction and the
-// geometry-profile memo is lock-guarded (simulation itself runs on cloned
-// hierarchies, never shared ones).
+// geometry-profile memo is lock-guarded (each simulation runs on its own
+// fresh hierarchy).
 type Engine struct {
 	grid *Grid
 	sig  signature
@@ -121,11 +124,7 @@ func NewEngine(grid *Grid, tr *trace.Trace) *Engine {
 // Grid returns the engine's resolved grid.
 func (e *Engine) Grid() *Grid { return e.grid }
 
-// profile returns the (memoized) cache profile for a geometry. The
-// representative streams mirror hwsim.KernelStats: a register-blocked
-// GEMM sized from the class's mean FLOP count, chained element-wise
-// passes over the class's working set, random gathers over a table sized
-// from the mean traffic.
+// profile returns the (memoized) cache profile for a geometry.
 func (e *Engine) profile(k geomKey) *cacheProfile {
 	e.mu.Lock()
 	p, ok := e.profiles[k]
@@ -142,46 +141,18 @@ func (e *Engine) profile(k geomKey) *cacheProfile {
 	return p
 }
 
+// simulate runs each present class's representative stream on geometry k.
+// The streams are simulated uncached: the engine's own per-geometry memo
+// is all a sweep repeats.
 func (e *Engine) simulate(k geomKey) *cacheProfile {
 	p := &cacheProfile{}
+	g := hwsim.CacheGeometry{L1Bytes: k.l1KB * 1024, L1Ways: k.ways, L2Bytes: k.l2KB * 1024, L2Ways: 16, LineBytes: k.lineBytes}
 	for class := hwsim.ClassGEMM; class <= hwsim.ClassOther; class++ {
 		ci := int(class)
 		if e.sig.classCount[ci] == 0 {
 			continue
 		}
-		h := cachesim.NewHierarchy(
-			cachesim.NewCache("L1", k.l1KB*1024, k.ways, k.lineBytes),
-			cachesim.NewCache("L2", k.l2KB*1024, 16, k.lineBytes),
-		)
-		avgBytes := e.sig.classBytes[ci] / e.sig.classCount[ci]
-		line := int64(k.lineBytes)
-		switch class {
-		case hwsim.ClassGEMM:
-			dim := int(math.Cbrt(float64(e.sig.classFlops[ci]) / float64(e.sig.classCount[ci]) / 2))
-			if dim < 8 {
-				dim = 8
-			}
-			cachesim.GEMMStream(h, dim, dim, dim, 4, profileBudget)
-		case hwsim.ClassEltwise:
-			ws := avgBytes / 3
-			if ws < line {
-				ws = line
-			}
-			cachesim.EltwiseStream(h, 2, 2, ws, false, profileBudget)
-		case hwsim.ClassGather:
-			count := int(avgBytes / line)
-			if count < 64 {
-				count = 64
-			}
-			cachesim.GatherStream(h, avgBytes*4, count, 1, profileBudget)
-		default: // copies and scalar symbolic code: pure streaming
-			ws := avgBytes / 2
-			if ws < line {
-				ws = line
-			}
-			cachesim.EltwiseStream(h, 1, 1, ws, false, profileBudget)
-		}
-		st := h.Stats()
+		st := profileStreams.Spec(g, class, "", e.sig.classCount[ci], e.sig.classFlops[ci], e.sig.classBytes[ci]).Simulate()
 		p.l1Hit[ci] = st.L1HitRate
 		p.l2Hit[ci] = st.L2HitRate
 	}

@@ -415,12 +415,12 @@ func TestEvaluateLineBytesAxis(t *testing.T) {
 						src = uint64(16+r) << 40
 					}
 					access(src + off)
-					if emitted++; emitted >= profileBudget {
+					if emitted++; emitted >= profileStreams.Budget {
 						break stream
 					}
 				}
 				access(uint64(pass+1)<<40 + off)
-				if emitted++; emitted >= profileBudget {
+				if emitted++; emitted >= profileStreams.Budget {
 					break stream
 				}
 			}

@@ -39,10 +39,6 @@ type KernelStats struct {
 	RooflinePct    float64
 }
 
-// simBudget caps cache-simulation stream lengths; hit rates converge well
-// before this many accesses.
-const simBudget = 1 << 21
-
 // gemmTileReuse models shared-memory/register tiling of real GEMM kernels:
 // the fraction of algorithmic traffic that actually reaches the L1/LSU path
 // is 1/gemmTileReuse.
@@ -50,9 +46,26 @@ const gemmTileReuse = 8
 
 // KernelStats derives hardware counters for the events of one kernel label
 // running on the device. The cache hierarchy behaviour is simulated with a
-// synthetic address stream matching the kernel class; timing uses an
-// issue/L1/L2/DRAM multi-ceiling roofline.
+// synthetic address stream matching the kernel class (KernelStream),
+// memoized process-wide by stream spec; timing uses an issue/L1/L2/DRAM
+// multi-ceiling roofline.
 func (d Device) KernelStats(kernel string, events []trace.Event) KernelStats {
+	return d.kernelStats(kernel, events, StreamSpec.Stats)
+}
+
+// KernelStream returns the representative stream KernelStats simulates for
+// one or more events of a kernel label on the device.
+func (d Device) KernelStream(kernel string, events []trace.Event) StreamSpec {
+	var flops, bytes int64
+	for i := range events {
+		flops += events[i].FLOPs
+		bytes += events[i].Bytes
+	}
+	return kernelStatsModel.Spec(d.Geometry(), ClassifyKernel(kernel), kernel, int64(len(events)), flops, bytes)
+}
+
+// kernelStats is KernelStats with the stream simulation sim.
+func (d Device) kernelStats(kernel string, events []trace.Event, sim func(StreamSpec) cachesim.Stats) KernelStats {
 	ks := KernelStats{Kernel: kernel, Class: ClassifyKernel(kernel), Events: len(events)}
 	if len(events) == 0 {
 		return ks
@@ -74,45 +87,7 @@ func (d Device) KernelStats(kernel string, events []trace.Event) KernelStats {
 	}
 
 	// Simulate the cache behaviour of a representative stream.
-	h := cachesim.NewHierarchy(
-		cachesim.NewCache("L1", d.L1KB*1024, 4, d.LineBytes),
-		cachesim.NewCache("L2", d.L2KB*1024, 16, d.LineBytes),
-	)
-	avgBytes := bytes / int64(len(events))
-	switch ks.Class {
-	case ClassGEMM:
-		// Infer a cube-ish GEMM size from the mean FLOP count.
-		dim := int(math.Cbrt(float64(flops) / float64(len(events)) / 2))
-		if dim < 8 {
-			dim = 8
-		}
-		cachesim.GEMMStream(h, dim, dim, dim, 4, simBudget)
-	case ClassEltwise:
-		reads, inPlace := 2, false
-		if kernel == "relu_nn" || kernel == "elementwise" || kernel == "softmax" || kernel == "reduce" || kernel == "pool" {
-			// Unary kernels update their tensor in place after the read —
-			// the write hits the freshly fetched line.
-			reads, inPlace = 1, true
-		}
-		// Consecutive element-wise kernels touch distinct tensors, so the
-		// class's effective working set is its aggregate traffic: two
-		// passes model the producer→consumer reuse of chained kernels.
-		ws := bytes / int64(reads+1) / 2
-		if ws < int64(d.LineBytes) {
-			ws = int64(d.LineBytes)
-		}
-		cachesim.EltwiseStream(h, reads, 2, ws, inPlace, simBudget)
-	case ClassGather:
-		count := int(avgBytes / int64(d.LineBytes))
-		if count < 64 {
-			count = 64
-		}
-		cachesim.GatherStream(h, avgBytes*4, count, 1, simBudget)
-	default:
-		// Copies and scalar code: pure streaming, one read one write.
-		cachesim.EltwiseStream(h, 1, 1, maxI64(avgBytes/2, int64(d.LineBytes)), false, simBudget)
-	}
-	st := h.Stats()
+	st := sim(kernelStatsModel.Spec(d.Geometry(), ks.Class, kernel, int64(len(events)), flops, bytes))
 	ks.L1HitRatePct = 100 * st.L1HitRate
 	ks.L2HitRatePct = 100 * st.L2HitRate
 
@@ -178,13 +153,6 @@ func clampPct(v float64) float64 {
 		return 100
 	}
 	return v
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // intensity is arithmetic intensity in FLOPs/byte (0 when traffic is 0).

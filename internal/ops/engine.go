@@ -267,6 +267,10 @@ type op struct {
 	flops    int64
 	bytes    int64
 	inputs   []*tensor.Tensor
+	// repeatOf, when set, says the primary output holds each element of
+	// repeatOf repeatN times, so its zeros are counted on repeatOf.
+	repeatOf *tensor.Tensor
+	repeatN  int
 }
 
 // record times run, derives the event from the op description and the
@@ -346,7 +350,11 @@ func (e *Engine) emit(o op, start time.Time, dur time.Duration, outs []*tensor.T
 	// Sparsity is measured on the primary output when it is a real tensor;
 	// scalars carry no sparsity structure and would distort stage averages.
 	if e.measureSparsity && len(outs) > 0 && outs[0] != nil && outs[0].Size() > 1 {
-		ev.Sparsity = outs[0].Sparsity(e.sparsityEps)
+		if o.repeatOf != nil {
+			ev.Sparsity = float64(o.repeatOf.CountZero(e.sparsityEps)*o.repeatN) / float64(outs[0].Size())
+		} else {
+			ev.Sparsity = outs[0].Sparsity(e.sparsityEps)
+		}
 	}
 	e.tr.Append(ev)
 	if e.observer != nil {

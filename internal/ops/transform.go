@@ -121,20 +121,27 @@ func gatherOp(a *tensor.Tensor, rows int) op {
 // the modelled kernel is still a gather that reads its indices, so FLOPs,
 // bytes (index bytes included), alloc, inputs and measured sparsity are
 // Gather's. The measured duration is split evenly across the two events.
+// Each event's sparsity comes from its operand's zero count, since ea
+// holds every element of a lb times and eb every element of b la times:
+// the same ratio a scan of the output gives, without the scan.
 //
 // ea and eb are drawn from the backend's scratch pool; hand them back with
 // Release once nothing reads them.
 func (e *Engine) ExpandOuter(a, b *tensor.Tensor) (ea, eb *tensor.Tensor) {
-	n := a.Size() * b.Size()
+	la, lb := a.Size(), b.Size()
+	n := la * lb
 	start, dur, outs := e.timed("gather", func() []*tensor.Tensor {
 		ea = tensor.FromSlice(e.be.Scratch32(n), n)
 		eb = tensor.FromSlice(e.be.Scratch32(n), n)
 		tensor.OuterExpandOn(e.be, ea, eb, a, b)
 		return []*tensor.Tensor{ea, eb}
 	})
+	oa, ob := gatherOp(a, n), gatherOp(b, n)
+	oa.repeatOf, oa.repeatN = a, lb
+	ob.repeatOf, ob.repeatN = b, la
 	half := dur / 2
-	e.emit(gatherOp(a, n), start, half, outs[:1])
-	e.emit(gatherOp(b, n), start.Add(half), dur-half, outs[1:])
+	e.emit(oa, start, half, outs[:1])
+	e.emit(ob, start.Add(half), dur-half, outs[1:])
 	return ea, eb
 }
 

@@ -81,6 +81,8 @@ func circularConvFFT(r Runner, a, b *Tensor) *Tensor {
 	n := a.shape[0]
 	buf := r.Scratch(4 * n)
 	defer r.Release(buf)
+	tw := r.Scratch(2 * n) // one twiddle table per concurrent transform
+	defer r.Release(tw)
 	ar, ai := buf[0:n], buf[n:2*n]
 	br, bi := buf[2*n:3*n], buf[3*n:4*n]
 	// The two forward transforms touch disjoint buffers, so they can run as
@@ -89,10 +91,10 @@ func circularConvFFT(r Runner, a, b *Tensor) *Tensor {
 		for c := lo; c < hi; c++ {
 			if c == 0 {
 				fillComplex(ar, ai, a.data)
-				fftInPlace(ar, ai, false)
+				fftInPlace(ar, ai, tw[:n], false)
 			} else {
 				fillComplex(br, bi, b.data)
-				fftInPlace(br, bi, false)
+				fftInPlace(br, bi, tw[n:], false)
 			}
 		}
 	})
@@ -104,7 +106,7 @@ func circularConvFFT(r Runner, a, b *Tensor) *Tensor {
 			ar[i], ai[i] = re, im
 		}
 	})
-	fftInPlace(ar, ai, true)
+	fftInPlace(ar, ai, tw[:n], true)
 	out := New(n)
 	for i := 0; i < n; i++ {
 		out.data[i] = float32(ar[i])
@@ -127,7 +129,7 @@ func fillComplex(re, im []float64, x []float32) {
 func fft(x complexPair, inv bool) ([]float64, []float64) {
 	re := append([]float64(nil), x.re...)
 	im := append([]float64(nil), x.im...)
-	fftInPlace(re, im, inv)
+	fftInPlace(re, im, make([]float64, len(re)), inv)
 	return re, im
 }
 
@@ -143,8 +145,14 @@ func toComplex(x []float32) complexPair {
 
 // fftInPlace runs the in-place iterative radix-2 Cooley-Tukey FFT (or
 // inverse when inv is true) on a power-of-two-length complex sequence held
-// as separate real/imaginary slices.
-func fftInPlace(re, im []float64, inv bool) {
+// as separate real/imaginary slices. tw is scratch for the twiddle table,
+// at least len(re) long.
+//
+// Each stage's twiddles w^0 … w^(half-1) come from the recurrence
+// c ← c·w, run once per stage into tw and read by every butterfly block,
+// which is the sequence each block used to recompute: the bits do not
+// change.
+func fftInPlace(re, im, tw []float64, inv bool) {
 	n := len(re)
 	if n&(n-1) != 0 {
 		panic(fmt.Sprintf("tensor: fft length %d is not a power of two", n))
@@ -164,16 +172,21 @@ func fftInPlace(re, im []float64, inv bool) {
 			ang = -ang
 		}
 		wr, wi := math.Cos(ang), math.Sin(ang)
+		half := length / 2
+		twr, twi := tw[:half], tw[n/2:n/2+half]
+		cr, ci := 1.0, 0.0
+		for k := 0; k < half; k++ {
+			twr[k], twi[k] = cr, ci
+			cr, ci = cr*wr-ci*wi, cr*wi+ci*wr
+		}
 		for start := 0; start < n; start += length {
-			cr, ci := 1.0, 0.0
-			half := length / 2
 			for k := 0; k < half; k++ {
 				i0, i1 := start+k, start+k+half
+				cr, ci := twr[k], twi[k]
 				tr := re[i1]*cr - im[i1]*ci
 				ti := re[i1]*ci + im[i1]*cr
 				re[i1], im[i1] = re[i0]-tr, im[i0]-ti
 				re[i0], im[i0] = re[i0]+tr, im[i0]+ti
-				cr, ci = cr*wr-ci*wi, cr*wi+ci*wr
 			}
 		}
 	}

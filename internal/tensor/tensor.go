@@ -251,13 +251,19 @@ func (t *Tensor) Sparsity(eps float32) float64 {
 	if len(t.data) == 0 {
 		return 0
 	}
+	return float64(t.CountZero(eps)) / float64(len(t.data))
+}
+
+// CountZero returns the number of elements whose absolute value is at or
+// below eps (NaN counts as non-zero), the numerator of Sparsity.
+func (t *Tensor) CountZero(eps float32) int {
 	zero := 0
 	for _, v := range t.data {
 		if v <= eps && v >= -eps {
 			zero++
 		}
 	}
-	return float64(zero) / float64(len(t.data))
+	return zero
 }
 
 // CountNonZero returns the number of elements with |v| > eps.

@@ -332,6 +332,20 @@ func TestJointExpansionMatchesGather(t *testing.T) {
 					t.Fatalf("%s: event %d = %+v, gather path %+v", name, i, ge, we)
 				}
 			}
+			// The expansion events derive their sparsity from the operands'
+			// zero counts; it must equal a scan of the expanded operands.
+			n := sh[0] * sh[1]
+			ea, eb := tensor.New(n), tensor.New(n)
+			tensor.OuterExpandOn(tensor.Serial, ea, eb, a, b)
+			for i, ex := range []*tensor.Tensor{ea, eb} {
+				want := -1.0
+				if n > 1 {
+					want = ex.Sparsity(0.01)
+				}
+				if got := gotEv[i].Sparsity; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: event %d sparsity %v, scan of the expanded operand %v", name, i, got, want)
+				}
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package ltn
 import (
 	"testing"
 
+	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/ops"
 	"github.com/neurosym/nsbench/internal/trace"
 )
@@ -36,6 +37,25 @@ func TestPhaseSplitBalanced(t *testing.T) {
 	share := e.Trace().PhaseShare(trace.Symbolic)
 	if share < 0.2 || share > 0.85 {
 		t.Fatalf("symbolic share = %v, want balanced", share)
+	}
+}
+
+// TestProjectedPhaseSplitBalanced is the deterministic sibling of
+// TestPhaseSplitBalanced: the default run projected onto the Xeon Silver
+// 4114 model, whose times depend only on the recorded shapes and costs,
+// must keep LTN inside the same balanced band. The projection reads
+// 0.792 symbolic; the band's upper edge, 0.85, leaves it 0.058 of room.
+// (The GPU models project LTN's many small symbolic kernels to ~0.96,
+// launch-bound, so the CPU model is the one the band describes.)
+func TestProjectedPhaseSplitBalanced(t *testing.T) {
+	w := New(Config{})
+	e := ops.New()
+	if err := w.Run(e); err != nil {
+		t.Fatal(err)
+	}
+	share := hwsim.XeonSilver4114.ProjectTrace(e.Trace()).PhaseShare(trace.Symbolic)
+	if share < 0.2 || share > 0.85 {
+		t.Fatalf("Xeon-projected symbolic share = %v, want balanced (0.2–0.85; measured 0.792)", share)
 	}
 }
 
