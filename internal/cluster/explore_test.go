@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/neurosym/nsbench/internal/dse"
+	"github.com/neurosym/nsbench/internal/serve"
 )
 
 // exploreSpace is a 4x4x2x2x2x2 = 256-point space, comfortably above the
@@ -59,7 +60,7 @@ func postExploreStream(t *testing.T, h http.Handler, body string) (*httptest.Res
 // to the one a single replica computes over the whole grid.
 func TestExploreFanOut(t *testing.T) {
 	wls := testWorkloads()
-	repA, repB := startReplica(t), startReplica(t)
+	repA, repB := startReplica(t, serve.Config{}), startReplica(t, serve.Config{})
 	rt, err := New(Config{Replicas: []string{repA.hs.URL, repB.hs.URL}})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +153,7 @@ func TestExploreFanOut(t *testing.T) {
 // still completes every point with an exact front.
 func TestExploreFanOutShardRetry(t *testing.T) {
 	wls := testWorkloads()
-	repA, repB := startReplica(t), startReplica(t)
+	repA, repB := startReplica(t, serve.Config{}), startReplica(t, serve.Config{})
 	rt, err := New(Config{Replicas: []string{repA.hs.URL, repB.hs.URL}})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +187,7 @@ func TestExploreFanOutShardRetry(t *testing.T) {
 // TestExploreRouterValidation pins the router-side request checks.
 func TestExploreRouterValidation(t *testing.T) {
 	testWorkloads()
-	rep := startReplica(t)
+	rep := startReplica(t, serve.Config{})
 	rt, err := New(Config{Replicas: []string{rep.hs.URL}})
 	if err != nil {
 		t.Fatal(err)

@@ -47,9 +47,11 @@ type replica struct {
 	open bool
 }
 
-func startReplica(t *testing.T) *replica {
+// startReplica serves a real serve.Server built from cfg on a loopback
+// listener; both close when the test ends.
+func startReplica(t *testing.T, cfg serve.Config) *replica {
 	t.Helper()
-	s, err := serve.New(serve.Config{CacheSize: 64})
+	s, err := serve.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestClusterEndToEndFailover(t *testing.T) {
 	workloads := testWorkloads()
 	devices := []string{hwsim.RTX2080Ti.Name, hwsim.XavierNX.Name, hwsim.JetsonTX2.Name}
 
-	reps := []*replica{startReplica(t), startReplica(t), startReplica(t)}
+	reps := []*replica{startReplica(t, serve.Config{}), startReplica(t, serve.Config{}), startReplica(t, serve.Config{})}
 	urls := make([]string, len(reps))
 	byURL := map[string]*replica{}
 	for i, rep := range reps {
@@ -172,7 +174,7 @@ func TestClusterEndToEndFailover(t *testing.T) {
 	}
 
 	// Single-node reference for the deterministic report subset.
-	ref := startReplica(t)
+	ref := startReplica(t, serve.Config{})
 	refBytes := map[keyReq][]byte{}
 	for _, k := range keys {
 		rec := routerPost(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/neurosym/nsbench/internal/membership"
+	"github.com/neurosym/nsbench/internal/serve"
 )
 
 // postCluster sends one join/leave announcement to the router handler.
@@ -35,8 +36,8 @@ func recorderHasSpan(rt *Router, id, name string) bool {
 // cleanly.
 func TestClusterDynamicJoin(t *testing.T) {
 	testWorkloads()
-	static := startReplica(t)
-	joiner := startReplica(t)
+	static := startReplica(t, serve.Config{})
+	joiner := startReplica(t, serve.Config{})
 
 	rt := newTestRouter(t, Config{
 		Replicas:       []string{static.hs.URL},
@@ -102,8 +103,8 @@ func TestClusterDynamicJoin(t *testing.T) {
 // swept out of membership, checker, and ring.
 func TestClusterJoinTTLExpiry(t *testing.T) {
 	testWorkloads()
-	static := startReplica(t)
-	joiner := startReplica(t)
+	static := startReplica(t, serve.Config{})
+	joiner := startReplica(t, serve.Config{})
 
 	rt := newTestRouter(t, Config{
 		Replicas:   []string{static.hs.URL},
@@ -158,7 +159,7 @@ func TestClusterMembershipDisabled(t *testing.T) {
 // departed_nodes, not as an error row.
 func TestStatsToleratesMidFanoutDeparture(t *testing.T) {
 	testWorkloads()
-	static := startReplica(t)
+	static := startReplica(t, serve.Config{})
 
 	var rt *Router
 	// The leaver's stats endpoint withdraws the node and then breaks the

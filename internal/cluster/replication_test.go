@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"github.com/neurosym/nsbench/internal/serve"
 )
 
 // TestClusterReplicatedWarmRead is the replication acceptance test: with
@@ -12,8 +14,8 @@ import (
 // hit on the survivor — no recharacterization.
 func TestClusterReplicatedWarmRead(t *testing.T) {
 	testWorkloads()
-	a := startReplica(t)
-	b := startReplica(t)
+	a := startReplica(t, serve.Config{})
+	b := startReplica(t, serve.Config{})
 
 	rt := newTestRouter(t, Config{
 		Replicas:       []string{a.hs.URL, b.hs.URL},

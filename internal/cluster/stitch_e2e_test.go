@@ -55,18 +55,6 @@ func breakConnAfter(delay time.Duration) http.Handler {
 	})
 }
 
-// newNamedServer is a real serve.Server with a flight recorder and a
-// stable node name for stitched-trace assertions.
-func newNamedServer(t *testing.T, name string) *serve.Server {
-	t.Helper()
-	s, err := serve.New(serve.Config{CacheSize: 64, RecorderSize: 256, NodeName: name})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	return s
-}
-
 // TestClusterStitchedTraceEndToEnd is the tracing acceptance test: one
 // request whose failover order is [slow-fail, fast-fail, real replica]
 // with hedging armed. The primary stalls past the hedge delay, the hedge
@@ -113,8 +101,8 @@ func TestClusterStitchedTraceEndToEnd(t *testing.T) {
 	}
 	byURL[order[0]].handler.Store(breakConnAfter(80 * time.Millisecond))
 	byURL[order[1]].handler.Store(breakConnAfter(0))
-	byURL[order[2]].handler.Store(newNamedServer(t, "replica-a").Handler())
-	byURL[order[3]].handler.Store(newNamedServer(t, "replica-b").Handler())
+	byURL[order[2]].handler.Store(startReplica(t, serve.Config{RecorderSize: 256, NodeName: "replica-a"}).srv.Handler())
+	byURL[order[3]].handler.Store(startReplica(t, serve.Config{RecorderSize: 256, NodeName: "replica-b"}).srv.Handler())
 
 	rec := routerPost(h, body)
 	if rec.Code != http.StatusOK {

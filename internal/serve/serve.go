@@ -651,17 +651,9 @@ func (s *Server) worker() {
 }
 
 // runFlight executes one characterization and publishes the result to
-// every waiter, caching it on success.
+// every waiter, caching it on success. Its caller, runBatch, has already
+// retired the flight if every waiter left the queue.
 func (s *Server) runFlight(f *flight) {
-	// Cancellation at the queue: if every waiter gave up while the flight
-	// sat in the queue, don't burn a worker on a report nobody wants.
-	if f.loadWaiting() == 0 {
-		s.st.abandoned.Inc()
-		f.err = errors.New("abandoned: all waiters left the queue")
-		f.code = http.StatusServiceUnavailable
-		s.finish(f, false)
-		return
-	}
 	s.st.inflight.Inc()
 	start := time.Now()
 	res, err := s.characterize(f.req, f.id)

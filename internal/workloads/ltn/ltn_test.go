@@ -71,6 +71,31 @@ func TestNeuralDominatedByMatMul(t *testing.T) {
 	}
 }
 
+// TestNeuralFLOPsDominatedByMatMul is the deterministic sibling of
+// TestNeuralDominatedByMatMul: the same Fig. 3a claim over the neural
+// phase's analytic FLOPs, which do not move with CPU contention. MatMul
+// carries 0.950 of them at defaults.
+func TestNeuralFLOPsDominatedByMatMul(t *testing.T) {
+	w := New(Config{})
+	e := ops.New()
+	if err := w.Run(e); err != nil {
+		t.Fatal(err)
+	}
+	var matmul, total int64
+	for _, ev := range e.Trace().Events {
+		if ev.Phase != trace.Neural {
+			continue
+		}
+		total += ev.FLOPs
+		if ev.Category == trace.MatMul {
+			matmul += ev.FLOPs
+		}
+	}
+	if share := float64(matmul) / float64(total); total == 0 || share < 0.5 {
+		t.Fatalf("neural MatMul FLOP share = %.3f of %d FLOPs, want dominant (Fig. 3a; measured 0.950)", share, total)
+	}
+}
+
 func TestStages(t *testing.T) {
 	w := New(Config{})
 	e := ops.New()

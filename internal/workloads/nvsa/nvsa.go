@@ -267,11 +267,17 @@ func (w *NVSA) SolveBatch(e *ops.Engine, task raven.Task, n int) (int, error) {
 		})
 
 		// Stage 2+3: probability computation and rule detection. The rule
-		// probabilities are computed exactly in the PMF domain; alongside,
-		// every candidate rule is tested algebraically in the holographic
-		// space (position-permuted circular-convolution bindings compared
-		// against the row context), NVSA's substitution of exhaustive
-		// probability computation — the dominant symbolic cost.
+		// probabilities are computed exactly in the PMF domain. Alongside,
+		// the holographic space carries NVSA's substitution of exhaustive
+		// probability computation, the dominant symbolic cost: for each
+		// candidate rule the loop binds the m−1 context rows
+		// (position-permuted circular convolutions, each compared against
+		// its row's last panel) and cleans each bound row up against the
+		// joint codebook. The bindings ignore the candidate, so every
+		// candidate repeats the same m−1 queries: a 3×3 run issues 52
+		// cleanup queries over its four attributes, 8 of them distinct.
+		// That repetition is what makes the stage's cost scale with the
+		// rule hypothesis space (Fig. 2c).
 		var best abduction.CandidateRule
 		e.InStage("prob:"+a.String(), func() {
 			scores := abduction.Abduce(e, a, m, rows)
@@ -287,12 +293,9 @@ func (w *NVSA) SolveBatch(e *ops.Engine, task raven.Task, n int) (int, error) {
 					bound = append(bound, q)
 				}
 			}
-			// Probability readout of every hypothesis: each bound row
-			// context is cleaned up against the joint codebook — NVSA's
-			// algebraic substitution for exhaustive probability
-			// computation, and the component whose cost grows with the
-			// rule hypothesis space (Fig. 2c). No query depends on another
-			// query's readout, so the stage issues them as one batch.
+			// Cleanup readout of every candidate × context row. No query
+			// depends on another query's readout, so the stage issues them
+			// as one batch.
 			_ = e.MatVecs(w.jointCB, bound)
 			e.Logic("RuleDetect:"+a.String(), int64(len(scores)), int64(len(scores))*4, nil, func() []*tensor.Tensor {
 				best, _ = abduction.BestRule(a, m, scores)
