@@ -179,27 +179,6 @@ func BenchmarkFig5Sparsity(b *testing.B) {
 	b.ReportMetric(100*sparsity, "sparsity%")
 }
 
-// ---- Tab. IV: kernel-level hardware counters --------------------------------
-
-func BenchmarkTab4KernelStats(b *testing.B) {
-	w, err := core.BuildWorkload("NVSA")
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := ops.New()
-	if err := w.Run(e); err != nil {
-		b.Fatal(err)
-	}
-	tr := e.Trace()
-	b.ResetTimer()
-	var alu float64
-	for i := 0; i < b.N; i++ {
-		rows := hwsim.RTX2080Ti.KernelTable(tr, core.Tab4Kernels())
-		alu = rows[0].ALUUtilPct
-	}
-	b.ReportMetric(alu, "gemmALU%")
-}
-
 // ---- Scalability sweeps (Takeaway 2) ----------------------------------------
 
 func benchNVSADim(b *testing.B, dim int) {

@@ -149,18 +149,6 @@ func Mul(a, b *Var) *Var {
 	return v
 }
 
-// AddScalar returns a + s.
-func AddScalar(a *Var, s float32) *Var {
-	v := node(tensor.AddScalar(a.Value, s), nil, a)
-	v.backward = func() {
-		if v.Grad == nil {
-			return
-		}
-		a.accumulate(v.Grad)
-	}
-	return v
-}
-
 // MulScalar returns a * s.
 func MulScalar(a *Var, s float32) *Var {
 	v := node(tensor.MulScalar(a.Value, s), nil, a)
@@ -248,42 +236,6 @@ func Tanh(a *Var) *Var {
 	return v
 }
 
-// Clamp01 clamps to [0,1] — the Łukasiewicz connective nonlinearity.
-// Gradient passes where the input is strictly inside the interval.
-func Clamp01(a *Var) *Var {
-	out := tensor.Clamp(a.Value, 0, 1)
-	v := node(out, nil, a)
-	v.backward = func() {
-		if v.Grad == nil {
-			return
-		}
-		g := tensor.New(a.Value.Shape()...)
-		for i, x := range a.Value.Data() {
-			if x > 0 && x < 1 {
-				g.Data()[i] = v.Grad.Data()[i]
-			}
-		}
-		a.accumulate(g)
-	}
-	return v
-}
-
-// Mean reduces to the scalar mean of all elements.
-func Mean(a *Var) *Var {
-	n := a.Value.Size()
-	out := tensor.Scalar(a.Value.Mean())
-	v := node(out, nil, a)
-	v.backward = func() {
-		if v.Grad == nil {
-			return
-		}
-		scale := v.Grad.Item() / float32(n)
-		g := tensor.Full(scale, a.Value.Shape()...)
-		a.accumulate(g)
-	}
-	return v
-}
-
 // Sum reduces to the scalar sum of all elements.
 func Sum(a *Var) *Var {
 	out := tensor.Scalar(a.Value.Sum())
@@ -319,13 +271,6 @@ func Sqrt(a *Var) *Var {
 		a.accumulate(g)
 	}
 	return v
-}
-
-// MSE returns the mean squared error between prediction and target
-// (target is treated as a constant).
-func MSE(pred *Var, target *tensor.Tensor) *Var {
-	diff := Sub(pred, Const(target))
-	return Mean(Square(diff))
 }
 
 // BCE returns the mean binary cross-entropy of probabilities p against 0/1

@@ -18,6 +18,9 @@ func numericGrad(param *tensor.Tensor, idx int, f func() float32) float32 {
 	return (up - down) / (2 * h)
 }
 
+// mean reduces v to the scalar mean of its elements.
+func mean(v *Var) *Var { return MulScalar(Sum(v), 1/float32(v.Value.Size())) }
+
 // checkGrads verifies the analytic gradient of every element of param
 // against finite differences of the scalar-producing forward pass.
 func checkGrads(t *testing.T, param *Var, forward func() *Var, tol float32) {
@@ -43,7 +46,7 @@ func TestMatMulGrad(t *testing.T) {
 	forward := func() *Var {
 		a.ZeroGrad()
 		b.ZeroGrad()
-		return Mean(MatMul(a, b))
+		return mean(MatMul(a, b))
 	}
 	checkGrads(t, a, forward, 1e-2)
 	checkGrads(t, b, forward, 1e-2)
@@ -53,13 +56,13 @@ func TestElementwiseGrads(t *testing.T) {
 	g := tensor.NewRNG(2)
 	x := NewVar(g.Normal(0, 1, 10), true)
 	cases := map[string]func() *Var{
-		"add":     func() *Var { x.ZeroGrad(); return Mean(Add(x, Const(tensor.Ones(10)))) },
-		"sub":     func() *Var { x.ZeroGrad(); return Mean(Sub(Const(tensor.Ones(10)), x)) },
-		"mul":     func() *Var { x.ZeroGrad(); return Mean(Mul(x, x)) },
-		"scalar":  func() *Var { x.ZeroGrad(); return Mean(MulScalar(AddScalar(x, 2), 3)) },
-		"sigmoid": func() *Var { x.ZeroGrad(); return Mean(Sigmoid(x)) },
-		"tanh":    func() *Var { x.ZeroGrad(); return Mean(Tanh(x)) },
-		"square":  func() *Var { x.ZeroGrad(); return Mean(Square(x)) },
+		"add":     func() *Var { x.ZeroGrad(); return mean(Add(x, Const(tensor.Ones(10)))) },
+		"sub":     func() *Var { x.ZeroGrad(); return mean(Sub(Const(tensor.Ones(10)), x)) },
+		"mul":     func() *Var { x.ZeroGrad(); return mean(Mul(x, x)) },
+		"scalar":  func() *Var { x.ZeroGrad(); return mean(MulScalar(x, 3)) },
+		"sigmoid": func() *Var { x.ZeroGrad(); return mean(Sigmoid(x)) },
+		"tanh":    func() *Var { x.ZeroGrad(); return mean(Tanh(x)) },
+		"square":  func() *Var { x.ZeroGrad(); return mean(Square(x)) },
 		"sum":     func() *Var { x.ZeroGrad(); return MulScalar(Sum(x), 0.1) },
 	}
 	for name, f := range cases {
@@ -70,15 +73,13 @@ func TestElementwiseGrads(t *testing.T) {
 func TestReLUAndClampGrads(t *testing.T) {
 	// Values away from the kinks so finite differences are valid.
 	x := NewVar(tensor.FromSlice([]float32{-1.5, -0.4, 0.3, 0.7, 1.8}, 5), true)
-	relu := func() *Var { x.ZeroGrad(); return Mean(ReLU(x)) }
+	relu := func() *Var { x.ZeroGrad(); return mean(ReLU(x)) }
 	checkGrads(t, x, relu, 1e-2)
-	clamp := func() *Var { x.ZeroGrad(); return Mean(Clamp01(x)) }
-	checkGrads(t, x, clamp, 1e-2)
 }
 
 func TestSqrtGrad(t *testing.T) {
 	x := NewVar(tensor.FromSlice([]float32{0.5, 1, 2, 4}, 4), true)
-	f := func() *Var { x.ZeroGrad(); return Mean(Sqrt(x)) }
+	f := func() *Var { x.ZeroGrad(); return mean(Sqrt(x)) }
 	checkGrads(t, x, f, 1e-2)
 }
 
@@ -89,7 +90,7 @@ func TestBiasGrad(t *testing.T) {
 	forward := func() *Var {
 		a.ZeroGrad()
 		bias.ZeroGrad()
-		return Mean(AddRowBias(a, bias))
+		return mean(AddRowBias(a, bias))
 	}
 	checkGrads(t, bias, forward, 1e-2)
 	checkGrads(t, a, forward, 1e-2)
@@ -99,8 +100,6 @@ func TestLossGrads(t *testing.T) {
 	g := tensor.NewRNG(4)
 	x := NewVar(g.Uniform(0.2, 0.8, 6), true)
 	target := tensor.FromSlice([]float32{1, 0, 1, 0, 1, 0}, 6)
-	mse := func() *Var { x.ZeroGrad(); return MSE(x, target) }
-	checkGrads(t, x, mse, 1e-2)
 	bce := func() *Var { x.ZeroGrad(); return BCE(x, target) }
 	checkGrads(t, x, bce, 5e-2)
 }

@@ -8,10 +8,7 @@
 // Table-IV analysis reports.
 package cachesim
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Cache is one set-associative level with LRU replacement.
 type Cache struct {
@@ -64,9 +61,6 @@ func (c *Cache) invalidate() {
 		c.tags[i] = ^uint64(0)
 	}
 }
-
-// Name returns the level's label.
-func (c *Cache) Name() string { return c.name }
 
 // LineSize returns the cache line size in bytes.
 func (c *Cache) LineSize() int { return c.lineSize }
@@ -185,10 +179,4 @@ func (h *Hierarchy) Reset() {
 	h.L1.Reset()
 	h.L2.Reset()
 	h.DRAMBytes = 0
-}
-
-// String renders the hierarchy's statistics.
-func (s Stats) String() string {
-	return fmt.Sprintf("L1 %.1f%% (%d acc), L2 %.1f%% (%d acc), DRAM %d B",
-		100*s.L1HitRate, s.L1Accesses, 100*s.L2HitRate, s.L2Accesses, s.DRAMBytes)
 }

@@ -339,9 +339,6 @@ func (rt *Router) recordRouterSpanLane(id, name string, lane int, start time.Tim
 	rt.recorder.RecordSpan(id, trace.SpanAt(name, "router", lane, start, time.Now()))
 }
 
-// Metrics returns the router's registry.
-func (rt *Router) Metrics() *metrics.Registry { return rt.reg }
-
 // Close stops the health checker and the SLO sampler and drops idle
 // upstream connections.
 func (rt *Router) Close() {

@@ -151,11 +151,6 @@ func Fig5(opts Options) ([]Fig5Row, error) {
 	return rows, nil
 }
 
-// Tab4Kernels lists the kernel classes of Table IV in order.
-func Tab4Kernels() []string {
-	return []string{"sgemm_nn", "relu_nn", "vectorized_elem", "elementwise"}
-}
-
 // Tab4 derives the Table-IV hardware-counter rows from an NVSA trace on
 // the reference GPU model. Each row aggregates the representative events of
 // its kernel class: the neural sgemm_nn row includes convolutions (lowered

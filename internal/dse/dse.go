@@ -50,46 +50,70 @@ type Axis struct {
 	Log   bool    `json:"log,omitempty"`
 }
 
-// resolve expands the axis into concrete grid values, defaulting to the
-// base value for an unset axis.
-func (a Axis) resolve(name string, base float64) ([]float64, error) {
+// resolve validates the axis and returns its grid form, defaulting to the
+// base value for an unset axis. A range stays unmaterialized: a client's
+// steps count sizes the grid before anything is allocated for it.
+func (a Axis) resolve(name string, base float64) (axisGrid, error) {
 	if len(a.Values) > 0 {
 		if a.Steps != 0 || a.Min != 0 || a.Max != 0 {
-			return nil, fmt.Errorf("dse: axis %s: values and min/max/steps are mutually exclusive", name)
+			return axisGrid{}, fmt.Errorf("dse: axis %s: values and min/max/steps are mutually exclusive", name)
 		}
-		return append([]float64(nil), a.Values...), nil
+		return axisGrid{values: append([]float64(nil), a.Values...)}, nil
 	}
 	if a.Steps == 0 {
 		if a.Min != 0 || a.Max != 0 {
-			return nil, fmt.Errorf("dse: axis %s: min/max given without steps", name)
+			return axisGrid{}, fmt.Errorf("dse: axis %s: min/max given without steps", name)
 		}
-		return []float64{base}, nil
+		return axisGrid{values: []float64{base}}, nil
 	}
 	if a.Steps < 0 {
-		return nil, fmt.Errorf("dse: axis %s: steps must be positive, got %d", name, a.Steps)
+		return axisGrid{}, fmt.Errorf("dse: axis %s: steps must be positive, got %d", name, a.Steps)
 	}
 	if a.Steps == 1 {
-		return []float64{a.Min}, nil
+		return axisGrid{values: []float64{a.Min}}, nil
 	}
 	if !(a.Max > a.Min) {
-		return nil, fmt.Errorf("dse: axis %s: need max > min, got [%v, %v]", name, a.Min, a.Max)
+		return axisGrid{}, fmt.Errorf("dse: axis %s: need max > min, got [%v, %v]", name, a.Min, a.Max)
 	}
 	if a.Log && a.Min <= 0 {
-		return nil, fmt.Errorf("dse: axis %s: log spacing needs min > 0, got %v", name, a.Min)
+		return axisGrid{}, fmt.Errorf("dse: axis %s: log spacing needs min > 0, got %v", name, a.Min)
 	}
-	out := make([]float64, a.Steps)
-	for i := range out {
-		t := float64(i) / float64(a.Steps-1)
-		if a.Log {
-			out[i] = a.Min * math.Exp(t*math.Log(a.Max/a.Min))
-		} else {
-			out[i] = a.Min + t*(a.Max-a.Min)
-		}
+	return axisGrid{min: a.Min, max: a.Max, steps: a.Steps, log: a.Log}, nil
+}
+
+// axisGrid is one resolved axis: explicit values, or (values nil) a
+// Min..Max range of steps points whose i-th value at computes on demand.
+type axisGrid struct {
+	values   []float64
+	min, max float64
+	steps    int
+	log      bool
+}
+
+// len returns the number of values on the axis.
+func (g axisGrid) len() int {
+	if g.values != nil {
+		return len(g.values)
 	}
-	// Pin the endpoints exactly: Exp/Log round-trips can wobble the last
-	// ulp, and grid values should be reproducible from the spec by eye.
-	out[a.Steps-1] = a.Max
-	return out, nil
+	return g.steps
+}
+
+// at returns the axis's i-th value.
+func (g axisGrid) at(i int) float64 {
+	if g.values != nil {
+		return g.values[i]
+	}
+	// The last point is pinned to Max exactly: Exp/Log round-trips can
+	// wobble the last ulp, and grid values should be reproducible from
+	// the spec by eye.
+	if i == g.steps-1 {
+		return g.max
+	}
+	t := float64(i) / float64(g.steps-1)
+	if g.log {
+		return g.min * math.Exp(t*math.Log(g.max/g.min))
+	}
+	return g.min + t*(g.max-g.min)
 }
 
 // Space is a parameterized hardware config space over a base device. Each
@@ -152,7 +176,7 @@ type Knobs struct {
 // tie-breaking all key on.
 type Grid struct {
 	base hwsim.Device
-	axes [axisCount][]float64
+	axes [axisCount]axisGrid
 	size int
 }
 
@@ -178,12 +202,16 @@ func Resolve(base hwsim.Device, space Space) (*Grid, error) {
 	}
 	g := &Grid{base: base, size: 1}
 	for i, s := range specs {
-		vals, err := s.axis.resolve(s.name, s.base)
+		axis, err := s.axis.resolve(s.name, s.base)
 		if err != nil {
 			return nil, err
 		}
-		g.axes[i] = vals
-		g.size *= len(vals)
+		n := axis.len()
+		if g.size > math.MaxInt/n {
+			return nil, fmt.Errorf("dse: space has more than %d points", math.MaxInt)
+		}
+		g.axes[i] = axis
+		g.size *= n
 	}
 	return g, nil
 }
@@ -203,8 +231,8 @@ func (g *Grid) Knobs(index int) Knobs {
 	var v [axisCount]float64
 	rem := index
 	for i := axisCount - 1; i >= 0; i-- {
-		n := len(g.axes[i])
-		v[i] = g.axes[i][rem%n]
+		n := g.axes[i].len()
+		v[i] = g.axes[i].at(rem % n)
 		rem /= n
 	}
 	return Knobs{

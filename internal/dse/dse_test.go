@@ -2,6 +2,7 @@ package dse
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestAxisResolve(t *testing.T) {
 		{"log needs positive min", Axis{Min: 0, Max: 8, Steps: 3, Log: true}, 0, nil, "min > 0"},
 	}
 	for _, tc := range cases {
-		got, err := tc.axis.resolve("x", tc.base)
+		got, err := materialize(tc.axis.resolve("x", tc.base))
 		if tc.err != "" {
 			if err == nil || !strings.Contains(err.Error(), tc.err) {
 				t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.err)
@@ -53,12 +54,90 @@ func TestAxisResolve(t *testing.T) {
 	}
 
 	// Endpoints of a log range are pinned exactly, not within an ulp.
-	vals, err := Axis{Min: 60, Max: 1200, Steps: 4, Log: true}.resolve("bw", 0)
+	vals, err := materialize(Axis{Min: 60, Max: 1200, Steps: 4, Log: true}.resolve("bw", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vals[0] != 60 || vals[3] != 1200 {
 		t.Fatalf("log endpoints not pinned: %v", vals)
+	}
+}
+
+// materialize lists a resolved axis's values.
+func materialize(g axisGrid, err error) ([]float64, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, g.len())
+	for i := range out {
+		out[i] = g.at(i)
+	}
+	return out, nil
+}
+
+// materializedRange is the range expansion Resolve used before range axes
+// stayed unmaterialized, kept as the reference their values must match.
+func materializedRange(a Axis) []float64 {
+	out := make([]float64, a.Steps)
+	for i := range out {
+		t := float64(i) / float64(a.Steps-1)
+		if a.Log {
+			out[i] = a.Min * math.Exp(t*math.Log(a.Max/a.Min))
+		} else {
+			out[i] = a.Min + t*(a.Max-a.Min)
+		}
+	}
+	out[a.Steps-1] = a.Max
+	return out
+}
+
+// Knobs computes each range value on demand; it must produce the bits
+// the materialized expansion produced, endpoints included, for linear and
+// log axes alike.
+func TestKnobsMatchMaterializedAxes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		lo := math.Exp(rng.Float64()*20 - 10)
+		peak := Axis{Min: lo, Max: lo * (1 + rng.Float64()*1000), Steps: 2 + rng.Intn(60), Log: rng.Intn(2) == 0}
+		lo = rng.Float64() * 100
+		bw := Axis{Min: lo, Max: lo + 1 + rng.Float64()*5000, Steps: 2 + rng.Intn(20), Log: rng.Intn(2) == 0}
+		g, err := Resolve(hwsim.RTX2080Ti, Space{PeakGFLOPs: peak, MemBWGBs: bw})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		wantPeak, wantBW := materializedRange(peak), materializedRange(bw)
+		if g.Size() != len(wantPeak)*len(wantBW) {
+			t.Fatalf("trial %d: size %d, want %d", trial, g.Size(), len(wantPeak)*len(wantBW))
+		}
+		for i := 0; i < g.Size(); i++ {
+			k := g.Knobs(i)
+			p, b := wantPeak[i/len(wantBW)], wantBW[i%len(wantBW)]
+			if math.Float64bits(k.PeakGFLOPs) != math.Float64bits(p) || math.Float64bits(k.MemBWGBs) != math.Float64bits(b) {
+				t.Fatalf("trial %d index %d: knobs (%v, %v), materialized (%v, %v)", trial, i, k.PeakGFLOPs, k.MemBWGBs, p, b)
+			}
+		}
+	}
+}
+
+// A product of axis sizes that overflows int is an error, not a grid that
+// wraps to a small (here zero) size.
+func TestResolveRejectsOverflowingGrid(t *testing.T) {
+	ax := Axis{Min: 1, Max: 2, Steps: 256}
+	space := Space{PeakGFLOPs: ax, MemBWGBs: ax, PEs: ax, FreqScale: ax, DataflowEff: ax, L1KB: ax, L2KB: ax, Ways: ax, LineBytes: ax}
+	if g, err := Resolve(hwsim.RTX2080Ti, space); err == nil {
+		t.Fatalf("256^9-point space resolved to size %d, want an error", g.Size())
+	}
+	// Seven such axes fit in an int; the grid stays unmaterialized.
+	space.Ways, space.LineBytes = Axis{}, Axis{}
+	g, err := Resolve(hwsim.RTX2080Ti, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Size() != 1<<56 {
+		t.Fatalf("size = %d, want 2^56", g.Size())
+	}
+	if k := g.Knobs(g.Size() - 1); k.PeakGFLOPs != 2 || k.L2KB != 2 {
+		t.Fatalf("last point = %+v, want every swept knob at its max", k)
 	}
 }
 

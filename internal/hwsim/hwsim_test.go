@@ -150,11 +150,12 @@ func TestKernelStatsTableIVShape(t *testing.T) {
 		tr.Append(trace.Event{Kernel: "vectorized_elem", FLOPs: 4e6, Bytes: 48e6})
 		tr.Append(trace.Event{Kernel: "elementwise", FLOPs: 2e6, Bytes: 16e6})
 	}
-	rows := RTX2080Ti.KernelTable(tr, []string{"sgemm_nn", "relu_nn", "vectorized_elem", "elementwise"})
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
+	byKernel := map[string][]trace.Event{}
+	for _, ev := range tr.Events {
+		byKernel[ev.Kernel] = append(byKernel[ev.Kernel], ev)
 	}
-	gemm, relu, vec, elt := rows[0], rows[1], rows[2], rows[3]
+	row := func(k string) KernelStats { return RTX2080Ti.KernelStats(k, byKernel[k]) }
+	gemm, relu, vec, elt := row("sgemm_nn"), row("relu_nn"), row("vectorized_elem"), row("elementwise")
 
 	// Neural kernels: high compute/ALU utilization, low DRAM pressure.
 	if gemm.ALUUtilPct < 50 {
@@ -240,7 +241,7 @@ func TestDeviceRoofline(t *testing.T) {
 		t.Fatalf("roofline model %+v does not match device", m)
 	}
 	// A memory-bound point: AI below the ridge, ceiling is AI·BW.
-	p := m.PlaceMeasured("eltwise", 1e9, 1e9, time.Second)
+	p := m.Place("eltwise", 1e9, 1e9, 1)
 	if p.Bound != 0 { // roofline.MemoryBound
 		t.Fatalf("AI=1 on 2080Ti should be memory-bound, got %v", p.Bound)
 	}

@@ -131,20 +131,6 @@ func (d Device) kernelStats(kernel string, events []trace.Event, sim func(Stream
 	return ks
 }
 
-// KernelTable derives Table-IV rows for the given kernel labels from a
-// trace, preserving label order. Labels with no events yield zero rows.
-func (d Device) KernelTable(t *trace.Trace, kernels []string) []KernelStats {
-	byKernel := make(map[string][]trace.Event)
-	for _, e := range t.Events {
-		byKernel[e.Kernel] = append(byKernel[e.Kernel], e)
-	}
-	out := make([]KernelStats, 0, len(kernels))
-	for _, k := range kernels {
-		out = append(out, d.KernelStats(k, byKernel[k]))
-	}
-	return out
-}
-
 func clampPct(v float64) float64 {
 	if v < 0 {
 		return 0

@@ -5,8 +5,8 @@
 // its one-off profiles into continuously observable signals. The package
 // provides the three conventional metric types — monotonic Counter,
 // settable Gauge, and fixed-bucket exponential Histogram — grouped into
-// named families with optional labels, plus two exposition forms: the
-// Prometheus text format (WriteProm) and a JSON snapshot (WriteJSON).
+// named families with optional labels, exposed in the Prometheus text
+// format (WriteProm).
 //
 // Design points:
 //
@@ -59,7 +59,7 @@ func (k Kind) String() string {
 
 // Collector refreshes sampled metrics immediately before the registry is
 // exposed. Register implementations with Registry.RegisterCollector; the
-// registry calls Collect once per WriteProm/WriteJSON/Snapshot, outside
+// registry calls Collect once per WriteProm, outside
 // any registry lock, so a Collect may create or update metrics freely.
 type Collector interface {
 	Collect()

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
 	"regexp"
 	"strconv"
 	"strings"
@@ -117,32 +116,5 @@ func TestHistogramCumulativeInvariant(t *testing.T) {
 	}
 	if n, _ := strconv.Atoi(count); n != 100 {
 		t.Fatalf("count = %s, want 100", count)
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("j_total", "help").Add(5)
-	h := r.Histogram("j_seconds", "", []float64{1})
-	h.Observe(0.5)
-	h.Observe(2)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if len(snap.Families) != 2 {
-		t.Fatalf("families = %d, want 2", len(snap.Families))
-	}
-	hist := snap.Families[1]
-	if hist.Kind != "histogram" || *hist.Metrics[0].Count != 2 {
-		t.Fatalf("histogram snapshot wrong: %+v", hist)
-	}
-	last := hist.Metrics[0].Buckets[len(hist.Metrics[0].Buckets)-1]
-	if last.LE != "+Inf" || last.Count != 2 {
-		t.Fatalf("+Inf bucket = %+v, want count 2", last)
 	}
 }

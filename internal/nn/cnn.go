@@ -45,9 +45,6 @@ func (b *ConvBlock) Register(e *ops.Engine) {
 	b.BN.Register(e)
 }
 
-// ParamBytes returns the block's parameter storage.
-func (b *ConvBlock) ParamBytes() int64 { return b.Conv.ParamBytes() + b.BN.ParamBytes() }
-
 // ResidualBlock is the basic two-conv residual unit used by the ResNet-style
 // perception backbones of NVSA, PrAE and VSAIT.
 type ResidualBlock struct {
@@ -87,11 +84,6 @@ func (r *ResidualBlock) Register(e *ops.Engine) {
 	r.C2.Register(e)
 	r.B1.Register(e)
 	r.B2.Register(e)
-}
-
-// ParamBytes returns the block's parameter storage.
-func (r *ResidualBlock) ParamBytes() int64 {
-	return r.C1.ParamBytes() + r.C2.ParamBytes() + r.B1.ParamBytes() + r.B2.ParamBytes()
 }
 
 // CNNConfig configures a small configurable CNN encoder.
@@ -163,16 +155,4 @@ func (c *CNN) Register(e *ops.Engine) {
 	if c.head != nil {
 		c.head.Register(e)
 	}
-}
-
-// ParamBytes returns total parameter storage.
-func (c *CNN) ParamBytes() int64 {
-	var n int64
-	for _, b := range c.blocks {
-		n += b.ParamBytes()
-	}
-	if c.head != nil {
-		n += c.head.ParamBytes()
-	}
-	return n
 }

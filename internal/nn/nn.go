@@ -21,8 +21,6 @@ type Layer interface {
 	// Register records the layer's persistent parameters on the engine's
 	// trace for the storage-footprint analysis.
 	Register(e *ops.Engine)
-	// ParamBytes returns the total parameter storage in bytes.
-	ParamBytes() int64
 }
 
 // Linear is a fully connected layer computing x·Wᵀ + b over a batch.
@@ -90,15 +88,6 @@ func (l *Linear) SetWeights(w, bias *tensor.Tensor) {
 	l.wT = tensor.Transpose(w)
 }
 
-// ParamBytes returns the parameter storage of the layer.
-func (l *Linear) ParamBytes() int64 {
-	n := l.W.Bytes()
-	if l.B != nil {
-		n += l.B.Bytes()
-	}
-	return n
-}
-
 // Conv2d is a 2-D convolution layer over N×C×H×W inputs.
 type Conv2d struct {
 	Name        string
@@ -137,15 +126,6 @@ func (c *Conv2d) Register(e *ops.Engine) {
 	if c.B != nil {
 		e.RegisterParam(c.Name+".bias", "weight", c.B)
 	}
-}
-
-// ParamBytes returns the parameter storage of the layer.
-func (c *Conv2d) ParamBytes() int64 {
-	n := c.W.Bytes()
-	if c.B != nil {
-		n += c.B.Bytes()
-	}
-	return n
 }
 
 // BatchNorm2d applies per-channel scale and shift using frozen statistics
@@ -195,9 +175,6 @@ func (b *BatchNorm2d) Register(e *ops.Engine) {
 	e.RegisterParam(b.Name+".bias", "weight", b.Bias)
 }
 
-// ParamBytes returns the parameter storage of the layer.
-func (b *BatchNorm2d) ParamBytes() int64 { return b.Scale.Bytes() + b.Bias.Bytes() }
-
 // Activation wraps a parameter-free nonlinearity as a Layer.
 type Activation struct {
 	Name string
@@ -209,24 +186,11 @@ func ReLU() *Activation {
 	return &Activation{Name: "relu", F: func(e *ops.Engine, x *tensor.Tensor) *tensor.Tensor { return e.ReLU(x) }}
 }
 
-// Sigmoid returns a sigmoid activation layer.
-func Sigmoid() *Activation {
-	return &Activation{Name: "sigmoid", F: func(e *ops.Engine, x *tensor.Tensor) *tensor.Tensor { return e.Sigmoid(x) }}
-}
-
-// Tanh returns a tanh activation layer.
-func Tanh() *Activation {
-	return &Activation{Name: "tanh", F: func(e *ops.Engine, x *tensor.Tensor) *tensor.Tensor { return e.Tanh(x) }}
-}
-
 // Forward applies the activation.
 func (a *Activation) Forward(e *ops.Engine, x *tensor.Tensor) *tensor.Tensor { return a.F(e, x) }
 
 // Register is a no-op: activations have no parameters.
 func (a *Activation) Register(*ops.Engine) {}
-
-// ParamBytes returns 0.
-func (a *Activation) ParamBytes() int64 { return 0 }
 
 // BatchLayer is a layer that accounts a leading serving-batch dimension:
 // the input stacks `items` independent blocks, and weight-bearing ops
@@ -273,15 +237,6 @@ func (s *Sequential) Register(e *ops.Engine) {
 	for _, l := range s.Layers {
 		l.Register(e)
 	}
-}
-
-// ParamBytes sums the contained layers' parameter storage.
-func (s *Sequential) ParamBytes() int64 {
-	var n int64
-	for _, l := range s.Layers {
-		n += l.ParamBytes()
-	}
-	return n
 }
 
 // NewMLP builds a multi-layer perceptron with the given layer widths and

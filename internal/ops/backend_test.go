@@ -13,17 +13,9 @@ func TestNewDefaultsToSerialBackend(t *testing.T) {
 	if got := e.Backend().Name(); got != "serial" {
 		t.Fatalf("default backend is %q, want serial", got)
 	}
-}
-
-func TestWithParallelism(t *testing.T) {
-	e := New(WithParallelism(4))
-	defer e.Close()
-	if e.Backend().Workers() != 4 {
-		t.Fatalf("workers = %d, want 4", e.Backend().Workers())
-	}
 	// One worker is pointless parallelism; the engine keeps serial.
-	if got := New(WithParallelism(1)).Backend().Name(); got != "serial" {
-		t.Fatalf("WithParallelism(1) backend is %q, want serial", got)
+	if got := (Config{Backend: BackendParallel, Workers: 1}).New().Backend().Name(); got != "serial" {
+		t.Fatalf("one-worker parallel config backend is %q, want serial", got)
 	}
 }
 
@@ -79,7 +71,7 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 	g := tensor.NewRNG(7)
 	a, b := g.Normal(0, 1, 64, 64), g.Normal(0, 1, 64, 64)
 	serial := New().MatMul(a, b)
-	par := New(WithParallelism(4))
+	par := Config{Backend: BackendParallel, Workers: 4}.New()
 	defer par.Close()
 	got := par.MatMul(a, b)
 	for i, v := range serial.Data() {
@@ -96,9 +88,6 @@ func TestForkJoinDeterministicOrder(t *testing.T) {
 		kids := e.Fork(3)
 		g := tensor.NewRNG(1)
 		for i, k := range kids {
-			if k.Phase() != trace.Symbolic {
-				t.Fatalf("child %d phase %v, want symbolic", i, k.Phase())
-			}
 			// Each child records a distinguishable op count.
 			for j := 0; j <= i; j++ {
 				k.Add(g.Normal(0, 1, 8), g.Normal(0, 1, 8))

@@ -82,20 +82,6 @@ func (e *Engine) Abs(a *tensor.Tensor) *tensor.Tensor { return e.unary("Abs", a,
 // Sign records an instrumented sign extraction.
 func (e *Engine) Sign(a *tensor.Tensor) *tensor.Tensor { return e.unary("Sign", a, 1, tensor.SignOn) }
 
-// Exp records an instrumented exponential.
-func (e *Engine) Exp(a *tensor.Tensor) *tensor.Tensor { return e.unary("Exp", a, 4, tensor.ExpOn) }
-
-// Log records an instrumented natural logarithm.
-func (e *Engine) Log(a *tensor.Tensor) *tensor.Tensor { return e.unary("Log", a, 4, tensor.LogOn) }
-
-// Sqrt records an instrumented square root.
-func (e *Engine) Sqrt(a *tensor.Tensor) *tensor.Tensor { return e.unary("Sqrt", a, 2, tensor.SqrtOn) }
-
-// Pow records an instrumented power.
-func (e *Engine) Pow(a *tensor.Tensor, p float32) *tensor.Tensor {
-	return e.unary("Pow", a, 8, func(r tensor.Runner, t *tensor.Tensor) *tensor.Tensor { return tensor.PowOn(r, t, p) })
-}
-
 // Clamp records an instrumented clamp.
 func (e *Engine) Clamp(a *tensor.Tensor, lo, hi float32) *tensor.Tensor {
 	return e.unary("Clamp", a, 2, func(r tensor.Runner, t *tensor.Tensor) *tensor.Tensor { return tensor.ClampOn(r, t, lo, hi) })
@@ -114,11 +100,6 @@ func (e *Engine) ReLU(a *tensor.Tensor) *tensor.Tensor {
 	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.ReLUOn(e.be, a)} }))
 }
 
-// LeakyReLU records an instrumented leaky ReLU.
-func (e *Engine) LeakyReLU(a *tensor.Tensor, alpha float32) *tensor.Tensor {
-	return e.unary("LeakyReLU", a, 2, func(r tensor.Runner, t *tensor.Tensor) *tensor.Tensor { return tensor.LeakyReLUOn(r, t, alpha) })
-}
-
 // Sigmoid records an instrumented sigmoid.
 func (e *Engine) Sigmoid(a *tensor.Tensor) *tensor.Tensor {
 	return e.unary("Sigmoid", a, 5, tensor.SigmoidOn)
@@ -130,18 +111,6 @@ func (e *Engine) Tanh(a *tensor.Tensor) *tensor.Tensor { return e.unary("Tanh", 
 // Greater records an instrumented element-wise comparison.
 func (e *Engine) Greater(a, b *tensor.Tensor) *tensor.Tensor {
 	return e.binary("Greater", a, b, tensor.GreaterOn)
-}
-
-// Where records an instrumented conditional select.
-func (e *Engine) Where(cond, a, b *tensor.Tensor) *tensor.Tensor {
-	return one(e.record(op{
-		name:     "Where",
-		kernel:   "vectorized_elem",
-		category: trace.VectorEltwise,
-		flops:    tensor.FlopsEltwise(a.Size(), 1),
-		bytes:    4 * 4 * int64(a.Size()),
-		inputs:   []*tensor.Tensor{cond, a, b},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.WhereOn(e.be, cond, a, b)} }))
 }
 
 // Dot records an instrumented inner product and returns it as a scalar tensor.
@@ -180,18 +149,6 @@ func (e *Engine) Softmax(a *tensor.Tensor) *tensor.Tensor {
 	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.SoftmaxOn(e.be, a)} }))
 }
 
-// LogSoftmax records an instrumented log-softmax over the last axis.
-func (e *Engine) LogSoftmax(a *tensor.Tensor) *tensor.Tensor {
-	return one(e.record(op{
-		name:     "LogSoftmax",
-		kernel:   "softmax",
-		category: trace.VectorEltwise,
-		flops:    tensor.FlopsSoftmax(a.Size()),
-		bytes:    tensor.BytesEltwiseUnary(a.Size()),
-		inputs:   []*tensor.Tensor{a},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.LogSoftmaxOn(e.be, a)} }))
-}
-
 // Normalize records an instrumented L2 normalization.
 func (e *Engine) Normalize(a *tensor.Tensor) *tensor.Tensor {
 	return e.unary("Normalize", a, 3, tensor.NormalizeOn)
@@ -222,11 +179,6 @@ func (e *Engine) MinAxis(a *tensor.Tensor, axis int) *tensor.Tensor {
 	return e.reduce("MinAxis", a, axis, tensor.MinAxisOn)
 }
 
-// ProdAxis records an instrumented product reduction.
-func (e *Engine) ProdAxis(a *tensor.Tensor, axis int) *tensor.Tensor {
-	return e.reduce("ProdAxis", a, axis, tensor.ProdAxisOn)
-}
-
 func (e *Engine) reduce(name string, a *tensor.Tensor, axis int, f func(tensor.Runner, *tensor.Tensor, int) *tensor.Tensor) *tensor.Tensor {
 	outN := a.Size() / max(a.Dim(axis), 1)
 	return one(e.record(op{
@@ -237,9 +189,4 @@ func (e *Engine) reduce(name string, a *tensor.Tensor, axis int, f func(tensor.R
 		bytes:    tensor.BytesReduce(a.Size(), outN),
 		inputs:   []*tensor.Tensor{a},
 	}, func() []*tensor.Tensor { return []*tensor.Tensor{f(e.be, a, axis)} }))
-}
-
-// ArgMaxAxis records an instrumented arg-max reduction.
-func (e *Engine) ArgMaxAxis(a *tensor.Tensor, axis int) *tensor.Tensor {
-	return e.reduce("ArgMaxAxis", a, axis, tensor.ArgMaxAxisOn)
 }

@@ -63,10 +63,12 @@ type Engine struct {
 const defaultSparsityEps float32 = 1e-6
 
 // New returns an engine recording into a fresh trace, starting in the
-// neural phase on the serial backend. Options select a different backend:
+// neural phase on the serial backend. Options select a different backend
+// or kernel variant:
 //
-//	ops.New(ops.WithParallelism(4))
 //	ops.New(ops.WithBackend(sharedBackend))
+//
+// Config.New builds an engine on a backend of its own.
 func New(opts ...Option) *Engine {
 	e := &Engine{tr: trace.New(), be: backend.Serial{}, phase: trace.Neural, sparsityEps: defaultSparsityEps}
 	for _, opt := range opts {
@@ -81,9 +83,6 @@ func (e *Engine) Trace() *trace.Trace { return e.tr }
 
 // Backend returns the execution backend the engine dispatches kernels on.
 func (e *Engine) Backend() backend.Backend { return e.be }
-
-// Kernel returns the engine's kernel-variant selection.
-func (e *Engine) Kernel() tensor.Kernel { return e.kernel }
 
 // Close releases the engine's backend resources (worker goroutines). Only
 // call it when the engine owns its backend; engines built from a shared
@@ -145,10 +144,6 @@ func (e *Engine) Join(kids ...*Engine) {
 	e.tr.Merge(parts...)
 }
 
-// Worker returns the engine's timeline lane (0 for a root engine, the
-// 1-based fork index for children).
-func (e *Engine) Worker() int { return e.worker }
-
 // Begin opens a nested timeline span carrying the engine's current phase
 // and lane; close it with End. Spans are pure timeline annotation — they
 // never contribute to aggregate statistics.
@@ -166,9 +161,6 @@ func (e *Engine) SetObserver(fn trace.Observer) { e.observer = fn }
 // SetPhase switches the active phase; subsequent events carry it.
 func (e *Engine) SetPhase(p trace.Phase) { e.phase = p }
 
-// Phase returns the active phase.
-func (e *Engine) Phase() trace.Phase { return e.phase }
-
 // InPhase runs f with the given phase active, then restores the previous one.
 func (e *Engine) InPhase(p trace.Phase, f func()) {
 	old := e.phase
@@ -176,10 +168,6 @@ func (e *Engine) InPhase(p trace.Phase, f func()) {
 	defer func() { e.phase = old }()
 	f()
 }
-
-// SetStage labels subsequent events with a workload-defined stage name
-// ("" clears it). Stages drive the per-stage sparsity analysis (Fig. 5).
-func (e *Engine) SetStage(s string) { e.stage = s }
 
 // InStage runs f with the given stage label, restoring the previous one.
 // The stage also becomes a nested timeline span, so every workload stage
@@ -205,14 +193,6 @@ func (e *Engine) SetReplicas(k int) {
 		k = 1
 	}
 	e.replicas = k
-}
-
-// Replicas returns the active replica amplification factor (at least 1).
-func (e *Engine) Replicas() int {
-	if e.replicas < 1 {
-		return 1
-	}
-	return e.replicas
 }
 
 // InReplicas runs f with the replica factor set to k, then restores the

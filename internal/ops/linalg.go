@@ -77,55 +77,10 @@ func (e *Engine) MatVecs(a *tensor.Tensor, xs []*tensor.Tensor) []*tensor.Tensor
 	return outs
 }
 
-// BatchMatMul records an instrumented batched GEMM.
-func (e *Engine) BatchMatMul(a, b *tensor.Tensor) *tensor.Tensor {
-	bsz, m, k, n := a.Dim(0), a.Dim(1), a.Dim(2), b.Dim(2)
-	return one(e.record(op{
-		name:     "BatchMatMul",
-		kernel:   "sgemm_nn",
-		category: trace.MatMul,
-		flops:    int64(bsz) * tensor.FlopsMatMul(m, k, n),
-		bytes:    int64(bsz) * tensor.BytesMatMul(m, k, n),
-		inputs:   []*tensor.Tensor{a, b},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.BatchMatMulKernelOn(e.be, e.kernel, a, b)} }))
-}
-
-// Outer records an instrumented outer product.
-func (e *Engine) Outer(a, b *tensor.Tensor) *tensor.Tensor {
-	m, n := a.Dim(0), b.Dim(0)
-	return one(e.record(op{
-		name:     "Outer",
-		kernel:   "sgemm_nn",
-		category: trace.MatMul,
-		flops:    int64(m) * int64(n),
-		bytes:    4 * (int64(m) + int64(n) + int64(m)*int64(n)),
-		inputs:   []*tensor.Tensor{a, b},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.OuterOn(e.be, a, b)} }))
-}
-
-// Conv2D records an instrumented 2-D convolution.
-func (e *Engine) Conv2D(in, w, bias *tensor.Tensor, stride, pad int) *tensor.Tensor {
-	n, cin, h, wd := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
-	cout, kh, kw := w.Dim(0), w.Dim(2), w.Dim(3)
-	hout := (h+2*pad-kh)/stride + 1
-	wout := (wd+2*pad-kw)/stride + 1
-	return one(e.record(op{
-		name:     "Conv2D",
-		kernel:   "conv2d",
-		category: trace.Convolution,
-		flops:    tensor.FlopsConv2D(n, cin, cout, hout, wout, kh, kw),
-		bytes:    tensor.BytesConv2D(n, cin, h, wd, cout, hout, wout, kh, kw),
-		inputs:   []*tensor.Tensor{in, w, bias},
-	}, func() []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.Conv2DKernelOn(e.be, e.kernel, in, w, bias, stride, pad)}
-	}))
-}
-
-// Conv2DBatch records a convolution over `batch` stacked item blocks
-// sharing one kernel tensor. Like MatMulBatch, it runs the plain folded
-// kernel but accounts the shared weight (and bias) traffic per item, so
-// the event is exactly batch× a per-item Conv2D. With batch 1 it records
-// exactly what Conv2D records.
+// Conv2DBatch records a convolution (kernel "conv2d") over `batch` stacked
+// item blocks sharing one kernel tensor. Like MatMulBatch, it runs the
+// plain folded kernel but accounts the shared weight (and bias) traffic
+// per item, so the event is exactly batch× the per-item convolution.
 func (e *Engine) Conv2DBatch(in, w, bias *tensor.Tensor, stride, pad, batch int) *tensor.Tensor {
 	n, cin, h, wd := in.Dim(0)/batch, in.Dim(1), in.Dim(2), in.Dim(3)
 	cout, kh, kw := w.Dim(0), w.Dim(2), w.Dim(3)
@@ -153,18 +108,6 @@ func (e *Engine) MaxPool2D(in *tensor.Tensor, k, s int) *tensor.Tensor {
 		bytes:    tensor.BytesEltwiseUnary(in.Size()),
 		inputs:   []*tensor.Tensor{in},
 	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.MaxPool2DOn(e.be, in, k, s)} }))
-}
-
-// AvgPool2D records an instrumented average pooling.
-func (e *Engine) AvgPool2D(in *tensor.Tensor, k, s int) *tensor.Tensor {
-	return one(e.record(op{
-		name:     "AvgPool2D",
-		kernel:   "pool",
-		category: trace.VectorEltwise,
-		flops:    int64(in.Size()),
-		bytes:    tensor.BytesEltwiseUnary(in.Size()),
-		inputs:   []*tensor.Tensor{in},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.AvgPool2DOn(e.be, in, k, s)} }))
 }
 
 // GlobalAvgPool2D records an instrumented global average pooling.

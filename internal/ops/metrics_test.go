@@ -12,7 +12,8 @@ import (
 
 func TestEngineObserverSeesEveryEvent(t *testing.T) {
 	var seen []string
-	e := New(WithObserver(func(ev *trace.Event) { seen = append(seen, ev.Name) }))
+	e := New()
+	e.SetObserver(func(ev *trace.Event) { seen = append(seen, ev.Name) })
 	g := tensor.NewRNG(1)
 	a, b := g.Normal(0, 1, 8), g.Normal(0, 1, 8)
 	e.Add(a, b)
@@ -29,7 +30,8 @@ func TestEngineObserverSeesEveryEvent(t *testing.T) {
 
 func TestForkPropagatesObserver(t *testing.T) {
 	var n int
-	e := New(WithObserver(func(*trace.Event) { n++ }))
+	e := New()
+	e.SetObserver(func(*trace.Event) { n++ })
 	kids := e.Fork(2)
 	g := tensor.NewRNG(1)
 	for _, k := range kids {
@@ -61,7 +63,8 @@ func TestPoolObserverAppliesToNewEngines(t *testing.T) {
 func TestNewOpObserverRecordsByCategoryAndPhase(t *testing.T) {
 	reg := metrics.NewRegistry()
 	obs := NewOpObserver(reg)
-	e := New(WithObserver(obs))
+	e := New()
+	e.SetObserver(obs)
 	g := tensor.NewRNG(1)
 	a, b := g.Normal(0, 1, 8), g.Normal(0, 1, 8)
 	e.Add(a, b) // vector-eltwise, neural

@@ -29,25 +29,6 @@ func WithBackend(b backend.Backend) Option {
 	}
 }
 
-// WithParallelism selects a parallel backend with n workers (n < 1 selects
-// GOMAXPROCS). n == 1 keeps the serial backend: one worker cannot beat
-// running inline.
-func WithParallelism(n int) Option {
-	return func(e *Engine) {
-		if n == 1 {
-			e.be = backend.Serial{}
-			return
-		}
-		e.be = backend.NewParallel(n)
-	}
-}
-
-// WithObserver installs a live event observer on the engine (see
-// Engine.SetObserver). Passing nil leaves the engine unobserved.
-func WithObserver(fn trace.Observer) Option {
-	return func(e *Engine) { e.observer = fn }
-}
-
 // WithKernel pins the tensor kernel variant the engine's GEMM and
 // convolution ops dispatch to. The default, tensor.KernelAuto, lets the
 // measured per-shape dispatch table choose; KernelNaive and KernelTiled

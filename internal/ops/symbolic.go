@@ -63,11 +63,3 @@ func (e *Engine) Logic(name string, flops, bytes int64, inputs []*tensor.Tensor,
 		inputs:   inputs,
 	}, run)
 }
-
-// LogicScalar records an "Others" operator producing a single scalar value.
-func (e *Engine) LogicScalar(name string, flops, bytes int64, inputs []*tensor.Tensor, f func() float32) *tensor.Tensor {
-	outs := e.Logic(name, flops, bytes, inputs, func() []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.Scalar(f())}
-	})
-	return outs[0]
-}

@@ -73,7 +73,7 @@ func TestSerialTimelineOneTrackPerPhase(t *testing.T) {
 // timeline must show at least two distinct worker tracks, and (given real
 // CPUs) chunks on different tracks that overlap in wall-clock time.
 func TestParallelTimelineWorkerTracksOverlap(t *testing.T) {
-	e := New(WithParallelism(4))
+	e := Config{Backend: BackendParallel, Workers: 4}.New()
 	defer e.Close()
 	g := tensor.NewRNG(2)
 	a, b := g.Normal(0, 1, 256, 256), g.Normal(0, 1, 256, 256)

@@ -202,47 +202,6 @@ func (e *Engine) DeviceToHost(a *tensor.Tensor) *tensor.Tensor {
 	}, func() []*tensor.Tensor { return []*tensor.Tensor{a.Clone()} }))
 }
 
-// SpMM records an instrumented sparse-dense matrix multiplication.
-func (e *Engine) SpMM(a *sparse.CSR, b *tensor.Tensor) *tensor.Tensor {
-	return one(e.record(op{
-		name:     "SpMM",
-		kernel:   "spmm",
-		category: trace.MatMul,
-		flops:    sparse.FlopsSpMM(a.NNZ(), b.Dim(1)),
-		bytes:    sparse.BytesSpMM(a.NNZ(), a.Rows, b.Dim(1)),
-		inputs:   []*tensor.Tensor{b},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{a.SpMM(b)} }))
-}
-
-// SpMV records an instrumented sparse matrix-vector multiplication.
-func (e *Engine) SpMV(a *sparse.CSR, x *tensor.Tensor) *tensor.Tensor {
-	return one(e.record(op{
-		name:     "SpMV",
-		kernel:   "spmv",
-		category: trace.MatMul,
-		flops:    sparse.FlopsSpMM(a.NNZ(), 1),
-		bytes:    sparse.BytesSpMM(a.NNZ(), a.Rows, 1),
-		inputs:   []*tensor.Tensor{x},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{a.SpMV(x)} }))
-}
-
-// SDDMM records an instrumented sampled dense-dense matrix multiplication.
-func (e *Engine) SDDMM(pattern *sparse.CSR, a, b *tensor.Tensor) *sparse.CSR {
-	var out *sparse.CSR
-	e.record(op{
-		name:     "SDDMM",
-		kernel:   "sddmm",
-		category: trace.MatMul,
-		flops:    2 * int64(pattern.NNZ()) * int64(a.Dim(1)),
-		bytes:    sparse.BytesSpMM(pattern.NNZ(), pattern.Rows, a.Dim(1)),
-		inputs:   []*tensor.Tensor{a, b},
-	}, func() []*tensor.Tensor {
-		out = pattern.SDDMM(a, b)
-		return nil
-	})
-	return out
-}
-
 // SliceAxis records an instrumented materialized slice along any axis.
 // It records the same event shape as Slice (the kernel is the same copy),
 // with the byte cost of the elements actually moved.
@@ -259,7 +218,7 @@ func (e *Engine) SliceAxis(a *tensor.Tensor, axis, lo, hi int) *tensor.Tensor {
 
 // SpMMBatch records one instrumented batched SpMM: batch sparse matrices
 // sharing dimensions, each multiplying its row block of b (see
-// sparse.SpMMBatchOn). With batch 1 it records exactly what SpMM records.
+// sparse.SpMMBatchOn).
 func (e *Engine) SpMMBatch(mats []*sparse.CSR, b *tensor.Tensor) *tensor.Tensor {
 	var nnz int64
 	var bytes int64
@@ -279,8 +238,7 @@ func (e *Engine) SpMMBatch(mats []*sparse.CSR, b *tensor.Tensor) *tensor.Tensor 
 }
 
 // SDDMMBatch records one instrumented batched SDDMM over a shared
-// sparsity pattern (see sparse.SDDMMBatchOn). With batch 1 it records
-// exactly what SDDMM records.
+// sparsity pattern (see sparse.SDDMMBatchOn).
 func (e *Engine) SDDMMBatch(pattern *sparse.CSR, a, b *tensor.Tensor, batch int) []*sparse.CSR {
 	var out []*sparse.CSR
 	e.record(op{
@@ -295,22 +253,4 @@ func (e *Engine) SDDMMBatch(pattern *sparse.CSR, a, b *tensor.Tensor, batch int)
 		return nil
 	})
 	return out
-}
-
-// Coalesce records an instrumented sparse coalescing pass — the paper's
-// canonical data-transformation operator for sparse data.
-func (e *Engine) Coalesce(m *sparse.COO) int {
-	var merged int
-	n := m.NNZ()
-	e.record(op{
-		name:     "Coalesce",
-		kernel:   "coalesce",
-		category: trace.DataTransform,
-		bytes:    int64(n) * 12 * 2, // read+write of (row, col, val) triples
-		inputs:   nil,
-	}, func() []*tensor.Tensor {
-		merged = m.Coalesce()
-		return nil
-	})
-	return merged
 }

@@ -75,13 +75,6 @@ func (q *QTensor) Dequantize() *tensor.Tensor {
 	return t
 }
 
-// Size returns the element count.
-func (q *QTensor) Size() int { return len(q.Data) }
-
-// Bytes returns the storage footprint (1 byte per element) — 4× smaller
-// than the FP32 original, the memory saving of Recommendation 3.
-func (q *QTensor) Bytes() int64 { return int64(len(q.Data)) }
-
 // MaxAbsError returns the largest absolute reconstruction error vs t.
 func MaxAbsError(t *tensor.Tensor, q *QTensor) float32 {
 	d := q.Dequantize()

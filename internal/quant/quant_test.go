@@ -17,8 +17,8 @@ func TestQuantizeRoundTripError(t *testing.T) {
 	if e := MaxAbsError(x, q); e > q.Scale {
 		t.Fatalf("max error %v exceeds one step %v", e, q.Scale)
 	}
-	if q.Bytes()*4 != x.Bytes() {
-		t.Fatalf("INT8 must be 4x smaller: %d vs %d", q.Bytes(), x.Bytes())
+	if int64(len(q.Data))*4 != x.Bytes() {
+		t.Fatalf("INT8 must be 4x smaller: %d vs %d", len(q.Data), x.Bytes())
 	}
 }
 
@@ -35,7 +35,7 @@ func TestQuantizeConstantTensor(t *testing.T) {
 
 func TestQuantizeEmpty(t *testing.T) {
 	q := Quantize(tensor.New(0))
-	if q.Size() != 0 || q.Scale != 1 {
+	if len(q.Data) != 0 || q.Scale != 1 {
 		t.Fatalf("empty quantization = %+v", q)
 	}
 }

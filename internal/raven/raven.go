@@ -28,9 +28,6 @@ const (
 	NumAttributes
 )
 
-// Attributes lists all attributes in canonical order.
-func Attributes() []Attribute { return []Attribute{Number, Position, Type, Size, Color} }
-
 // String returns the attribute name.
 func (a Attribute) String() string {
 	switch a {

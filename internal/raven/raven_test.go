@@ -83,9 +83,6 @@ func TestRuleStringsAndLevels(t *testing.T) {
 	if Levels(Color) != 10 || Levels(Type) != 5 || Levels(Number) != 9 {
 		t.Fatal("levels wrong")
 	}
-	if len(Attributes()) != 5 {
-		t.Fatal("attribute list wrong")
-	}
 	if Number.String() != "number" || Color.String() != "color" {
 		t.Fatal("attribute names wrong")
 	}

@@ -5,7 +5,6 @@ package roofline
 
 import (
 	"fmt"
-	"time"
 )
 
 // Model is a single-device roofline: a flat compute ceiling and a bandwidth
@@ -83,13 +82,6 @@ func (m Model) Place(name string, flops, bytes int64, seconds float64) Point {
 		p.CeilingPct = 100 * p.PerfGFLOPs / att
 	}
 	return p
-}
-
-// PlaceMeasured is Place with a measured wall-clock duration instead of
-// raw seconds — the form the kernel benchmarks use to put achieved
-// FLOP/s per operator against a device ceiling.
-func (m Model) PlaceMeasured(name string, flops, bytes int64, d time.Duration) Point {
-	return m.Place(name, flops, bytes, d.Seconds())
 }
 
 // String renders the point.

@@ -114,7 +114,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	canon, key, err := canonicalize(Request{Workload: req.Workload, Device: req.Device})
+	canon, key, err := Canonicalize(Request{Workload: req.Workload, Device: req.Device})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -147,6 +147,16 @@ func TestExploreShardedSweep(t *testing.T) {
 	}
 }
 
+// nineAxes sweeps every knob over 256 steps: 2^72 points, more than an
+// int holds.
+var nineAxes = func() string {
+	var parts []string
+	for _, k := range []string{"peak_gflops", "mem_bw_gbs", "pes", "freq_scale", "dataflow_eff", "l1_kb", "l2_kb", "cache_ways", "line_bytes"} {
+		parts = append(parts, `"`+k+`":{"min":1,"max":2,"steps":256}`)
+	}
+	return strings.Join(parts, ",")
+}()
+
 func TestExploreValidation(t *testing.T) {
 	resetCtl(false)
 	s := newTestServer(t, Config{ExploreMaxPoints: 4})
@@ -154,13 +164,18 @@ func TestExploreValidation(t *testing.T) {
 	cases := []struct {
 		name, body string
 		want       int
+		msg        string // a substring of the error body, when set
 	}{
-		{"bad json", `{`, http.StatusBadRequest},
-		{"unknown workload", `{"workload":"nope"}`, http.StatusBadRequest},
-		{"bad space", `{"workload":"testfast","space":{"peak_gflops":{"min":5,"max":1,"steps":3}}}`, http.StatusBadRequest},
-		{"grid too large", exploreBody, http.StatusBadRequest},
-		{"bad shard", `{"workload":"testfast","shard_index":3,"shard_count":2}`, http.StatusBadRequest},
-		{"wrong method", ``, http.StatusMethodNotAllowed},
+		{"bad json", `{`, http.StatusBadRequest, ""},
+		{"unknown workload", `{"workload":"nope"}`, http.StatusBadRequest, ""},
+		{"bad space", `{"workload":"testfast","space":{"peak_gflops":{"min":5,"max":1,"steps":3}}}`, http.StatusBadRequest, ""},
+		{"grid too large", exploreBody, http.StatusBadRequest, ""},
+		// Sized before anything is allocated for it: 2^40 steps is a
+		// 2^40-point grid, rejected by the point limit.
+		{"huge steps", `{"workload":"testfast","space":{"peak_gflops":{"min":1,"max":2,"steps":1099511627776}}}`, http.StatusBadRequest, "grid has 1099511627776 points"},
+		{"grid overflows int", `{"workload":"testfast","space":{` + nineAxes + `}}`, http.StatusBadRequest, "more than"},
+		{"bad shard", `{"workload":"testfast","shard_index":3,"shard_count":2}`, http.StatusBadRequest, ""},
+		{"wrong method", ``, http.StatusMethodNotAllowed, ""},
 	}
 	for _, tc := range cases {
 		var rec *httptest.ResponseRecorder
@@ -173,7 +188,7 @@ func TestExploreValidation(t *testing.T) {
 			rec = httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
 		}
-		if rec.Code != tc.want {
+		if rec.Code != tc.want || !strings.Contains(rec.Body.String(), tc.msg) {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body.String())
 		}
 	}

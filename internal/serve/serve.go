@@ -152,12 +152,15 @@ type Request struct {
 	Device string `json:"device,omitempty"`
 }
 
-// canonicalize validates req and returns its normalized form plus the
+// Canonicalize validates req and returns its normalized form plus the
 // cache key. Two requests that mean the same characterization always
 // canonicalize to the same key (whitespace trimmed, workload name
 // case-folded against the registry, device resolved to its model name),
-// which is what makes the cache and singleflight effective.
-func canonicalize(req Request) (Request, string, error) {
+// which is what makes the cache and singleflight effective. The routing
+// tier (internal/cluster) hashes the same key, so every canonical request
+// has one owning replica and cluster cache capacity scales linearly with
+// replica count.
+func Canonicalize(req Request) (Request, string, error) {
 	name := strings.TrimSpace(req.Workload)
 	if name == "" {
 		return Request{}, "", errors.New("missing workload")
@@ -189,16 +192,6 @@ func canonicalize(req Request) (Request, string, error) {
 	}
 	canon := Request{Workload: resolved, Device: dev.Name}
 	return canon, canon.Workload + "\x00" + canon.Device, nil
-}
-
-// Canonicalize validates req and returns its normalized form plus the
-// cache key the server shards and caches under. It is exported for the
-// routing tier (internal/cluster): a router that hashes the same key the
-// replicas cache under gives every canonical request one owning replica,
-// so per-replica LRUs and singleflight stay maximally effective and
-// cluster cache capacity scales linearly with replica count.
-func Canonicalize(req Request) (Request, string, error) {
-	return canonicalize(req)
 }
 
 // flight is one in-progress characterization that any number of identical
@@ -336,10 +329,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Metrics returns the server's registry (e.g. to add process-level
-// metrics before exposing the handler).
-func (s *Server) Metrics() *metrics.Registry { return s.reg }
-
 // Handler returns the server's route table: the front door's /metrics,
 // /healthz, /readyz (503 while draining) and /v1/slo plus the serving
 // endpoints, every one instrumented with a request counter (by status
@@ -370,9 +359,6 @@ func (s *Server) Handler() http.Handler {
 // down, leave a grace period for checkers to observe it, then stop the
 // listener and Close. Idempotent.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain (or Close) has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Close drains the admission queue and tears down the characterization
 // workers and the shared backend pool. Stop the HTTP listener first
@@ -479,7 +465,7 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	canon, key, err := canonicalize(req)
+	canon, key, err := Canonicalize(req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -592,7 +578,7 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad fill body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	_, key, err := canonicalize(fill.Request)
+	_, key, err := Canonicalize(fill.Request)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -759,7 +745,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown format %q (want chrome or json)", format), http.StatusBadRequest)
 		return
 	}
-	canon, _, err := canonicalize(Request{Workload: q.Get("workload"), Device: q.Get("device")})
+	canon, _, err := Canonicalize(Request{Workload: q.Get("workload"), Device: q.Get("device")})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -462,23 +462,66 @@ func TestRealWorkloadReport(t *testing.T) {
 
 func TestCanonicalizeKeys(t *testing.T) {
 	registerTestWorkloads()
-	a, keyA, err := canonicalize(Request{Workload: " nvsa "})
+	a, keyA, err := Canonicalize(Request{Workload: " nvsa "})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Workload != "NVSA" || a.Device != hwsim.RTX2080Ti.Name {
 		t.Fatalf("canonical form %+v", a)
 	}
-	_, keyB, err := canonicalize(Request{Workload: "NVSA", Device: "rtx 2080 ti"})
+	_, keyB, err := Canonicalize(Request{Workload: "NVSA", Device: "rtx 2080 ti"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if keyA != keyB {
 		t.Fatalf("equivalent requests got different keys %q vs %q", keyA, keyB)
 	}
-	if _, _, err := canonicalize(Request{}); err == nil {
+	if _, _, err := Canonicalize(Request{}); err == nil {
 		t.Fatal("empty request must not canonicalize")
 	}
+}
+
+// FuzzCanonicalize: for any two requests that canonicalize, each canonical
+// form canonicalizes to itself under the same key, the key is
+// Workload+"\x00"+Device, and the two keys are equal exactly when the
+// canonical forms are, so equivalent spellings share one cache entry and
+// distinct characterizations never do.
+func FuzzCanonicalize(f *testing.F) {
+	registerTestWorkloads()
+	for _, seed := range [][4]string{
+		{"nvsa", "rtx 2080 ti", "NVSA", "RTX 2080 Ti"},     // case
+		{" NVSA ", "\tJetson TX2\n", "nvsa", "jetson tx2"}, // whitespace
+		{"LNN", "", "lnn", hwsim.RTX2080Ti.Name},           // empty device
+		{"LNN", "", "LTN", ""},
+		{"PrAE", "Xavier NX", "PrAE", "Xeon Silver 4114"},
+		{"nope", "", "NVSA", "tpu"}, // unknown names
+		{"", "", " ", "RTX 2080 Ti"},
+	} {
+		f.Add(seed[0], seed[1], seed[2], seed[3])
+	}
+	f.Fuzz(func(t *testing.T, w1, d1, w2, d2 string) {
+		var canon [2]Request
+		var keys [2]string
+		ok := true
+		for i, req := range []Request{{Workload: w1, Device: d1}, {Workload: w2, Device: d2}} {
+			c, key, err := Canonicalize(req)
+			if err != nil {
+				ok = false
+				continue
+			}
+			if key != c.Workload+"\x00"+c.Device {
+				t.Fatalf("%+v: key %q is not workload NUL device of %+v", req, key, c)
+			}
+			again, againKey, err := Canonicalize(c)
+			if err != nil || again != c || againKey != key {
+				t.Fatalf("%+v: canonical form %+v is not a fixed point: %+v, %q, %v", req, c, again, againKey, err)
+			}
+			canon[i], keys[i] = c, key
+		}
+		if ok && (keys[0] == keys[1]) != (canon[0] == canon[1]) {
+			t.Fatalf("keys %q, %q disagree with canonical forms %+v, %+v", keys[0], keys[1], canon[0], canon[1])
+		}
+	})
 }
 
 func TestRetryAfterScalesWithLoad(t *testing.T) {

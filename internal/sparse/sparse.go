@@ -41,15 +41,6 @@ func (m *COO) Append(r, c int, v float32) {
 // NNZ returns the stored entry count (including duplicates before Coalesce).
 func (m *COO) NNZ() int { return len(m.Val) }
 
-// Density returns NNZ / (rows*cols), or 0 for degenerate shapes.
-func (m *COO) Density() float64 {
-	n := m.Rows * m.Cols
-	if n == 0 {
-		return 0
-	}
-	return float64(m.NNZ()) / float64(n)
-}
-
 // Coalesce sorts entries by (row, col) and sums duplicates, in place.
 // This is the "coalescing" operator of the paper's data-transformation
 // category. It returns the number of duplicate entries merged.
@@ -239,10 +230,6 @@ func (c *CSR) ToDense() *tensor.Tensor {
 	}
 	return t
 }
-
-// FlopsSpMM returns the FLOP count of an SpMM with the given NNZ and dense
-// width n (one multiply-add per stored entry per output column).
-func FlopsSpMM(nnz, n int) int64 { return 2 * int64(nnz) * int64(n) }
 
 // BytesSpMM returns the algorithmic traffic of an SpMM: index+value reads
 // for every stored entry, a dense row read per entry, and the output write.

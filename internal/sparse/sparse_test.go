@@ -16,9 +16,6 @@ func TestCOOBasics(t *testing.T) {
 	if m.NNZ() != 2 {
 		t.Fatalf("NNZ = %d", m.NNZ())
 	}
-	if m.Density() != 2.0/12 {
-		t.Fatalf("Density = %v", m.Density())
-	}
 	d := m.ToDense()
 	if d.At(0, 0) != 1 || d.At(2, 3) != 2 || d.At(1, 1) != 0 {
 		t.Fatalf("ToDense = %v", d.Data())
@@ -140,9 +137,6 @@ func TestCSRDensity(t *testing.T) {
 }
 
 func TestFlopBytes(t *testing.T) {
-	if FlopsSpMM(10, 4) != 80 {
-		t.Fatalf("FlopsSpMM = %d", FlopsSpMM(10, 4))
-	}
 	if BytesSpMM(10, 5, 4) != 10*8+10*4*4+5*4*4 {
 		t.Fatalf("BytesSpMM = %d", BytesSpMM(10, 5, 4))
 	}

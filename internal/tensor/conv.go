@@ -153,45 +153,6 @@ func MaxPool2DOn(r Runner, input *Tensor, k, s int) *Tensor {
 	return out
 }
 
-// AvgPool2D applies 2-D average pooling with a k×k window and stride s.
-func AvgPool2D(input *Tensor, k, s int) *Tensor { return AvgPool2DOn(Serial, input, k, s) }
-
-// AvgPool2DOn is AvgPool2D dispatched on r, chunked over (batch, channel).
-func AvgPool2DOn(r Runner, input *Tensor, k, s int) *Tensor {
-	if input.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: AvgPool2D needs rank-4 input, got %v", input.shape))
-	}
-	checkPool2D("AvgPool2D", k, s)
-	n, c, h, w := input.shape[0], input.shape[1], input.shape[2], input.shape[3]
-	hout := (h-k)/s + 1
-	wout := (w-k)/s + 1
-	if hout < 1 || wout < 1 {
-		panic(fmt.Sprintf("tensor: AvgPool2D produces empty output for input %v k=%d s=%d", input.shape, k, s))
-	}
-	out := New(n, c, hout, wout)
-	in := input.data
-	inv := 1 / float32(k*k)
-	perPlane := int64(k) * int64(k) * int64(hout) * int64(wout)
-	r.For(n*c, grainFor(perPlane), func(lo, hi int) {
-		for bc := lo; bc < hi; bc++ {
-			base := bc * h * w
-			for oy := 0; oy < hout; oy++ {
-				for ox := 0; ox < wout; ox++ {
-					var s64 float64
-					for ky := 0; ky < k; ky++ {
-						row := base + (oy*s+ky)*w
-						for kx := 0; kx < k; kx++ {
-							s64 += float64(in[row+ox*s+kx])
-						}
-					}
-					out.data[(bc*hout+oy)*wout+ox] = float32(s64) * inv
-				}
-			}
-		}
-	})
-	return out
-}
-
 // GlobalAvgPool2D reduces an N×C×H×W tensor to N×C by averaging each channel.
 func GlobalAvgPool2D(input *Tensor) *Tensor { return GlobalAvgPool2DOn(Serial, input) }
 

@@ -75,12 +75,3 @@ func FlopsSoftmax(n int) int64 { return 8 * int64(n) }
 
 // BytesCopy returns traffic of moving n elements (read + write).
 func BytesCopy(n int) int64 { return bytesPerElem * 2 * int64(n) }
-
-// ArithmeticIntensity returns FLOPs per byte, the roofline x-axis.
-// Zero-byte events report zero intensity.
-func ArithmeticIntensity(flops, bytes int64) float64 {
-	if bytes == 0 {
-		return 0
-	}
-	return float64(flops) / float64(bytes)
-}

@@ -165,35 +165,10 @@ func Sign(a *Tensor) *Tensor { return unOp(a, signf) }
 // SignOn is Sign dispatched on r.
 func SignOn(r Runner, a *Tensor) *Tensor { return unOpOn(r, a, signf) }
 
-func expf(x float32) float32  { return float32(math.Exp(float64(x))) }
-func logf(x float32) float32  { return float32(math.Log(float64(x))) }
 func sqrtf(x float32) float32 { return float32(math.Sqrt(float64(x))) }
-
-// Exp returns e^a element-wise.
-func Exp(a *Tensor) *Tensor { return unOp(a, expf) }
-
-// ExpOn is Exp dispatched on r.
-func ExpOn(r Runner, a *Tensor) *Tensor { return unOpOn(r, a, expf) }
-
-// Log returns the natural logarithm element-wise.
-func Log(a *Tensor) *Tensor { return unOp(a, logf) }
-
-// LogOn is Log dispatched on r.
-func LogOn(r Runner, a *Tensor) *Tensor { return unOpOn(r, a, logf) }
 
 // Sqrt returns the square root element-wise.
 func Sqrt(a *Tensor) *Tensor { return unOp(a, sqrtf) }
-
-// SqrtOn is Sqrt dispatched on r.
-func SqrtOn(r Runner, a *Tensor) *Tensor { return unOpOn(r, a, sqrtf) }
-
-// Pow returns a^p element-wise.
-func Pow(a *Tensor, p float32) *Tensor { return PowOn(Serial, a, p) }
-
-// PowOn is Pow dispatched on r.
-func PowOn(r Runner, a *Tensor, p float32) *Tensor {
-	return unOpOn(r, a, func(x float32) float32 { return float32(math.Pow(float64(x), float64(p))) })
-}
 
 // Clamp limits every element to the range [lo, hi].
 func Clamp(a *Tensor, lo, hi float32) *Tensor { return ClampOn(Serial, a, lo, hi) }
@@ -224,19 +199,6 @@ func ReLU(a *Tensor) *Tensor { return unOp(a, reluf) }
 // ReLUOn is ReLU dispatched on r.
 func ReLUOn(r Runner, a *Tensor) *Tensor { return unOpOn(r, a, reluf) }
 
-// LeakyReLU returns a where positive, alpha*a where negative.
-func LeakyReLU(a *Tensor, alpha float32) *Tensor { return LeakyReLUOn(Serial, a, alpha) }
-
-// LeakyReLUOn is LeakyReLU dispatched on r.
-func LeakyReLUOn(r Runner, a *Tensor, alpha float32) *Tensor {
-	return unOpOn(r, a, func(x float32) float32 {
-		if x > 0 {
-			return x
-		}
-		return alpha * x
-	})
-}
-
 func sigmoidf(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }
 func tanhf(x float32) float32    { return float32(math.Tanh(float64(x))) }
 
@@ -264,41 +226,6 @@ func Greater(a, b *Tensor) *Tensor { return binOp("Greater", a, b, greaterf) }
 
 // GreaterOn is Greater dispatched on r.
 func GreaterOn(r Runner, a, b *Tensor) *Tensor { return binOpOn(r, "Greater", a, b, greaterf) }
-
-// Equal returns 1 where |a-b| <= eps and 0 elsewhere.
-func Equal(a, b *Tensor, eps float32) *Tensor { return EqualOn(Serial, a, b, eps) }
-
-// EqualOn is Equal dispatched on r.
-func EqualOn(r Runner, a, b *Tensor, eps float32) *Tensor {
-	return binOpOn(r, "Equal", a, b, func(x, y float32) float32 {
-		d := x - y
-		if d <= eps && d >= -eps {
-			return 1
-		}
-		return 0
-	})
-}
-
-// Where returns cond*a + (1-cond)*b, selecting a where cond is nonzero.
-func Where(cond, a, b *Tensor) *Tensor { return WhereOn(Serial, cond, a, b) }
-
-// WhereOn is Where dispatched on r.
-func WhereOn(r Runner, cond, a, b *Tensor) *Tensor {
-	if !cond.SameShape(a) || !a.SameShape(b) {
-		panic(fmt.Sprintf("tensor: Where shape mismatch %v %v %v", cond.shape, a.shape, b.shape))
-	}
-	out := New(a.shape...)
-	r.For(len(out.data), grainEltwise, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if cond.data[i] != 0 {
-				out.data[i] = a.data[i]
-			} else {
-				out.data[i] = b.data[i]
-			}
-		}
-	})
-	return out
-}
 
 // AXPY computes y += alpha*x in place (BLAS level-1 saxpy). It stays
 // serial: in-place updates are cheap streaming passes.

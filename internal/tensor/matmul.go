@@ -198,25 +198,3 @@ func BatchMatMulKernelOn(r Runner, kern Kernel, a, b *Tensor) *Tensor {
 	})
 	return out
 }
-
-// Outer returns the outer product of vectors a (m) and b (n) as an m×n matrix.
-func Outer(a, b *Tensor) *Tensor { return OuterOn(Serial, a, b) }
-
-// OuterOn is Outer dispatched on r, chunked over output rows.
-func OuterOn(r Runner, a, b *Tensor) *Tensor {
-	if a.Rank() != 1 || b.Rank() != 1 {
-		panic(fmt.Sprintf("tensor: Outer needs rank-1 operands, got %v x %v", a.shape, b.shape))
-	}
-	m, n := a.shape[0], b.shape[0]
-	out := New(m, n)
-	r.For(m, grainFor(int64(n)), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			av := a.data[i]
-			row := out.data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				row[j] = av * b.data[j]
-			}
-		}
-	})
-	return out
-}

@@ -60,23 +60,6 @@ func (g *RNG) Bipolar(shape ...int) *Tensor {
 	return t
 }
 
-// Binary returns a tensor of random {0,1} entries with P(1)=p.
-func (g *RNG) Binary(p float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		if g.r.Float64() < p {
-			t.data[i] = 1
-		}
-	}
-	return t
-}
-
-// UnitVector returns a random vector of length n with unit L2 norm.
-func (g *RNG) UnitVector(n int) *Tensor {
-	v := g.Normal(0, 1, n)
-	return Normalize(v)
-}
-
 // HRRVector returns a random holographic vector: i.i.d. N(0, 1/n) entries,
 // the standard HRR initialization whose circular-convolution bindings are
 // approximately invertible by circular correlation.

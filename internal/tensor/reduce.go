@@ -42,12 +42,11 @@ func reduceAxisOn(r Runner, a *Tensor, axis int, init float64, step func(acc flo
 	return out
 }
 
-func sumStep(acc float64, v float32) float64  { return acc + float64(v) }
-func maxStep(acc float64, v float32) float64  { return math.Max(acc, float64(v)) }
-func minStep(acc float64, v float32) float64  { return math.Min(acc, float64(v)) }
-func prodStep(acc float64, v float32) float64 { return acc * float64(v) }
-func idFinish(acc float64, _ int) float32     { return float32(acc) }
-func meanFinish(acc float64, n int) float32   { return float32(acc / float64(n)) }
+func sumStep(acc float64, v float32) float64 { return acc + float64(v) }
+func maxStep(acc float64, v float32) float64 { return math.Max(acc, float64(v)) }
+func minStep(acc float64, v float32) float64 { return math.Min(acc, float64(v)) }
+func idFinish(acc float64, _ int) float32    { return float32(acc) }
+func meanFinish(acc float64, n int) float32  { return float32(acc / float64(n)) }
 
 // SumAxis sums along the given axis, removing it.
 func SumAxis(a *Tensor, axis int) *Tensor { return SumAxisOn(Serial, a, axis) }
@@ -81,14 +80,6 @@ func MinAxisOn(r Runner, a *Tensor, axis int) *Tensor {
 	return reduceAxisOn(r, a, axis, math.Inf(1), minStep, idFinish)
 }
 
-// ProdAxis multiplies along the given axis, removing it.
-func ProdAxis(a *Tensor, axis int) *Tensor { return ProdAxisOn(Serial, a, axis) }
-
-// ProdAxisOn is ProdAxis dispatched on r.
-func ProdAxisOn(r Runner, a *Tensor, axis int) *Tensor {
-	return reduceAxisOn(r, a, axis, 1, prodStep, idFinish)
-}
-
 // ArgMax returns the index of the largest element of a flat tensor.
 func ArgMax(a *Tensor) int {
 	if a.Size() == 0 {
@@ -101,43 +92,6 @@ func ArgMax(a *Tensor) int {
 		}
 	}
 	return bi
-}
-
-// ArgMaxAxis returns, for each slice along axis, the index of its maximum.
-// The result has the reduced shape and holds indices as float32.
-func ArgMaxAxis(a *Tensor, axis int) *Tensor { return ArgMaxAxisOn(Serial, a, axis) }
-
-// ArgMaxAxisOn is ArgMaxAxis dispatched on r, chunked over output elements.
-func ArgMaxAxisOn(r Runner, a *Tensor, axis int) *Tensor {
-	if axis < 0 || axis >= a.Rank() {
-		panic(fmt.Sprintf("tensor: ArgMaxAxis axis %d out of range for shape %v", axis, a.shape))
-	}
-	outShape := make([]int, 0, a.Rank()-1)
-	outShape = append(outShape, a.shape[:axis]...)
-	outShape = append(outShape, a.shape[axis+1:]...)
-	out := New(outShape...)
-	outer, inner := 1, 1
-	for i := 0; i < axis; i++ {
-		outer *= a.shape[i]
-	}
-	for i := axis + 1; i < a.Rank(); i++ {
-		inner *= a.shape[i]
-	}
-	n := a.shape[axis]
-	r.For(outer*inner, grainFor(int64(n)), func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			o, in := idx/inner, idx%inner
-			base := o*n*inner + in
-			best, bi := a.data[base], 0
-			for k := 1; k < n; k++ {
-				if v := a.data[base+k*inner]; v > best {
-					best, bi = v, k
-				}
-			}
-			out.data[idx] = float32(bi)
-		}
-	})
-	return out
 }
 
 // Softmax returns the softmax over the last axis of a, computed with the
@@ -172,40 +126,6 @@ func SoftmaxOn(r Runner, a *Tensor) *Tensor {
 			inv := float32(1 / sum)
 			for i := range orow {
 				orow[i] *= inv
-			}
-		}
-	})
-	return out
-}
-
-// LogSoftmax returns log(softmax(a)) over the last axis, computed stably.
-func LogSoftmax(a *Tensor) *Tensor { return LogSoftmaxOn(Serial, a) }
-
-// LogSoftmaxOn is LogSoftmax dispatched on r, chunked over rows.
-func LogSoftmaxOn(r Runner, a *Tensor) *Tensor {
-	if a.Rank() == 0 {
-		return Zeros()
-	}
-	n := a.shape[a.Rank()-1]
-	rows := a.Size() / n
-	out := New(a.shape...)
-	r.For(rows, grainFor(4*int64(n)), func(lo, hi int) {
-		for ri := lo; ri < hi; ri++ {
-			row := a.data[ri*n : (ri+1)*n]
-			orow := out.data[ri*n : (ri+1)*n]
-			m := row[0]
-			for _, v := range row[1:] {
-				if v > m {
-					m = v
-				}
-			}
-			var sum float64
-			for _, v := range row {
-				sum += math.Exp(float64(v - m))
-			}
-			lse := float32(math.Log(sum)) + m
-			for i, v := range row {
-				orow[i] = v - lse
 			}
 		}
 	})

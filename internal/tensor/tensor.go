@@ -128,9 +128,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: t.data, id: t.id}
 }
 
-// Flatten returns a rank-1 view of t's storage.
-func (t *Tensor) Flatten() *Tensor { return t.Reshape(len(t.data)) }
-
 // offset computes the linear index for coordinates idx.
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
@@ -227,14 +224,6 @@ func (t *Tensor) Sum() float32 {
 	return float32(s)
 }
 
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float32 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return t.Sum() / float32(len(t.data))
-}
-
 // Norm returns the L2 norm of the tensor viewed as a flat vector.
 func (t *Tensor) Norm() float32 {
 	var s float64
@@ -266,30 +255,11 @@ func (t *Tensor) CountZero(eps float32) int {
 	return zero
 }
 
-// CountNonZero returns the number of elements with |v| > eps.
-func (t *Tensor) CountNonZero(eps float32) int {
-	nz := 0
-	for _, v := range t.data {
-		if v > eps || v < -eps {
-			nz++
-		}
-	}
-	return nz
-}
-
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float32) {
 	for i := range t.data {
 		t.data[i] = v
 	}
-}
-
-// CopyFrom copies u's data into t. Shapes must match.
-func (t *Tensor) CopyFrom(u *Tensor) {
-	if !t.SameShape(u) {
-		panic(fmt.Sprintf("tensor: CopyFrom shape mismatch %v vs %v", t.shape, u.shape))
-	}
-	copy(t.data, u.data)
 }
 
 // AllFinite reports whether every element is finite (no NaN or Inf).

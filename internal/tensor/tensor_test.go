@@ -93,8 +93,8 @@ func TestMinMaxSumMeanNorm(t *testing.T) {
 	if a.Min() != -1 || a.Max() != 4 {
 		t.Fatalf("Min/Max = %v/%v", a.Min(), a.Max())
 	}
-	if a.Sum() != 6 || a.Mean() != 1.5 {
-		t.Fatalf("Sum/Mean = %v/%v", a.Sum(), a.Mean())
+	if a.Sum() != 6 {
+		t.Fatalf("Sum = %v", a.Sum())
 	}
 	want := float32(math.Sqrt(9 + 1 + 16))
 	if !almostEq(a.Norm(), want, 1e-5) {
@@ -107,9 +107,6 @@ func TestSparsity(t *testing.T) {
 	got := a.Sparsity(1e-3)
 	if got != 6.0/8 {
 		t.Fatalf("Sparsity = %v, want 0.75", got)
-	}
-	if a.CountNonZero(1e-3) != 2 {
-		t.Fatalf("CountNonZero = %d, want 2", a.CountNonZero(1e-3))
 	}
 }
 
@@ -166,10 +163,6 @@ func TestActivations(t *testing.T) {
 	if r.At(0) != 0 || r.At(1) != 0 || r.At(2) != 2 {
 		t.Fatalf("ReLU = %v", r.Data())
 	}
-	l := LeakyReLU(a, 0.1)
-	if !almostEq(l.At(0), -0.2, 1e-6) || l.At(2) != 2 {
-		t.Fatalf("LeakyReLU = %v", l.Data())
-	}
 	s := Sigmoid(Zeros(1))
 	if !almostEq(s.At(0), 0.5, 1e-6) {
 		t.Fatalf("Sigmoid(0) = %v", s.At(0))
@@ -197,20 +190,11 @@ func TestSignAbsClamp(t *testing.T) {
 }
 
 func TestWhereGreaterEqual(t *testing.T) {
-	cond := FromSlice([]float32{1, 0}, 2)
 	a := FromSlice([]float32{10, 20}, 2)
 	b := FromSlice([]float32{30, 40}, 2)
-	w := Where(cond, a, b)
-	if w.At(0) != 10 || w.At(1) != 40 {
-		t.Fatalf("Where = %v", w.Data())
-	}
 	g := Greater(a, b)
 	if g.At(0) != 0 || g.At(1) != 0 {
 		t.Fatalf("Greater = %v", g.Data())
-	}
-	e := Equal(a, FromSlice([]float32{10, 21}, 2), 0.5)
-	if e.At(0) != 1 || e.At(1) != 0 {
-		t.Fatalf("Equal = %v", e.Data())
 	}
 }
 
@@ -300,15 +284,6 @@ func TestBatchMatMul(t *testing.T) {
 	}
 }
 
-func TestOuter(t *testing.T) {
-	a := FromSlice([]float32{1, 2}, 2)
-	b := FromSlice([]float32{3, 4, 5}, 3)
-	o := Outer(a, b)
-	if o.At(1, 2) != 10 || o.At(0, 0) != 3 {
-		t.Fatalf("Outer = %v", o.Data())
-	}
-}
-
 func TestConv2DKnown(t *testing.T) {
 	// 1x1x3x3 input, 1x1x2x2 kernel of ones, stride 1, no padding:
 	// each output is the sum of a 2x2 window.
@@ -357,10 +332,6 @@ func TestPooling(t *testing.T) {
 	if mp.At(0, 0, 0, 0) != 6 || mp.At(0, 0, 1, 1) != 16 {
 		t.Fatalf("MaxPool = %v", mp.Data())
 	}
-	ap := AvgPool2D(in, 2, 2)
-	if !almostEq(ap.At(0, 0, 0, 0), 3.5, 1e-6) {
-		t.Fatalf("AvgPool = %v", ap.Data())
-	}
 	gap := GlobalAvgPool2D(in)
 	if !almostEq(gap.At(0, 0), 8.5, 1e-6) {
 		t.Fatalf("GlobalAvgPool = %v", gap.Data())
@@ -389,21 +360,12 @@ func TestReduceAxes(t *testing.T) {
 	if mn.At(0) != 1 || mn.At(1) != 4 {
 		t.Fatalf("MinAxis = %v", mn.Data())
 	}
-	p := ProdAxis(a, 1)
-	if p.At(0) != 6 || p.At(1) != 120 {
-		t.Fatalf("ProdAxis = %v", p.Data())
-	}
 }
 
 func TestArgMax(t *testing.T) {
 	a := FromSlice([]float32{1, 9, 3}, 3)
 	if ArgMax(a) != 1 {
 		t.Fatalf("ArgMax = %d", ArgMax(a))
-	}
-	b := FromSlice([]float32{1, 5, 2, 9, 0, 3}, 2, 3)
-	am := ArgMaxAxis(b, 1)
-	if am.At(0) != 1 || am.At(1) != 0 {
-		t.Fatalf("ArgMaxAxis = %v", am.Data())
 	}
 }
 
@@ -422,12 +384,6 @@ func TestSoftmaxProperties(t *testing.T) {
 		}
 		if !almostEq(sum, 1, 1e-4) {
 			t.Fatalf("softmax row sum = %v", sum)
-		}
-	}
-	ls := LogSoftmax(a)
-	for i, v := range ls.Data() {
-		if !almostEq(v, float32(math.Log(float64(s.Data()[i]))), 1e-4) {
-			t.Fatal("LogSoftmax != log(Softmax)")
 		}
 	}
 }
@@ -492,17 +448,13 @@ func TestConcatStackSlice(t *testing.T) {
 	if c1.Dim(1) != 4 || c1.At(0, 3) != 4 {
 		t.Fatalf("Concat axis1 = %v %v", c1.Shape(), c1.Data())
 	}
-	st := Stack(a.Flatten(), b.Flatten())
+	st := Stack(a.Reshape(a.Size()), b.Reshape(b.Size()))
 	if st.Dim(0) != 2 || st.At(1, 0) != 3 {
 		t.Fatalf("Stack = %v", st.Data())
 	}
 	sl := Slice(c0, 1, 2)
 	if sl.Dim(0) != 1 || sl.At(0, 0) != 3 {
 		t.Fatalf("Slice = %v", sl.Data())
-	}
-	r := Row(c0, 0)
-	if r.Rank() != 1 || r.At(1) != 2 {
-		t.Fatalf("Row = %v", r.Data())
 	}
 }
 
@@ -524,11 +476,6 @@ func TestGatherMaskedSelect(t *testing.T) {
 }
 
 func TestPad2DRollOneHot(t *testing.T) {
-	in := Ones(1, 1, 2, 2)
-	p := Pad2D(in, 1)
-	if p.Dim(2) != 4 || p.At(0, 0, 0, 0) != 0 || p.At(0, 0, 1, 1) != 1 {
-		t.Fatalf("Pad2D = %v", p.Data())
-	}
 	a := FromSlice([]float32{1, 2, 3}, 3)
 	r := Roll(a, 1)
 	if r.At(0) != 3 || r.At(1) != 1 {
@@ -620,11 +567,6 @@ func TestBipolarAndBinary(t *testing.T) {
 			t.Fatalf("Bipolar drew %v", v)
 		}
 	}
-	bin := g.Binary(0.3, 10000)
-	frac := bin.Sum() / 10000
-	if frac < 0.25 || frac > 0.35 {
-		t.Fatalf("Binary(0.3) density = %v", frac)
-	}
 }
 
 func TestCostFunctions(t *testing.T) {
@@ -642,12 +584,5 @@ func TestCostFunctions(t *testing.T) {
 	}
 	if FlopsCircularConvFFT(8) != 3*5*8*3+48 {
 		t.Fatalf("FlopsCircularConvFFT = %d", FlopsCircularConvFFT(8))
-	}
-	ai := ArithmeticIntensity(100, 50)
-	if ai != 2 {
-		t.Fatalf("ArithmeticIntensity = %v", ai)
-	}
-	if ArithmeticIntensity(5, 0) != 0 {
-		t.Fatal("zero-byte intensity must be 0")
 	}
 }

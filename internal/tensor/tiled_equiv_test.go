@@ -351,7 +351,6 @@ func TestPool2DValidation(t *testing.T) {
 			fn   func()
 		}{
 			{"MaxPool2D", func() { MaxPool2D(in, c.k, c.s) }},
-			{"AvgPool2D", func() { AvgPool2D(in, c.k, c.s) }},
 		} {
 			func() {
 				defer func() {

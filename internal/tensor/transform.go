@@ -171,12 +171,6 @@ func SliceAxis(a *Tensor, axis, lo, hi int) *Tensor {
 	return out
 }
 
-// Row returns row i of a rank-≥1 tensor as a tensor with the leading axis removed.
-func Row(a *Tensor, i int) *Tensor {
-	s := Slice(a, i, i+1)
-	return s.Reshape(a.shape[1:]...)
-}
-
 // Gather selects rows of a (along the leading axis) by index, producing
 // len(idx) rows. It models the irregular-access data-transformation
 // operators prominent in symbolic workloads.
@@ -240,28 +234,6 @@ func MaskedSelect(a, mask *Tensor) *Tensor {
 		sel = []float32{}
 	}
 	return FromSlice(sel, len(sel))
-}
-
-// Pad2D zero-pads the last two axes of an N×C×H×W tensor by p on every side.
-func Pad2D(a *Tensor, p int) *Tensor {
-	if a.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: Pad2D needs rank-4 input, got %v", a.shape))
-	}
-	if p == 0 {
-		return a.Clone()
-	}
-	n, c, h, w := a.shape[0], a.shape[1], a.shape[2], a.shape[3]
-	out := New(n, c, h+2*p, w+2*p)
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			for y := 0; y < h; y++ {
-				src := a.data[((b*c+ch)*h+y)*w : ((b*c+ch)*h+y+1)*w]
-				dstBase := ((b*c+ch)*(h+2*p)+y+p)*(w+2*p) + p
-				copy(out.data[dstBase:dstBase+w], src)
-			}
-		}
-	}
-	return out
 }
 
 // Roll circularly shifts a flat tensor right by k positions (k may be

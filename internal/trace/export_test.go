@@ -249,7 +249,7 @@ func TestChromeTraceSpans(t *testing.T) {
 // Open (un-Ended) spans are skipped: no dangling B without E.
 func TestChromeTraceSkipsOpenSpans(t *testing.T) {
 	tr := New()
-	tr.Begin("never-closed")
+	tr.BeginSpan(Span{Name: "never-closed"})
 	ev := mkEvent("op", Other, Neural, time.Microsecond, 0, 0)
 	ev.Start = tr.Epoch().Add(time.Microsecond)
 	tr.Append(ev)

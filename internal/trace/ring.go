@@ -183,10 +183,3 @@ func (r *Recorder) Dropped() uint64 {
 	defer r.mu.Unlock()
 	return r.total - uint64(len(r.buf))
 }
-
-// SpansTotal returns how many spans have ever been recorded.
-func (r *Recorder) SpansTotal() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.spansTotal
-}

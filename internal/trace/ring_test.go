@@ -173,7 +173,10 @@ func TestRecorderSpanConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stopReaders)
 	readers.Wait()
-	if got := r.SpansTotal(); got != 800 {
+	r.mu.Lock()
+	got := r.spansTotal
+	r.mu.Unlock()
+	if got != 800 {
 		t.Fatalf("spans total = %d, want 800", got)
 	}
 	if got := len(r.SnapshotSpans()); got != 64 {

@@ -7,8 +7,8 @@ import (
 
 func TestSpanStackDepthAndClose(t *testing.T) {
 	tr := New()
-	tr.Begin("outer")
-	tr.Begin("inner")
+	tr.BeginSpan(Span{Name: "outer"})
+	tr.BeginSpan(Span{Name: "inner"})
 	tr.End()
 	tr.End()
 	spans := tr.Spans()
@@ -31,8 +31,8 @@ func TestSpanStackDepthAndClose(t *testing.T) {
 
 func TestCloseOpenSpans(t *testing.T) {
 	tr := New()
-	tr.Begin("a")
-	tr.Begin("b")
+	tr.BeginSpan(Span{Name: "a"})
+	tr.BeginSpan(Span{Name: "b"})
 	end := time.Now().Add(time.Second)
 	tr.CloseOpenSpans(end)
 	for _, s := range tr.Spans() {
@@ -142,7 +142,7 @@ func TestFilterDoesNotAliasParams(t *testing.T) {
 
 func TestFilterCarriesEpochAndSpans(t *testing.T) {
 	tr := New()
-	tr.Begin("stage")
+	tr.BeginSpan(Span{Name: "stage"})
 	tr.End()
 	tr.Append(mkEvent("a", MatMul, Neural, time.Millisecond, 1, 1))
 	sub := tr.Filter(func(ev *Event) bool { return true })

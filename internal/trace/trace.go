@@ -200,9 +200,6 @@ func (t *Trace) BeginSpan(s Span) {
 	t.spans = append(t.spans, s)
 }
 
-// Begin opens a nested span with just a name (lane 0, neural phase).
-func (t *Trace) Begin(name string) { t.BeginSpan(Span{Name: name}) }
-
 // End closes the most recently opened span at the current instant. It is
 // a no-op when no span is open.
 func (t *Trace) End() { t.EndAt(time.Now()) }

@@ -11,8 +11,6 @@
 package abduction
 
 import (
-	"fmt"
-
 	"github.com/neurosym/nsbench/internal/ops"
 	"github.com/neurosym/nsbench/internal/raven"
 	"github.com/neurosym/nsbench/internal/tensor"
@@ -38,14 +36,6 @@ func Candidates(a raven.Attribute, m int) []CandidateRule {
 		cs = append(cs, CandidateRule{Type: raven.DistributeThree})
 	}
 	return cs
-}
-
-// String renders the candidate.
-func (c CandidateRule) String() string {
-	if c.Type == raven.Progression || c.Type == raven.Arithmetic {
-		return fmt.Sprintf("%s(%+d)", c.Type, c.Delta)
-	}
-	return c.Type.String()
 }
 
 // ShiftPMF returns the PMF shifted by k levels with zero fill (not

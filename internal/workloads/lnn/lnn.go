@@ -426,6 +426,3 @@ func (w *LNN) fireRule(e *ops.Engine, r *hornRule, body []*tensor.Tensor) (float
 	_ = e.Minimum(head.u, e.AddScalar(updated, 1))
 	return delta, diff
 }
-
-// Queries returns the KB's query formulas (for reporting).
-func (w *LNN) Queries() []logic.Formula { return w.kb.Queries }
