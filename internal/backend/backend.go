@@ -38,8 +38,9 @@ type Backend interface {
 	// Release returns a Scratch buffer to the pool for reuse.
 	Release(buf []float64)
 	// Scratch32 returns a float32 buffer with at least n usable elements
-	// (packed GEMM/conv panels at operand precision), drawn from a pool
-	// when possible. Safe to call from concurrent For chunks.
+	// (packed GEMM panels at operand precision, and the storage of kernel
+	// outputs), drawn from a pool when possible. The contents are
+	// unspecified. Safe to call from concurrent For chunks.
 	Scratch32(n int) []float32
 	// Release32 returns a Scratch32 buffer to the pool for reuse.
 	Release32(buf []float32)

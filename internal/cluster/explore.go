@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,12 +27,16 @@ import (
 // nodes on transport errors or gateway-class statuses.
 //
 // The client sees one interleaved NDJSON stream: the router's meta chunk
-// first, then every replica's point chunks forwarded verbatim as they
-// arrive (deduplicated by grid index, so a shard retried after a partial
-// stream never repeats a point), and finally one merged summary whose
+// first, once the first shard's replica has answered 200, then every
+// replica's point chunks forwarded verbatim as they arrive (deduplicated
+// by grid index, so a shard retried after a partial stream never repeats
+// a point), and finally one merged summary whose
 // Pareto front is dse.MergeFronts over the shard fronts — provably equal
 // to the front a single replica would compute over the whole grid, and
-// byte-identical to it because point evaluation is deterministic.
+// byte-identical to it because point evaluation is deterministic. When
+// every shard is refused with a 4xx before anything streamed (say, a grid
+// over the replicas' point limit, which only they know), the client gets
+// that status and body instead of a 200 stream.
 func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if !frontdoor.AllowMethods(w, r, http.MethodPost) {
 		return
@@ -79,11 +84,7 @@ func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.exploreSweeps.Inc()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	flusher, _ := w.(http.Flusher)
-	out := &streamWriter{w: w, flusher: flusher, sent: make(map[int]bool)}
-	out.writeChunk(dse.Chunk{Type: "meta", Meta: &dse.ChunkMeta{
+	meta, err := json.Marshal(dse.Chunk{Type: "meta", Meta: &dse.ChunkMeta{
 		Workload:   canon.Workload,
 		Device:     canon.Device,
 		GridSize:   grid.Size(),
@@ -91,6 +92,12 @@ func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
 		ShardCount: 1,
 		Shards:     shards,
 	}})
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	flusher, _ := w.(http.Flusher)
+	out := &streamWriter{w: w, flusher: flusher, sent: make(map[int]bool), meta: meta}
 
 	id := frontdoor.RequestID(r)
 	start := time.Now()
@@ -105,6 +112,10 @@ func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
 		}(i)
 	}
 	wg.Wait()
+	if refused := allRefused(errs); refused != nil && !out.opened() {
+		http.Error(w, refused.body, refused.code)
+		return
+	}
 
 	sum := &dse.Summary{
 		Workload:   canon.Workload,
@@ -133,15 +144,61 @@ func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
 	out.writeChunk(dse.Chunk{Type: "summary", Summary: sum})
 }
 
+// allRefused returns one shard's refusal when every shard ended in a 4xx
+// answer, and nil otherwise.
+func allRefused(errs []error) *errShardStatus {
+	var first *errShardStatus
+	for _, err := range errs {
+		var st *errShardStatus
+		if !errors.As(err, &st) || st.code < 400 || st.code >= 500 {
+			return nil
+		}
+		if first == nil {
+			first = st
+		}
+	}
+	return first
+}
+
 // streamWriter serializes interleaved shard streams onto one client
 // connection: point lines are forwarded verbatim under the lock,
-// deduplicated by grid index so shard retries never repeat a point.
+// deduplicated by grid index so shard retries never repeat a point. The
+// response status, headers and the sweep's meta line are held back until
+// the stream opens: at the first line written, or when a shard's replica
+// answers 200.
 type streamWriter struct {
 	mu      sync.Mutex
-	w       io.Writer
+	w       http.ResponseWriter
 	flusher http.Flusher
 	sent    map[int]bool
-	err     error // first client write error; fails every later write
+	meta    []byte // written ahead of every other line; nil once it is out
+	err     error  // first client write error; fails every later write
+}
+
+// open starts the stream: 200, NDJSON headers and the meta line. Only the
+// first call writes anything.
+func (sw *streamWriter) open() error {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sw.openLocked()
+}
+
+func (sw *streamWriter) openLocked() error {
+	if sw.meta == nil || sw.err != nil {
+		return sw.err
+	}
+	meta := sw.meta
+	sw.meta = nil
+	sw.w.Header().Set("Content-Type", "application/x-ndjson")
+	sw.w.Header().Set("Cache-Control", "no-store")
+	return sw.writeLocked(meta)
+}
+
+// opened reports whether the stream has started.
+func (sw *streamWriter) opened() bool {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sw.meta == nil
 }
 
 // writeChunk marshals and writes one router-authored chunk.
@@ -153,19 +210,27 @@ func (sw *streamWriter) writeChunk(c dse.Chunk) error {
 	return sw.writeLine(b, -1)
 }
 
-// writeLine writes one NDJSON line. index >= 0 marks a point line subject
-// to deduplication.
+// writeLine writes one NDJSON line, opening the stream first. index >= 0
+// marks a point line subject to deduplication.
 func (sw *streamWriter) writeLine(line []byte, index int) error {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	if sw.err != nil {
-		return sw.err
+	if err := sw.openLocked(); err != nil {
+		return err
 	}
 	if index >= 0 {
 		if sw.sent[index] {
 			return nil
 		}
 		sw.sent[index] = true
+	}
+	return sw.writeLocked(line)
+}
+
+// writeLocked writes and flushes one line. The caller holds sw.mu.
+func (sw *streamWriter) writeLocked(line []byte) error {
+	if sw.err != nil {
+		return sw.err
 	}
 	if _, err := sw.w.Write(append(line, '\n')); err != nil {
 		sw.err = err
@@ -266,6 +331,9 @@ func (rt *Router) streamShardFrom(ctx context.Context, node string, body []byte,
 			rt.health.ReportSuccess(node)
 		}
 		return nil, &errShardStatus{code: resp.StatusCode, body: string(bytes.TrimSpace(b))}
+	}
+	if err := out.open(); err != nil {
+		return nil, err
 	}
 
 	var summary *dse.Summary

@@ -212,3 +212,31 @@ func TestExploreRouterValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestExploreRouterPassesReplicaRefusal pins the router's answer when every
+// replica refuses the sweep: the grid is over the replicas' point limit,
+// which the router does not know, so each shard comes back 400 before any
+// point streams. The client must get that 400 and the replica's reason,
+// not a 200 stream whose summary evaluated nothing.
+func TestExploreRouterPassesReplicaRefusal(t *testing.T) {
+	wls := testWorkloads()
+	rep := startReplica(t, serve.Config{ExploreMaxPoints: 4})
+	rt, err := New(Config{Replicas: []string{rep.hs.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	body := `{"workload":"` + wls[0] + `","space":{"pes":{"min":1,"max":64,"steps":1099511627776}}}`
+	req := httptest.NewRequest(http.MethodPost, "/v1/explore", strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (%s)", rec.Code, rec.Body.String())
+	}
+	if got := rec.Body.String(); !strings.Contains(got, "grid has 1099511627776 points, limit 4") {
+		t.Fatalf("body %q does not carry the replica's refusal", got)
+	}
+	if ct := rec.Header().Get("Content-Type"); strings.Contains(ct, "ndjson") {
+		t.Fatalf("a refused sweep must not be labelled a stream, Content-Type %q", ct)
+	}
+}

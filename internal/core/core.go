@@ -128,28 +128,44 @@ func (o *Options) defaults() {
 }
 
 // Characterize executes one inference of w on a fresh engine and derives
-// the full report.
+// the full report: Execute followed by Analyze.
 func Characterize(w Workload, opts Options) (*Report, error) {
 	opts.defaults()
+	tr, err := Execute(w, opts)
+	if err != nil {
+		return nil, err
+	}
+	return Analyze(w.Name(), w.Category(), tr, opts), nil
+}
+
+// Execute runs one inference of w on an engine chosen by opts and returns
+// its trace. The run's tensors are gone when it returns (see
+// Options.engine); the trace holds everything Analyze reads.
+func Execute(w Workload, opts Options) (*trace.Trace, error) {
 	e, release := opts.engine()
 	defer release()
 	if err := w.Run(e); err != nil {
 		return nil, fmt.Errorf("core: running %s: %w", w.Name(), err)
 	}
-	return Analyze(w.Name(), w.Category(), e.Trace(), opts), nil
+	return e.Trace(), nil
 }
 
-// engine returns a run engine plus its release function: a borrowed
-// engine from the shared Pool (release is a no-op — the pool owner closes
-// the backend), or a private engine whose backend the release tears down.
+// engine returns a run engine plus its release function, which ends the
+// run: it recycles every engine output into the backend's scratch pool (a
+// report keeps only the trace, which holds no tensor data) and, for a
+// private engine, tears its backend down. A borrowed engine's backend
+// belongs to the shared Pool, whose owner closes it.
 func (o *Options) engine() (*ops.Engine, func()) {
-	var e *ops.Engine
-	release := func() {}
-	if o.Pool != nil {
-		e = o.Pool.Engine()
-	} else {
-		e = o.Engine.New()
-		release = e.Close
+	pool, private := o.Pool, o.Pool == nil
+	if private {
+		pool = o.Engine.NewPool()
+	}
+	e := pool.Engine()
+	release := func() {
+		e.Recycle()
+		if private {
+			pool.Close()
+		}
 	}
 	if o.Observer != nil {
 		e.SetObserver(o.Observer)

@@ -89,6 +89,25 @@ func (e *Engine) Backend() backend.Backend { return e.be }
 // Config.Factory backend must leave Close to the owner.
 func (e *Engine) Close() { e.be.Close() }
 
+// Recycle ends the output lifetimes of an engine from a Pool: every
+// buffer its operators drew from the backend's scratch pool and that was
+// not released or kept goes back to the pool, where the next run's
+// outputs reuse it. Call it once nothing reads the run's tensors any
+// more, typically when the run ends; the trace stays valid, since it
+// holds tensor IDs and no tensor data. On a stand-alone engine, and for
+// the outputs of forked children, it does nothing: they stay ordinary
+// garbage. Engine goroutine only.
+func (e *Engine) Recycle() { e.kt.recycle() }
+
+// Keep exempts the storage of ts from Recycle and Release: a workload
+// calls it for the rare output that must outlive the run (state read by
+// a later Run). Kept storage is ordinary heap memory from then on.
+func (e *Engine) Keep(ts ...*tensor.Tensor) {
+	for _, t := range ts {
+		e.kt.forget(t.Data())
+	}
+}
+
 // Fork returns n child engines that share this engine's backend, phase,
 // stage, and sparsity settings but record into private traces, so worker
 // goroutines can record events without racing on the parent trace. Join the

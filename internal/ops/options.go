@@ -69,7 +69,11 @@ func (c Config) New() *Engine { return New(WithBackend(c.build()), WithKernel(c.
 // them. Workloads and services that build a fresh engine per run
 // (accuracy loops, sweeps, servers) use this to avoid spawning a worker
 // pool per iteration and to avoid leaking the one they share.
-func (c Config) NewPool() *Pool { return &Pool{be: c.build(), kern: c.kernel()} }
+func (c Config) NewPool() *Pool { return NewPool(c.build(), c.kernel()) }
+
+// NewPool returns a pool handing out engines on be that dispatch GEMM and
+// convolution to kern. The pool's Close closes be.
+func NewPool(be backend.Backend, kern tensor.Kernel) *Pool { return &Pool{be: be, kern: kern} }
 
 // Factory returns an engine constructor that shares one backend across
 // every engine it creates, plus the release function that tears that
@@ -109,9 +113,13 @@ func (p *Pool) SetObserver(fn trace.Observer) {
 
 // Engine returns a fresh engine recording into a fresh trace on the pool's
 // shared backend. Do not Close the returned engine — the backend belongs
-// to the pool; dropping the engine is enough.
+// to the pool. Its outputs are run-scoped: the engine tracks the buffers
+// they occupy, and Recycle, once the run ends, hands them back to the
+// backend's scratch pool for the pool's next engines (dropping the engine
+// without Recycle leaves them to the garbage collector).
 func (p *Pool) Engine() *Engine {
 	e := New(WithBackend(p.be), WithKernel(p.kern))
+	e.kt.live = map[*float32][]float32{}
 	if fn := p.observer.Load(); fn != nil {
 		e.observer = *fn
 	}

@@ -46,7 +46,7 @@ func (e *Engine) Roll(a *tensor.Tensor, k int) *tensor.Tensor {
 		category: trace.DataTransform,
 		bytes:    tensor.BytesCopy(a.Size()),
 		inputs:   []*tensor.Tensor{a},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.Roll(a, k)} }))
+	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.RollOn(e.be, a, k)} }))
 }
 
 // Logic records a symbolic "Others"-category operator (fuzzy logic

@@ -3,6 +3,7 @@ package ops
 import (
 	"sync"
 	"time"
+	"unsafe"
 
 	"github.com/neurosym/nsbench/internal/backend"
 	"github.com/neurosym/nsbench/internal/trace"
@@ -21,10 +22,18 @@ import (
 // beyond one interface type assertion, so serial timelines stay exactly
 // one op track per phase.
 //
+// The tracer is also where the engine's outputs come from: kernels draw
+// them, like their internal scratch, with tensor.Runner.Scratch32. For an
+// engine from a Pool, every buffer drawn is recorded as live until the
+// kernel hands it back with Release32 (its internal scratch) or the engine
+// releases, keeps or recycles it (see Engine.Recycle). A stand-alone
+// engine records nothing (live is nil): it has no run boundary to return
+// its outputs at, so they stay ordinary garbage.
+//
 // The label (kernel name, phase) is written by the engine goroutine
 // between ops; chunk callbacks run concurrently on pool workers, so the
-// span list is mutex-guarded. One lock round per recorded chunk is noise
-// against the ≥32 KFLOP of work a chunk carries by construction.
+// span list and the live set are mutex-guarded. One lock round per
+// recorded chunk or drawn buffer is noise against the work behind it.
 type kernelTracer struct {
 	be     backend.Backend
 	worker int // the owning engine's lane, attributed to caller-run chunks
@@ -34,6 +43,11 @@ type kernelTracer struct {
 
 	mu    sync.Mutex
 	spans []trace.Span
+	// live maps each drawn, not yet returned buffer's first element to
+	// the buffer; nil when the engine does not track its outputs.
+	// Tracking buffers rather than tensors makes aliases (a Reshape,
+	// MulInPlace's result) one entry.
+	live map[*float32][]float32
 }
 
 func newKernelTracer(be backend.Backend, worker int) *kernelTracer {
@@ -91,12 +105,54 @@ func (k *kernelTracer) drain(tr *trace.Trace) {
 	}
 }
 
+// Scratch32 draws a buffer from the backend's pool and, when the engine
+// tracks its outputs, records it live.
+func (k *kernelTracer) Scratch32(n int) []float32 {
+	buf := k.be.Scratch32(n)
+	if k.live != nil {
+		k.mu.Lock()
+		k.live[unsafe.SliceData(buf)] = buf
+		k.mu.Unlock()
+	}
+	return buf
+}
+
+// Release32 returns a buffer to the backend's pool. A tracking engine
+// returns only buffers it holds live: one already returned, kept, or never
+// drawn here is left alone, so no buffer reaches the pool twice.
+func (k *kernelTracer) Release32(buf []float32) {
+	if k.live == nil || k.forget(buf) {
+		k.be.Release32(buf)
+	}
+}
+
+// forget stops tracking buf and reports whether it was live.
+func (k *kernelTracer) forget(buf []float32) bool {
+	first := unsafe.SliceData(buf)
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if _, ok := k.live[first]; !ok {
+		return false
+	}
+	delete(k.live, first)
+	return true
+}
+
+// recycle returns every live buffer to the backend's pool. Engine
+// goroutine only, with no kernel in flight.
+func (k *kernelTracer) recycle() {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for _, buf := range k.live {
+		k.be.Release32(buf)
+	}
+	clear(k.live)
+}
+
 // The remaining Backend methods delegate untouched.
 
-func (k *kernelTracer) Name() string              { return k.be.Name() }
-func (k *kernelTracer) Workers() int              { return k.be.Workers() }
-func (k *kernelTracer) Scratch(n int) []float64   { return k.be.Scratch(n) }
-func (k *kernelTracer) Release(buf []float64)     { k.be.Release(buf) }
-func (k *kernelTracer) Scratch32(n int) []float32 { return k.be.Scratch32(n) }
-func (k *kernelTracer) Release32(buf []float32)   { k.be.Release32(buf) }
-func (k *kernelTracer) Close()                    { k.be.Close() }
+func (k *kernelTracer) Name() string            { return k.be.Name() }
+func (k *kernelTracer) Workers() int            { return k.be.Workers() }
+func (k *kernelTracer) Scratch(n int) []float64 { return k.be.Scratch(n) }
+func (k *kernelTracer) Release(buf []float64)   { k.be.Release(buf) }
+func (k *kernelTracer) Close()                  { k.be.Close() }

@@ -14,7 +14,7 @@ func (e *Engine) Transpose(a *tensor.Tensor) *tensor.Tensor {
 		category: trace.DataTransform,
 		bytes:    tensor.BytesCopy(a.Size()),
 		inputs:   []*tensor.Tensor{a},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.Transpose(a)} }))
+	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.TransposeOn(e.be, a)} }))
 }
 
 // Permute records an instrumented axis permutation.
@@ -25,7 +25,7 @@ func (e *Engine) Permute(a *tensor.Tensor, perm ...int) *tensor.Tensor {
 		category: trace.DataTransform,
 		bytes:    tensor.BytesCopy(a.Size()),
 		inputs:   []*tensor.Tensor{a},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.Permute(a, perm...)} }))
+	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.PermuteOn(e.be, a, perm...)} }))
 }
 
 // Reshape records an instrumented reshape. The data is aliased, so only
@@ -65,7 +65,7 @@ func (e *Engine) Concat(axis int, ts ...*tensor.Tensor) *tensor.Tensor {
 		category: trace.DataTransform,
 		bytes:    tensor.BytesCopy(total),
 		inputs:   ts,
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.Concat(axis, ts...)} }))
+	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.ConcatOn(e.be, axis, ts...)} }))
 }
 
 // Stack records an instrumented stack along a new leading axis.
@@ -80,7 +80,7 @@ func (e *Engine) Stack(ts ...*tensor.Tensor) *tensor.Tensor {
 		category: trace.DataTransform,
 		bytes:    tensor.BytesCopy(total),
 		inputs:   ts,
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.Stack(ts...)} }))
+	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.StackOn(e.be, ts...)} }))
 }
 
 // Slice records an instrumented leading-axis slice.
@@ -92,13 +92,13 @@ func (e *Engine) Slice(a *tensor.Tensor, lo, hi int) *tensor.Tensor {
 		category: trace.DataTransform,
 		bytes:    tensor.BytesCopy((hi - lo) * inner),
 		inputs:   []*tensor.Tensor{a},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.Slice(a, lo, hi)} }))
+	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.SliceOn(e.be, a, lo, hi)} }))
 }
 
 // Gather records an instrumented irregular row gather. The byte cost uses
 // random-access convention: every gathered row is a strided read.
 func (e *Engine) Gather(a *tensor.Tensor, idx []int) *tensor.Tensor {
-	return one(e.record(gatherOp(a, len(idx)), func() []*tensor.Tensor { return []*tensor.Tensor{tensor.Gather(a, idx)} }))
+	return one(e.record(gatherOp(a, len(idx)), func() []*tensor.Tensor { return []*tensor.Tensor{tensor.GatherOn(e.be, a, idx)} }))
 }
 
 // gatherOp describes a gather of rows rows of a: the copied rows plus one
@@ -145,14 +145,16 @@ func (e *Engine) ExpandOuter(a, b *tensor.Tensor) (ea, eb *tensor.Tensor) {
 	return ea, eb
 }
 
-// Release hands the storage of tensors nothing reads any more back to the
-// backend's scratch pool, where the next pooled output of its size class
-// reuses it. It records no event. The caller must hold no other reference
-// to the storage, reshaped views included. Storage the pool did not hand
-// out is kept only if its capacity is a pool size class.
+// Release hands the storage of engine outputs nothing reads any more back
+// to the backend's scratch pool before the run ends, where the next
+// pooled output of its size class reuses it. It records no event. The
+// caller must hold no other reference to the storage, reshaped views
+// included. An engine from a Pool leaves storage it did not draw, or
+// already returned, alone; a stand-alone engine tracks nothing and hands
+// back whatever it is given.
 func (e *Engine) Release(ts ...*tensor.Tensor) {
 	for _, t := range ts {
-		e.be.Release32(t.Data())
+		e.kt.Release32(t.Data())
 	}
 }
 
@@ -164,7 +166,7 @@ func (e *Engine) MaskedSelect(a, mask *tensor.Tensor) *tensor.Tensor {
 		category: trace.DataTransform,
 		bytes:    tensor.BytesEltwiseBinary(a.Size()),
 		inputs:   []*tensor.Tensor{a, mask},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.MaskedSelect(a, mask)} }))
+	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.MaskedSelectOn(e.be, a, mask)} }))
 }
 
 // Copy records an explicit tensor duplication (data movement).
@@ -175,7 +177,7 @@ func (e *Engine) Copy(a *tensor.Tensor) *tensor.Tensor {
 		category: trace.DataMovement,
 		bytes:    tensor.BytesCopy(a.Size()),
 		inputs:   []*tensor.Tensor{a},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{a.Clone()} }))
+	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.CopyOn(e.be, a)} }))
 }
 
 // HostToDevice records a simulated host→device transfer of a tensor. On the
@@ -188,7 +190,7 @@ func (e *Engine) HostToDevice(a *tensor.Tensor) *tensor.Tensor {
 		category: trace.DataMovement,
 		bytes:    tensor.BytesCopy(a.Size()),
 		inputs:   []*tensor.Tensor{a},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{a.Clone()} }))
+	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.CopyOn(e.be, a)} }))
 }
 
 // DeviceToHost records a simulated device→host transfer of a tensor.
@@ -199,7 +201,7 @@ func (e *Engine) DeviceToHost(a *tensor.Tensor) *tensor.Tensor {
 		category: trace.DataMovement,
 		bytes:    tensor.BytesCopy(a.Size()),
 		inputs:   []*tensor.Tensor{a},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{a.Clone()} }))
+	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.CopyOn(e.be, a)} }))
 }
 
 // SliceAxis records an instrumented materialized slice along any axis.
@@ -213,7 +215,7 @@ func (e *Engine) SliceAxis(a *tensor.Tensor, axis, lo, hi int) *tensor.Tensor {
 		category: trace.DataTransform,
 		bytes:    tensor.BytesCopy(count),
 		inputs:   []*tensor.Tensor{a},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.SliceAxis(a, axis, lo, hi)} }))
+	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.SliceAxisOn(e.be, a, axis, lo, hi)} }))
 }
 
 // SpMMBatch records one instrumented batched SpMM: batch sparse matrices

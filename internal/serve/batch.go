@@ -167,10 +167,12 @@ func (s *Server) runBatch(fs []*flight) {
 // attribution is scoped under the first flight's request ID (the batch
 // leader), mirroring the singleflight convention.
 func (s *Server) characterizeBatch(fs []*flight) ([][]byte, error) {
+	start := time.Now()
 	bw, err := core.BuildBatchWorkload(fs[0].req.Workload)
 	if err != nil {
 		return nil, err
 	}
+	s.recordServeSpan(fs[0].id, "core.build", start)
 	defer core.CloseWorkload(bw)
 	items := make([]core.ItemOptions, len(fs))
 	for i, f := range fs {
@@ -189,6 +191,8 @@ func (s *Server) characterizeBatch(fs []*flight) ([][]byte, error) {
 		// the leader's ID like the recorder events do.
 		s.recordRunSpans(fs[0].id, reports[0].Trace)
 	}
+	start = time.Now()
+	defer s.recordServeSpan(fs[0].id, "core.encode", start)
 	out := make([][]byte, len(reports))
 	for i, r := range reports {
 		b, err := json.Marshal(r)

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/neurosym/nsbench/internal/dse"
+	"github.com/neurosym/nsbench/internal/hwsim"
 )
 
 // postExplore issues one explore request through the handler and parses
@@ -260,4 +262,53 @@ func TestExploreRecorderSpan(t *testing.T) {
 	if !found {
 		t.Fatal("no explore.sweep event recorded under the request ID")
 	}
+}
+
+// FuzzExploreRequest drives the explore request boundary: any body that
+// decodes as an ExploreRequest is resolved against every modeled device,
+// as both tiers do before sweeping. Resolve must never panic, and it must
+// size the grid before allocating for it: what it allocates is bounded by
+// the request's own length (explicit value lists), never by the grid, so
+// `steps: 1<<40` or an int-overflowing product costs nothing.
+func FuzzExploreRequest(f *testing.F) {
+	def, err := json.Marshal(ExploreRequest{Workload: "NVSA", Space: dse.DefaultSpace()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	wide := `{"min":1,"max":2,"steps":256}`
+	for _, seed := range []string{
+		string(def),
+		`{"workload":"NVSA","space":{}}`,
+		`{"workload":"NVSA","space":{"peak_gflops":` + wide + `,"mem_bw_gbs":` + wide + `,"pes":` + wide +
+			`,"freq_scale":` + wide + `,"dataflow_eff":` + wide + `,"l1_kb":` + wide + `,"l2_kb":` + wide +
+			`,"cache_ways":` + wide + `,"line_bytes":` + wide + `}}`,
+		`{"workload":"NVSA","space":{"pes":{"min":1,"max":64,"steps":1099511627776}}}`,
+		`{"workload":"NVSA","space":{"pes":{"min":1,"max":2,"steps":-3}}}`,
+		`{"workload":"NVSA","space":{"l1_kb":{"values":[32,64,-1]},"pes":{"min":0,"max":8,"steps":4,"log":true}}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req ExploreRequest
+		if json.Unmarshal(body, &req) != nil {
+			return
+		}
+		for _, d := range hwsim.AllDevices() {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			grid, err := dse.Resolve(d, req.Space)
+			runtime.ReadMemStats(&after)
+			if limit := uint64(16<<10 + 16*len(body)); after.TotalAlloc-before.TotalAlloc > limit {
+				t.Fatalf("%s: Resolve allocated %d bytes for a %d-byte request, want <= %d", d.Name, after.TotalAlloc-before.TotalAlloc, len(body), limit)
+			}
+			if err != nil {
+				continue
+			}
+			if grid.Size() < 1 {
+				t.Fatalf("%s: resolved grid has %d points", d.Name, grid.Size())
+			}
+			grid.Knobs(0)
+			grid.Knobs(grid.Size() - 1)
+		}
+	})
 }

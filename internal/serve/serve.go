@@ -670,33 +670,43 @@ func (s *Server) finish(f *flight, cache bool) {
 // characterize builds the workload and runs it on an engine borrowed from
 // the server's shared backend pool, feeding the run's operator events to
 // the metrics observer and (scoped under runID) the flight recorder.
+// The report's JSON encoding is recorded as a core.encode span under runID.
 func (s *Server) characterize(req Request, runID string) ([]byte, error) {
 	report, err := s.run(req, runID)
 	if err != nil {
 		return nil, err
 	}
+	start := time.Now()
+	defer s.recordServeSpan(runID, "core.encode", start)
 	return json.Marshal(report)
 }
 
 // run executes one characterization and returns the full report (trace
 // included). runID scopes the run's events in the flight recorder; the
 // run's stage/fork spans are copied into the recorder under the same ID
-// so /v1/trace?request_id= can rebuild the engine timeline later.
+// so /v1/trace?request_id= can rebuild the engine timeline later, next to
+// core.build and core.analyze spans for the steps around the engine run.
 func (s *Server) run(req Request, runID string) (*core.Report, error) {
+	start := time.Now()
 	wl, err := core.BuildWorkload(req.Workload)
 	if err != nil {
 		return nil, err
 	}
+	s.recordServeSpan(runID, "core.build", start)
 	defer core.CloseWorkload(wl)
 	dev, err := hwsim.DeviceByName(req.Device)
 	if err != nil {
 		return nil, err
 	}
-	report, err := core.Characterize(wl, core.Options{Device: dev, Pool: s.pool, Observer: s.runObserver(runID)})
-	if err == nil {
-		s.recordRunSpans(runID, report.Trace)
+	opts := core.Options{Device: dev, Pool: s.pool, Observer: s.runObserver(runID)}
+	tr, err := core.Execute(wl, opts)
+	if err != nil {
+		return nil, err
 	}
-	return report, err
+	s.recordRunSpans(runID, tr)
+	start = time.Now()
+	defer s.recordServeSpan(runID, "core.analyze", start)
+	return core.Analyze(wl.Name(), wl.Category(), tr, opts), nil
 }
 
 // recordRunSpans copies a finished run's timeline spans into the flight

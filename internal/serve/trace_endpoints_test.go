@@ -217,17 +217,27 @@ func TestRequestTraceEndpoint(t *testing.T) {
 	if len(rt.Events) == 0 {
 		t.Fatal("no engine events in request trace")
 	}
-	spans := map[string]bool{}
+	spans := map[string]trace.WireSpan{}
 	for _, sp := range rt.Spans {
-		spans[sp.Name] = true
+		spans[sp.Name] = sp
 		if sp.StartUnixNs <= 0 || sp.DurNs < 0 {
 			t.Fatalf("span %q has bad extent: start %d dur %d", sp.Name, sp.StartUnixNs, sp.DurNs)
 		}
 	}
-	for _, want := range []string{"serve.characterize", "cache.probe(miss)", "queue.wait"} {
-		if !spans[want] {
+	for _, want := range []string{"serve.characterize", "cache.probe(miss)", "queue.wait", "core.build", "core.analyze", "core.encode"} {
+		if _, ok := spans[want]; !ok {
 			t.Fatalf("spans = %v, missing %q", spans, want)
 		}
+	}
+	// The core steps of a miss run inside the handler, one after another.
+	h0 := spans["serve.characterize"]
+	prevEnd := h0.StartUnixNs
+	for _, name := range []string{"core.build", "core.analyze", "core.encode"} {
+		sp := spans[name]
+		if sp.StartUnixNs < prevEnd || sp.StartUnixNs+sp.DurNs > h0.StartUnixNs+h0.DurNs {
+			t.Fatalf("span %q [%d, +%d] is out of order or outside the handler [%d, +%d]", name, sp.StartUnixNs, sp.DurNs, h0.StartUnixNs, h0.DurNs)
+		}
+		prevEnd = sp.StartUnixNs + sp.DurNs
 	}
 
 	// An ID the recorder never saw yields an empty (but well-formed) trace.

@@ -101,7 +101,7 @@ func SpMMBatchOn(r tensor.Runner, mats []*CSR, b *tensor.Tensor) *tensor.Tensor 
 		panic(fmt.Sprintf("sparse: SpMMBatchOn dense operand %v for %d×(%dx%d)", b.Shape(), batch, rows, cols))
 	}
 	w := b.Dim(1)
-	out := tensor.New(batch*rows, w)
+	out := tensor.NewOn(r, batch*rows, w)
 	bd, od := b.Data(), out.Data()
 	perRow := int64(1)
 	if rows > 0 {

@@ -35,7 +35,7 @@ const fftThreshold = 64
 
 func circularConvDirect(r Runner, a, b *Tensor) *Tensor {
 	n := a.shape[0]
-	out := New(n)
+	out := emptyOn(r, n)
 	r.For(n, grainFor(2*int64(n)), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			var s float64
@@ -64,7 +64,7 @@ func CircularCorrOn(r Runner, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: CircularCorr needs equal-length vectors, got %v and %v", a.shape, b.shape))
 	}
 	n := a.shape[0]
-	out := New(n)
+	out := emptyOn(r, n)
 	r.For(n, grainFor(2*int64(n)), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			var s float64
@@ -107,7 +107,7 @@ func circularConvFFT(r Runner, a, b *Tensor) *Tensor {
 		}
 	})
 	fftInPlace(ar, ai, tw[:n], true)
-	out := New(n)
+	out := emptyOn(r, n)
 	for i := 0; i < n; i++ {
 		out.data[i] = float32(ar[i])
 	}

@@ -45,7 +45,7 @@ func Conv2DKernelOn(r Runner, kern Kernel, input, weight, bias *Tensor, stride, 
 	if hout < 1 || wout < 1 {
 		panic(fmt.Sprintf("tensor: Conv2D produces empty output for input %v kernel %v stride %d pad %d", input.shape, weight.shape, stride, pad))
 	}
-	out := New(n, cout, hout, wout)
+	out := emptyOn(r, n, cout, hout, wout) // both kernels write every pixel
 	in := input.data
 	wd := weight.data
 	od := out.data
@@ -128,7 +128,7 @@ func MaxPool2DOn(r Runner, input *Tensor, k, s int) *Tensor {
 	if hout < 1 || wout < 1 {
 		panic(fmt.Sprintf("tensor: MaxPool2D produces empty output for input %v k=%d s=%d", input.shape, k, s))
 	}
-	out := New(n, c, hout, wout)
+	out := emptyOn(r, n, c, hout, wout)
 	in := input.data
 	perPlane := int64(k) * int64(k) * int64(hout) * int64(wout)
 	r.For(n*c, grainFor(perPlane), func(lo, hi int) {
@@ -163,7 +163,7 @@ func GlobalAvgPool2DOn(r Runner, input *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: GlobalAvgPool2D needs rank-4 input, got %v", input.shape))
 	}
 	n, c, h, w := input.shape[0], input.shape[1], input.shape[2], input.shape[3]
-	out := New(n, c)
+	out := emptyOn(r, n, c)
 	hw := h * w
 	r.For(n*c, grainFor(int64(hw)), func(lo, hi int) {
 		for bc := lo; bc < hi; bc++ {

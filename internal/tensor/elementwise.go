@@ -10,113 +10,160 @@ import (
 // dispatch.
 const grainEltwise = 8192
 
-// binOpOn applies f element-wise to a and b, which must share a shape,
-// chunked over the flat index space of r. Every element is independent, so
-// chunked execution is trivially bit-identical to serial.
-func binOpOn(r Runner, name string, a, b *Tensor, f func(x, y float32) float32) *Tensor {
-	return binOpToOn(r, name, New(a.shape...), a, b, f)
+// binOut checks a binary operator's operands and draws its output from r.
+// Every element-wise loop writes each output element, so the output is
+// not zeroed.
+func binOut(r Runner, name string, a, b *Tensor) *Tensor {
+	if !a.SameShape(b) {
+		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", name, a.shape, b.shape))
+	}
+	return emptyOn(r, a.shape...)
 }
 
-// binOpToOn is binOpOn writing into out, which must have a's element
-// count and may alias a or b: element i is read before it is written.
-func binOpToOn(r Runner, name string, out, a, b *Tensor, f func(x, y float32) float32) *Tensor {
+// The element-wise operators below each run their own loop, chunked on r
+// over the flat index space: no per-element call through a function
+// value. Every element is independent, so chunked execution is trivially
+// bit-identical to serial.
+
+// Add returns a + b element-wise.
+func Add(a, b *Tensor) *Tensor { return AddOn(Serial, a, b) }
+
+// AddOn is Add dispatched on r.
+func AddOn(r Runner, a, b *Tensor) *Tensor {
+	out := binOut(r, "Add", a, b)
+	ad, bd, od := a.data, b.data, out.data
+	r.For(len(od), grainEltwise, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			od[i] = ad[i] + bd[i]
+		}
+	})
+	return out
+}
+
+// Sub returns a - b element-wise.
+func Sub(a, b *Tensor) *Tensor { return SubOn(Serial, a, b) }
+
+// SubOn is Sub dispatched on r.
+func SubOn(r Runner, a, b *Tensor) *Tensor {
+	out := binOut(r, "Sub", a, b)
+	ad, bd, od := a.data, b.data, out.data
+	r.For(len(od), grainEltwise, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			od[i] = ad[i] - bd[i]
+		}
+	})
+	return out
+}
+
+// Mul returns the Hadamard (element-wise) product a ⊙ b.
+func Mul(a, b *Tensor) *Tensor { return MulOn(Serial, a, b) }
+
+// MulOn is Mul dispatched on r.
+func MulOn(r Runner, a, b *Tensor) *Tensor { return MulToOn(r, binOut(r, "Mul", a, b), a, b) }
+
+// MulToOn writes a * b element-wise into out and returns it. out must have
+// a's element count and may alias a or b: element i is read before it is
+// written.
+func MulToOn(r Runner, out, a, b *Tensor) *Tensor {
 	if !a.SameShape(b) || out.Size() != a.Size() {
-		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v into %v", name, a.shape, b.shape, out.shape))
+		panic(fmt.Sprintf("tensor: Mul shape mismatch %v vs %v into %v", a.shape, b.shape, out.shape))
 	}
 	ad, bd, od := a.data, b.data, out.data
 	r.For(len(od), grainEltwise, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			od[i] = f(ad[i], bd[i])
+			od[i] = ad[i] * bd[i]
 		}
 	})
 	return out
 }
-
-// binOp is binOpOn on the inline runner.
-func binOp(name string, a, b *Tensor, f func(x, y float32) float32) *Tensor {
-	return binOpOn(Serial, name, a, b, f)
-}
-
-// unOpOn applies f element-wise to a, chunked on r.
-func unOpOn(r Runner, a *Tensor, f func(x float32) float32) *Tensor {
-	out := New(a.shape...)
-	ad, od := a.data, out.data
-	r.For(len(od), grainEltwise, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			od[i] = f(ad[i])
-		}
-	})
-	return out
-}
-
-// unOp is unOpOn on the inline runner.
-func unOp(a *Tensor, f func(x float32) float32) *Tensor { return unOpOn(Serial, a, f) }
-
-func addf(x, y float32) float32 { return x + y }
-func subf(x, y float32) float32 { return x - y }
-func mulf(x, y float32) float32 { return x * y }
-func divf(x, y float32) float32 { return x / y }
-
-// Add returns a + b element-wise.
-func Add(a, b *Tensor) *Tensor { return binOp("Add", a, b, addf) }
-
-// AddOn is Add dispatched on r.
-func AddOn(r Runner, a, b *Tensor) *Tensor { return binOpOn(r, "Add", a, b, addf) }
-
-// Sub returns a - b element-wise.
-func Sub(a, b *Tensor) *Tensor { return binOp("Sub", a, b, subf) }
-
-// SubOn is Sub dispatched on r.
-func SubOn(r Runner, a, b *Tensor) *Tensor { return binOpOn(r, "Sub", a, b, subf) }
-
-// Mul returns the Hadamard (element-wise) product a ⊙ b.
-func Mul(a, b *Tensor) *Tensor { return binOp("Mul", a, b, mulf) }
-
-// MulOn is Mul dispatched on r.
-func MulOn(r Runner, a, b *Tensor) *Tensor { return binOpOn(r, "Mul", a, b, mulf) }
-
-// MulToOn writes a * b element-wise into out and returns it. out must have
-// a's element count and may alias a or b.
-func MulToOn(r Runner, out, a, b *Tensor) *Tensor { return binOpToOn(r, "Mul", out, a, b, mulf) }
 
 // Div returns a / b element-wise. Division by zero follows IEEE semantics.
-func Div(a, b *Tensor) *Tensor { return binOp("Div", a, b, divf) }
+func Div(a, b *Tensor) *Tensor { return DivOn(Serial, a, b) }
 
 // DivOn is Div dispatched on r.
-func DivOn(r Runner, a, b *Tensor) *Tensor { return binOpOn(r, "Div", a, b, divf) }
-
-func minf(x, y float32) float32 {
-	if x < y {
-		return x
-	}
-	return y
+func DivOn(r Runner, a, b *Tensor) *Tensor {
+	out := binOut(r, "Div", a, b)
+	ad, bd, od := a.data, b.data, out.data
+	r.For(len(od), grainEltwise, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			od[i] = ad[i] / bd[i]
+		}
+	})
+	return out
 }
 
-func maxf(x, y float32) float32 {
-	if x > y {
-		return x
-	}
-	return y
-}
-
-// Minimum returns the element-wise minimum of a and b.
-func Minimum(a, b *Tensor) *Tensor { return binOp("Minimum", a, b, minf) }
+// Minimum returns the element-wise minimum of a and b: a[i] where
+// a[i] < b[i], else b[i] (so a NaN in either operand yields b[i]).
+func Minimum(a, b *Tensor) *Tensor { return MinimumOn(Serial, a, b) }
 
 // MinimumOn is Minimum dispatched on r.
-func MinimumOn(r Runner, a, b *Tensor) *Tensor { return binOpOn(r, "Minimum", a, b, minf) }
+func MinimumOn(r Runner, a, b *Tensor) *Tensor {
+	out := binOut(r, "Minimum", a, b)
+	ad, bd, od := a.data, b.data, out.data
+	r.For(len(od), grainEltwise, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if x, y := ad[i], bd[i]; x < y {
+				od[i] = x
+			} else {
+				od[i] = y
+			}
+		}
+	})
+	return out
+}
 
-// Maximum returns the element-wise maximum of a and b.
-func Maximum(a, b *Tensor) *Tensor { return binOp("Maximum", a, b, maxf) }
+// Maximum returns the element-wise maximum of a and b: a[i] where
+// a[i] > b[i], else b[i].
+func Maximum(a, b *Tensor) *Tensor { return MaximumOn(Serial, a, b) }
 
 // MaximumOn is Maximum dispatched on r.
-func MaximumOn(r Runner, a, b *Tensor) *Tensor { return binOpOn(r, "Maximum", a, b, maxf) }
+func MaximumOn(r Runner, a, b *Tensor) *Tensor {
+	out := binOut(r, "Maximum", a, b)
+	ad, bd, od := a.data, b.data, out.data
+	r.For(len(od), grainEltwise, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if x, y := ad[i], bd[i]; x > y {
+				od[i] = x
+			} else {
+				od[i] = y
+			}
+		}
+	})
+	return out
+}
+
+// Greater returns 1 where a > b and 0 elsewhere.
+func Greater(a, b *Tensor) *Tensor { return GreaterOn(Serial, a, b) }
+
+// GreaterOn is Greater dispatched on r.
+func GreaterOn(r Runner, a, b *Tensor) *Tensor {
+	out := binOut(r, "Greater", a, b)
+	ad, bd, od := a.data, b.data, out.data
+	r.For(len(od), grainEltwise, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if ad[i] > bd[i] {
+				od[i] = 1
+			} else {
+				od[i] = 0
+			}
+		}
+	})
+	return out
+}
 
 // AddScalar returns a + s element-wise.
 func AddScalar(a *Tensor, s float32) *Tensor { return AddScalarOn(Serial, a, s) }
 
 // AddScalarOn is AddScalar dispatched on r.
 func AddScalarOn(r Runner, a *Tensor, s float32) *Tensor {
-	return unOpOn(r, a, func(x float32) float32 { return x + s })
+	out := emptyOn(r, a.shape...)
+	ad, od := a.data, out.data
+	r.For(len(od), grainEltwise, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			od[i] = ad[i] + s
+		}
+	})
+	return out
 }
 
 // MulScalar returns a * s element-wise.
@@ -124,108 +171,151 @@ func MulScalar(a *Tensor, s float32) *Tensor { return MulScalarOn(Serial, a, s) 
 
 // MulScalarOn is MulScalar dispatched on r.
 func MulScalarOn(r Runner, a *Tensor, s float32) *Tensor {
-	return unOpOn(r, a, func(x float32) float32 { return x * s })
+	out := emptyOn(r, a.shape...)
+	ad, od := a.data, out.data
+	r.For(len(od), grainEltwise, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			od[i] = ad[i] * s
+		}
+	})
+	return out
 }
-
-func negf(x float32) float32 { return -x }
 
 // Neg returns -a element-wise.
-func Neg(a *Tensor) *Tensor { return unOp(a, negf) }
+func Neg(a *Tensor) *Tensor { return NegOn(Serial, a) }
 
 // NegOn is Neg dispatched on r.
-func NegOn(r Runner, a *Tensor) *Tensor { return unOpOn(r, a, negf) }
-
-func absf(x float32) float32 {
-	if x < 0 {
-		return -x
-	}
-	return x
+func NegOn(r Runner, a *Tensor) *Tensor {
+	out := emptyOn(r, a.shape...)
+	ad, od := a.data, out.data
+	r.For(len(od), grainEltwise, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			od[i] = -ad[i]
+		}
+	})
+	return out
 }
 
-// Abs returns |a| element-wise.
-func Abs(a *Tensor) *Tensor { return unOp(a, absf) }
+// Abs returns |a| element-wise (-x for x < 0, so -0 and NaN pass through).
+func Abs(a *Tensor) *Tensor { return AbsOn(Serial, a) }
 
 // AbsOn is Abs dispatched on r.
-func AbsOn(r Runner, a *Tensor) *Tensor { return unOpOn(r, a, absf) }
-
-func signf(x float32) float32 {
-	switch {
-	case x > 0:
-		return 1
-	case x < 0:
-		return -1
-	default:
-		return 0
-	}
+func AbsOn(r Runner, a *Tensor) *Tensor {
+	out := emptyOn(r, a.shape...)
+	ad, od := a.data, out.data
+	r.For(len(od), grainEltwise, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if x := ad[i]; x < 0 {
+				od[i] = -x
+			} else {
+				od[i] = x
+			}
+		}
+	})
+	return out
 }
 
-// Sign returns the sign of each element in {-1, 0, +1}.
-func Sign(a *Tensor) *Tensor { return unOp(a, signf) }
+// Sign returns the sign of each element in {-1, 0, +1} (0 for ±0 and NaN).
+func Sign(a *Tensor) *Tensor { return SignOn(Serial, a) }
 
 // SignOn is Sign dispatched on r.
-func SignOn(r Runner, a *Tensor) *Tensor { return unOpOn(r, a, signf) }
-
-func sqrtf(x float32) float32 { return float32(math.Sqrt(float64(x))) }
+func SignOn(r Runner, a *Tensor) *Tensor {
+	out := emptyOn(r, a.shape...)
+	ad, od := a.data, out.data
+	r.For(len(od), grainEltwise, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			switch x := ad[i]; {
+			case x > 0:
+				od[i] = 1
+			case x < 0:
+				od[i] = -1
+			default:
+				od[i] = 0
+			}
+		}
+	})
+	return out
+}
 
 // Sqrt returns the square root element-wise.
-func Sqrt(a *Tensor) *Tensor { return unOp(a, sqrtf) }
+func Sqrt(a *Tensor) *Tensor {
+	out := New(a.shape...)
+	for i, x := range a.data {
+		out.data[i] = float32(math.Sqrt(float64(x)))
+	}
+	return out
+}
 
 // Clamp limits every element to the range [lo, hi].
 func Clamp(a *Tensor, lo, hi float32) *Tensor { return ClampOn(Serial, a, lo, hi) }
 
 // ClampOn is Clamp dispatched on r.
 func ClampOn(r Runner, a *Tensor, lo, hi float32) *Tensor {
-	return unOpOn(r, a, func(x float32) float32 {
-		if x < lo {
-			return lo
+	out := emptyOn(r, a.shape...)
+	ad, od := a.data, out.data
+	r.For(len(od), grainEltwise, func(from, to int) {
+		for i := from; i < to; i++ {
+			switch x := ad[i]; {
+			case x < lo:
+				od[i] = lo
+			case x > hi:
+				od[i] = hi
+			default:
+				od[i] = x
+			}
 		}
-		if x > hi {
-			return hi
-		}
-		return x
 	})
+	return out
 }
 
-func reluf(x float32) float32 {
-	if x > 0 {
-		return x
-	}
-	return 0
-}
-
-// ReLU returns max(0, a) element-wise.
-func ReLU(a *Tensor) *Tensor { return unOp(a, reluf) }
+// ReLU returns max(0, a) element-wise (0 for -0 and NaN).
+func ReLU(a *Tensor) *Tensor { return ReLUOn(Serial, a) }
 
 // ReLUOn is ReLU dispatched on r.
-func ReLUOn(r Runner, a *Tensor) *Tensor { return unOpOn(r, a, reluf) }
-
-func sigmoidf(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }
-func tanhf(x float32) float32    { return float32(math.Tanh(float64(x))) }
-
-// Sigmoid returns 1/(1+e^-a) element-wise.
-func Sigmoid(a *Tensor) *Tensor { return unOp(a, sigmoidf) }
-
-// SigmoidOn is Sigmoid dispatched on r.
-func SigmoidOn(r Runner, a *Tensor) *Tensor { return unOpOn(r, a, sigmoidf) }
-
-// Tanh returns the hyperbolic tangent element-wise.
-func Tanh(a *Tensor) *Tensor { return unOp(a, tanhf) }
-
-// TanhOn is Tanh dispatched on r.
-func TanhOn(r Runner, a *Tensor) *Tensor { return unOpOn(r, a, tanhf) }
-
-func greaterf(x, y float32) float32 {
-	if x > y {
-		return 1
-	}
-	return 0
+func ReLUOn(r Runner, a *Tensor) *Tensor {
+	out := emptyOn(r, a.shape...)
+	ad, od := a.data, out.data
+	r.For(len(od), grainEltwise, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if x := ad[i]; x > 0 {
+				od[i] = x
+			} else {
+				od[i] = 0
+			}
+		}
+	})
+	return out
 }
 
-// Greater returns 1 where a > b and 0 elsewhere.
-func Greater(a, b *Tensor) *Tensor { return binOp("Greater", a, b, greaterf) }
+// Sigmoid returns 1/(1+e^-a) element-wise, evaluated in float64.
+func Sigmoid(a *Tensor) *Tensor { return SigmoidOn(Serial, a) }
 
-// GreaterOn is Greater dispatched on r.
-func GreaterOn(r Runner, a, b *Tensor) *Tensor { return binOpOn(r, "Greater", a, b, greaterf) }
+// SigmoidOn is Sigmoid dispatched on r.
+func SigmoidOn(r Runner, a *Tensor) *Tensor {
+	out := emptyOn(r, a.shape...)
+	ad, od := a.data, out.data
+	r.For(len(od), grainEltwise, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			od[i] = float32(1 / (1 + math.Exp(-float64(ad[i]))))
+		}
+	})
+	return out
+}
+
+// Tanh returns the hyperbolic tangent element-wise, evaluated in float64.
+func Tanh(a *Tensor) *Tensor { return TanhOn(Serial, a) }
+
+// TanhOn is Tanh dispatched on r.
+func TanhOn(r Runner, a *Tensor) *Tensor {
+	out := emptyOn(r, a.shape...)
+	ad, od := a.data, out.data
+	r.For(len(od), grainEltwise, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			od[i] = float32(math.Tanh(float64(ad[i])))
+		}
+	})
+	return out
+}
 
 // AXPY computes y += alpha*x in place (BLAS level-1 saxpy). It stays
 // serial: in-place updates are cheap streaming passes.

@@ -33,7 +33,7 @@ func MatMulKernelOn(r Runner, kern Kernel, a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
-	out := New(m, n)
+	out := NewOn(r, m, n) // both kernels accumulate into the output
 	ad, bd, od := a.data, b.data, out.data
 	if gemmKernel(kern, m, k, n) == KernelTiled {
 		r.For(m, grainFor(2*int64(k)*int64(n)), func(lo, hi int) {
@@ -81,7 +81,7 @@ func MatVecOn(r Runner, a, x *Tensor) *Tensor {
 	if k != x.shape[0] {
 		panic(fmt.Sprintf("tensor: MatVec dimension mismatch %v x %v", a.shape, x.shape))
 	}
-	out := New(m)
+	out := emptyOn(r, m)
 	ad, xd, od := a.data, x.data, out.data
 	r.For(m, grainFor(2*int64(k)), func(lo, hi int) {
 		matVecRows(ad, xd, od, k, lo, hi)
@@ -128,7 +128,8 @@ func matVecRows(ad, xd, od []float32, k, lo, hi int) {
 // package accumulation contract. The matrix then streams once per batch
 // instead of once per query. n′ rounds n up to the micro-tile width with
 // zero columns, so the tiled kernel never drops into its scalar edge path;
-// the padded outputs are discarded.
+// the padded outputs are discarded. The packed operand and the product are
+// runner scratch, handed back before returning; the outputs come from r.
 func MatVecsOn(r Runner, kern Kernel, a *Tensor, xs []*Tensor) []*Tensor {
 	out := make([]*Tensor, len(xs))
 	if len(xs) == 0 {
@@ -139,7 +140,8 @@ func MatVecsOn(r Runner, kern Kernel, a *Tensor, xs []*Tensor) []*Tensor {
 	}
 	m, k := a.shape[0], a.shape[1]
 	np := (len(xs) + gemmNR - 1) / gemmNR * gemmNR
-	b := New(k, np)
+	b := NewOn(r, k, np)
+	defer r.Release32(b.data)
 	for j, x := range xs {
 		if x.Rank() != 1 || x.shape[0] != k {
 			panic(fmt.Sprintf("tensor: MatVecs dimension mismatch %v x %v", a.shape, x.shape))
@@ -149,8 +151,9 @@ func MatVecsOn(r Runner, kern Kernel, a *Tensor, xs []*Tensor) []*Tensor {
 		}
 	}
 	prod := MatMulKernelOn(r, kern, a, b).data
+	defer r.Release32(prod)
 	for j := range xs {
-		o := New(m)
+		o := emptyOn(r, m)
 		for i := range o.data {
 			o.data[i] = prod[i*np+j]
 		}
@@ -182,7 +185,7 @@ func BatchMatMulKernelOn(r Runner, kern Kernel, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: BatchMatMul inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
 	n := b.shape[2]
-	out := New(bsz, m, n)
+	out := NewOn(r, bsz, m, n)
 	tiled := gemmKernel(kern, m, k, n) == KernelTiled
 	r.For(bsz, grainFor(2*int64(m)*int64(k)*int64(n)), func(lo, hi int) {
 		for i := lo; i < hi; i++ {

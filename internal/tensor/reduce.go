@@ -17,7 +17,7 @@ func reduceAxisOn(r Runner, a *Tensor, axis int, init float64, step func(acc flo
 	outShape := make([]int, 0, a.Rank()-1)
 	outShape = append(outShape, a.shape[:axis]...)
 	outShape = append(outShape, a.shape[axis+1:]...)
-	out := New(outShape...)
+	out := emptyOn(r, outShape...)
 
 	// Decompose indexing as outer × axis × inner.
 	outer, inner := 1, 1
@@ -106,7 +106,7 @@ func SoftmaxOn(r Runner, a *Tensor) *Tensor {
 	}
 	n := a.shape[a.Rank()-1]
 	rows := a.Size() / n
-	out := New(a.shape...)
+	out := emptyOn(r, a.shape...)
 	r.For(rows, grainFor(4*int64(n)), func(lo, hi int) {
 		for ri := lo; ri < hi; ri++ {
 			row := a.data[ri*n : (ri+1)*n]
@@ -141,7 +141,7 @@ func Normalize(a *Tensor) *Tensor { return NormalizeOn(Serial, a) }
 func NormalizeOn(r Runner, a *Tensor) *Tensor {
 	n := a.Norm()
 	if n == 0 {
-		return a.Clone()
+		return CopyOn(r, a)
 	}
 	return MulScalarOn(r, a, 1/n)
 }
@@ -158,7 +158,7 @@ func NormalizeL1On(r Runner, a *Tensor) *Tensor {
 		s += math.Abs(float64(v))
 	}
 	if s == 0 {
-		return a.Clone()
+		return CopyOn(r, a)
 	}
 	return MulScalarOn(r, a, float32(1/s))
 }

@@ -18,8 +18,9 @@ type Runner interface {
 	Scratch(n int) []float64
 	// Release returns a buffer obtained from Scratch.
 	Release(buf []float64)
-	// Scratch32 returns a float32 buffer with at least n usable elements
-	// (packed GEMM panels). Safe to call from concurrent For chunks.
+	// Scratch32 returns a float32 buffer with at least n usable elements:
+	// packed GEMM panels, and the storage of every kernel output (see
+	// NewOn). Safe to call from concurrent For chunks.
 	Scratch32(n int) []float32
 	// Release32 returns a buffer obtained from Scratch32.
 	Release32(buf []float32)
@@ -47,6 +48,29 @@ func (serialRunner) Release32([]float32) {}
 
 // Serial is the default inline Runner.
 var Serial Runner = serialRunner{}
+
+// NewOn returns a zero-filled tensor of the given shape whose storage r
+// supplies. Runner memory may be dirty (a pooled buffer keeps whatever its
+// last user wrote), so it is cleared here, as New clears a fresh one.
+func NewOn(r Runner, shape ...int) *Tensor {
+	t := emptyOn(r, shape...)
+	clear(t.data)
+	return t
+}
+
+// emptyOn is NewOn without the zero fill: the element values are
+// unspecified. Only a kernel that writes every output element may use it.
+func emptyOn(r Runner, shape ...int) *Tensor {
+	n := checkShape(shape)
+	return &Tensor{shape: append([]int(nil), shape...), data: r.Scratch32(n)[:n], id: idCounter.Add(1)}
+}
+
+// CopyOn returns a copy of a, with a fresh ID, whose storage r supplies.
+func CopyOn(r Runner, a *Tensor) *Tensor {
+	c := emptyOn(r, a.shape...)
+	copy(c.data, a.data)
+	return c
+}
 
 // minChunkFlops is the floor of useful work per chunk: below it, goroutine
 // dispatch overhead dominates and kernels stay single-chunk.

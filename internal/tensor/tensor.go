@@ -111,11 +111,7 @@ func (t *Tensor) Dim(i int) int { return t.shape[i] }
 func (t *Tensor) Data() []float32 { return t.data }
 
 // Clone returns a deep copy with a fresh ID.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.shape...)
-	copy(c.data, t.data)
-	return c
-}
+func (t *Tensor) Clone() *Tensor { return CopyOn(Serial, t) }
 
 // Reshape returns a tensor sharing t's storage with a new shape of equal
 // element count. The result keeps t's ID: a metadata-only alias is the same

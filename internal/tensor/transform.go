@@ -3,12 +3,15 @@ package tensor
 import "fmt"
 
 // Transpose returns the transpose of a rank-2 tensor, materialized.
-func Transpose(a *Tensor) *Tensor {
+func Transpose(a *Tensor) *Tensor { return TransposeOn(Serial, a) }
+
+// TransposeOn is Transpose with its output drawn from r.
+func TransposeOn(r Runner, a *Tensor) *Tensor {
 	if a.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: Transpose needs rank-2 input, got %v", a.shape))
 	}
 	m, n := a.shape[0], a.shape[1]
-	out := New(n, m)
+	out := emptyOn(r, n, m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			out.data[j*m+i] = a.data[i*n+j]
@@ -19,7 +22,10 @@ func Transpose(a *Tensor) *Tensor {
 
 // Permute reorders the axes of a according to perm (a permutation of
 // 0..rank-1) and materializes the result.
-func Permute(a *Tensor, perm ...int) *Tensor {
+func Permute(a *Tensor, perm ...int) *Tensor { return PermuteOn(Serial, a, perm...) }
+
+// PermuteOn is Permute with its output drawn from ru.
+func PermuteOn(ru Runner, a *Tensor, perm ...int) *Tensor {
 	r := a.Rank()
 	if len(perm) != r {
 		panic(fmt.Sprintf("tensor: Permute needs %d axes, got %v", r, perm))
@@ -33,7 +39,7 @@ func Permute(a *Tensor, perm ...int) *Tensor {
 		seen[p] = true
 		outShape[i] = a.shape[p]
 	}
-	out := New(outShape...)
+	out := emptyOn(ru, outShape...)
 
 	inStrides := make([]int, r)
 	s := 1
@@ -62,7 +68,10 @@ func Permute(a *Tensor, perm ...int) *Tensor {
 
 // Concat concatenates tensors along the given axis. All inputs must agree on
 // every other dimension.
-func Concat(axis int, ts ...*Tensor) *Tensor {
+func Concat(axis int, ts ...*Tensor) *Tensor { return ConcatOn(Serial, axis, ts...) }
+
+// ConcatOn is Concat with its output drawn from ru.
+func ConcatOn(ru Runner, axis int, ts ...*Tensor) *Tensor {
 	if len(ts) == 0 {
 		panic("tensor: Concat of no tensors")
 	}
@@ -84,7 +93,7 @@ func Concat(axis int, ts ...*Tensor) *Tensor {
 		total += t.shape[axis]
 	}
 	outShape[axis] = total
-	out := New(outShape...)
+	out := emptyOn(ru, outShape...)
 
 	outer, inner := 1, 1
 	for i := 0; i < axis; i++ {
@@ -108,12 +117,15 @@ func Concat(axis int, ts ...*Tensor) *Tensor {
 }
 
 // Stack stacks equal-shape tensors along a new leading axis.
-func Stack(ts ...*Tensor) *Tensor {
+func Stack(ts ...*Tensor) *Tensor { return StackOn(Serial, ts...) }
+
+// StackOn is Stack with its output drawn from r.
+func StackOn(r Runner, ts ...*Tensor) *Tensor {
 	if len(ts) == 0 {
 		panic("tensor: Stack of no tensors")
 	}
 	shape := append([]int{len(ts)}, ts[0].shape...)
-	out := New(shape...)
+	out := emptyOn(r, shape...)
 	n := ts[0].Size()
 	for i, t := range ts {
 		if !t.SameShape(ts[0]) {
@@ -125,7 +137,10 @@ func Stack(ts ...*Tensor) *Tensor {
 }
 
 // Slice extracts rows [lo,hi) along the leading axis, materialized.
-func Slice(a *Tensor, lo, hi int) *Tensor {
+func Slice(a *Tensor, lo, hi int) *Tensor { return SliceOn(Serial, a, lo, hi) }
+
+// SliceOn is Slice with its output drawn from r.
+func SliceOn(r Runner, a *Tensor, lo, hi int) *Tensor {
 	if a.Rank() == 0 {
 		panic("tensor: Slice of scalar")
 	}
@@ -135,7 +150,7 @@ func Slice(a *Tensor, lo, hi int) *Tensor {
 	}
 	inner := a.Size() / max(d0, 1)
 	outShape := append([]int{hi - lo}, a.shape[1:]...)
-	out := New(outShape...)
+	out := emptyOn(r, outShape...)
 	copy(out.data, a.data[lo*inner:hi*inner])
 	return out
 }
@@ -143,7 +158,10 @@ func Slice(a *Tensor, lo, hi int) *Tensor {
 // SliceAxis returns a[..., lo:hi, ...] along the given axis, materialized.
 // It generalizes Slice to any axis, which batched workloads need to carve
 // per-item panels out of a (batch, panels, ...) embedding block.
-func SliceAxis(a *Tensor, axis, lo, hi int) *Tensor {
+func SliceAxis(a *Tensor, axis, lo, hi int) *Tensor { return SliceAxisOn(Serial, a, axis, lo, hi) }
+
+// SliceAxisOn is SliceAxis with its output drawn from ru.
+func SliceAxisOn(ru Runner, a *Tensor, axis, lo, hi int) *Tensor {
 	r := a.Rank()
 	if axis < 0 || axis >= r {
 		panic(fmt.Sprintf("tensor: SliceAxis axis %d out of range for rank %d", axis, r))
@@ -162,7 +180,7 @@ func SliceAxis(a *Tensor, axis, lo, hi int) *Tensor {
 	}
 	outShape := append([]int(nil), a.shape...)
 	outShape[axis] = hi - lo
-	out := New(outShape...)
+	out := emptyOn(ru, outShape...)
 	for o := 0; o < outer; o++ {
 		src := (o*d + lo) * inner
 		dst := o * (hi - lo) * inner
@@ -174,14 +192,17 @@ func SliceAxis(a *Tensor, axis, lo, hi int) *Tensor {
 // Gather selects rows of a (along the leading axis) by index, producing
 // len(idx) rows. It models the irregular-access data-transformation
 // operators prominent in symbolic workloads.
-func Gather(a *Tensor, idx []int) *Tensor {
+func Gather(a *Tensor, idx []int) *Tensor { return GatherOn(Serial, a, idx) }
+
+// GatherOn is Gather with its output drawn from r.
+func GatherOn(r Runner, a *Tensor, idx []int) *Tensor {
 	if a.Rank() == 0 {
 		panic("tensor: Gather of scalar")
 	}
 	d0 := a.shape[0]
 	inner := a.Size() / max(d0, 1)
 	outShape := append([]int{len(idx)}, a.shape[1:]...)
-	out := New(outShape...)
+	out := emptyOn(r, outShape...)
 	for o, i := range idx {
 		if i < 0 || i >= d0 {
 			panic(fmt.Sprintf("tensor: Gather index %d out of range for leading dim %d", i, d0))
@@ -220,27 +241,38 @@ func OuterExpandOn(r Runner, ea, eb, a, b *Tensor) {
 
 // MaskedSelect returns a flat tensor of the elements of a where mask is
 // nonzero. mask must have a's shape.
-func MaskedSelect(a, mask *Tensor) *Tensor {
+func MaskedSelect(a, mask *Tensor) *Tensor { return MaskedSelectOn(Serial, a, mask) }
+
+// MaskedSelectOn is MaskedSelect with its output drawn from r.
+func MaskedSelectOn(r Runner, a, mask *Tensor) *Tensor {
 	if !a.SameShape(mask) {
 		panic(fmt.Sprintf("tensor: MaskedSelect shape mismatch %v vs %v", a.shape, mask.shape))
 	}
-	var sel []float32
-	for i, m := range mask.data {
+	n := 0
+	for _, m := range mask.data {
 		if m != 0 {
-			sel = append(sel, a.data[i])
+			n++
 		}
 	}
-	if sel == nil {
-		sel = []float32{}
+	out := emptyOn(r, n)
+	n = 0
+	for i, m := range mask.data {
+		if m != 0 {
+			out.data[n] = a.data[i]
+			n++
+		}
 	}
-	return FromSlice(sel, len(sel))
+	return out
 }
 
 // Roll circularly shifts a flat tensor right by k positions (k may be
 // negative or exceed the length).
-func Roll(a *Tensor, k int) *Tensor {
+func Roll(a *Tensor, k int) *Tensor { return RollOn(Serial, a, k) }
+
+// RollOn is Roll with its output drawn from r.
+func RollOn(r Runner, a *Tensor, k int) *Tensor {
 	n := a.Size()
-	out := New(a.shape...)
+	out := emptyOn(r, a.shape...)
 	if n == 0 {
 		return out
 	}

@@ -1,6 +1,8 @@
 package nvsa
 
 import (
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -141,3 +143,39 @@ func TestCrossPhaseDependency(t *testing.T) {
 		t.Fatal("symbolic phase must consume neural outputs (Fig. 4 pattern)")
 	}
 }
+
+// TestRunAllocationBound guards NVSA's run-scoped tensor lifetimes: every
+// engine output is drawn from the backend's scratch pool and recycled
+// when the run ends, so a Run on a warm pool reuses the previous run's
+// buffers. It measures the second Run; GC is off so the pool is never
+// emptied mid-measurement.
+//
+// Before the lifetimes were run-scoped, one Run allocated 20.2 MiB.
+func TestRunAllocationBound(t *testing.T) {
+	w := New(Config{})
+	defer w.Close()
+	pool := ops.Config{}.NewPool()
+	defer pool.Close()
+	run := func() {
+		e := pool.Engine()
+		if err := w.Run(e); err != nil {
+			t.Fatal(err)
+		}
+		e.Recycle()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	const limit = 8 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("NVSA warm Run allocated %.2f MiB", float64(got)/(1<<20))
+	if got > limit && !raceEnabled {
+		t.Fatalf("NVSA warm Run allocated %d bytes (%.1f MiB), want <= %d (8 MiB)", got, float64(got)/(1<<20), limit)
+	}
+}
+
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool

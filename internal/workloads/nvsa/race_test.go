@@ -1,0 +1,8 @@
+//go:build race
+
+package nvsa
+
+// Under the race detector sync.Pool drops a random quarter of the buffers
+// put back, so a warm pool is not warm and the warm-run allocation bound
+// does not apply.
+func init() { raceEnabled = true }

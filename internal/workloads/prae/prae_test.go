@@ -95,6 +95,8 @@ func TestCrossPhaseDependency(t *testing.T) {
 // fresh expanded operands. GC is off for the run so the scratch pool is
 // never emptied mid-run and its reuse is deterministic; two collections
 // first empty it, so earlier tests cannot lend the run their buffers.
+// It then guards the run-scoped tensor lifetimes: once a pool engine's
+// run recycled its outputs, the next Run on the pool reuses them.
 func TestRunAllocationBound(t *testing.T) {
 	w := New(Config{})
 	defer w.Close()
@@ -114,4 +116,26 @@ func TestRunAllocationBound(t *testing.T) {
 	if got > limit {
 		t.Fatalf("PrAE Run allocated %d bytes (%.1f MiB), want <= %d (48 MiB)", got, float64(got)/(1<<20), limit)
 	}
+
+	pool := ops.Config{}.NewPool()
+	defer pool.Close()
+	warm := pool.Engine()
+	if err := w.Run(warm); err != nil {
+		t.Fatal(err)
+	}
+	warm.Recycle()
+	runtime.ReadMemStats(&before)
+	if err := w.Run(pool.Engine()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const warmLimit = 8 << 20
+	got = after.TotalAlloc - before.TotalAlloc
+	t.Logf("PrAE warm Run allocated %.2f MiB", float64(got)/(1<<20))
+	if got > warmLimit && !raceEnabled {
+		t.Fatalf("PrAE warm Run allocated %d bytes (%.1f MiB), want <= %d (8 MiB)", got, float64(got)/(1<<20), warmLimit)
+	}
 }
+
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool

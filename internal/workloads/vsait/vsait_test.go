@@ -1,6 +1,8 @@
 package vsait
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/neurosym/nsbench/internal/ops"
@@ -98,3 +100,38 @@ func TestNameCategory(t *testing.T) {
 		t.Fatal("identity wrong")
 	}
 }
+
+// TestRunAllocationBound guards VSAIT's run-scoped tensor lifetimes: every
+// engine output is drawn from the backend's scratch pool and recycled
+// when the run ends, so a Run on a warm pool reuses the previous run's
+// buffers. It measures the second Run; GC is off so the pool is never
+// emptied mid-measurement.
+//
+// Before the lifetimes were run-scoped, one Run allocated 35.6 MiB.
+func TestRunAllocationBound(t *testing.T) {
+	w := New(Config{})
+	pool := ops.Config{}.NewPool()
+	defer pool.Close()
+	run := func() {
+		e := pool.Engine()
+		if err := w.Run(e); err != nil {
+			t.Fatal(err)
+		}
+		e.Recycle()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	const limit = 2 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("VSAIT warm Run allocated %.2f MiB", float64(got)/(1<<20))
+	if got > limit && !raceEnabled {
+		t.Fatalf("VSAIT warm Run allocated %d bytes (%.1f MiB), want <= %d (2 MiB)", got, float64(got)/(1<<20), limit)
+	}
+}
+
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool
