@@ -114,7 +114,7 @@ type Options struct {
 	// Observer, when non-nil, sees every operator event live as the run
 	// records it (e.g. streaming into a metrics registry). It overrides
 	// any observer the Pool installs and must be safe for concurrent use
-	// (workloads fork engines).
+	// (concurrent runs share it).
 	Observer trace.Observer
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"github.com/neurosym/nsbench/internal/backend"
 	"github.com/neurosym/nsbench/internal/tensor"
-	"github.com/neurosym/nsbench/internal/trace"
 )
 
 func TestNewDefaultsToSerialBackend(t *testing.T) {
@@ -77,35 +76,6 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 	for i, v := range serial.Data() {
 		if got.Data()[i] != v {
 			t.Fatalf("element %d: serial %v parallel %v", i, v, got.Data()[i])
-		}
-	}
-}
-
-func TestForkJoinDeterministicOrder(t *testing.T) {
-	e := New()
-	e.SetPhase(trace.Symbolic)
-	e.InStage("fork", func() {
-		kids := e.Fork(3)
-		g := tensor.NewRNG(1)
-		for i, k := range kids {
-			// Each child records a distinguishable op count.
-			for j := 0; j <= i; j++ {
-				k.Add(g.Normal(0, 1, 8), g.Normal(0, 1, 8))
-			}
-		}
-		e.Join(kids...)
-	})
-	tr := e.Trace()
-	if tr.Len() != 6 {
-		t.Fatalf("merged trace has %d events, want 6", tr.Len())
-	}
-	for i := range tr.Events {
-		ev := &tr.Events[i]
-		if ev.Seq != i {
-			t.Fatalf("event %d has Seq %d", i, ev.Seq)
-		}
-		if ev.Stage != "fork" || ev.Phase != trace.Symbolic {
-			t.Fatalf("event %d lost fork context: stage=%q phase=%v", i, ev.Stage, ev.Phase)
 		}
 	}
 }

@@ -10,7 +10,6 @@
 package ops
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/neurosym/nsbench/internal/backend"
@@ -19,8 +18,8 @@ import (
 )
 
 // Engine executes tensor operations while recording a trace. An Engine is
-// not safe for concurrent use; each workload run owns one engine. Use Fork
-// and Join when a workload wants to record events from worker goroutines.
+// not safe for concurrent use; each workload run owns one engine, and only
+// the backend's kernel chunks run on other goroutines.
 type Engine struct {
 	tr    *trace.Trace
 	be    backend.Backend
@@ -32,10 +31,6 @@ type Engine struct {
 	// tensor.KernelAuto: the measured per-shape dispatch table decides.
 	kernel tensor.Kernel
 
-	// worker is the engine's timeline lane: 0 for the root engine, the
-	// 1-based fork index for children. Every event the engine records
-	// carries it, which is how forked shards land on their own tracks.
-	worker int
 	// kt shims the backend during instrumented ops to record kernel
 	// chunks as worker-attributed timeline spans.
 	kt *kernelTracer
@@ -54,7 +49,8 @@ type Engine struct {
 	replicas int
 
 	// observer, when set, sees every event as it is recorded (live
-	// metrics). It must be concurrency-safe: forked engines share it.
+	// metrics). A Pool's observer is shared by every engine the pool hands
+	// out, so it must be safe for concurrent use.
 	observer trace.Observer
 }
 
@@ -74,7 +70,7 @@ func New(opts ...Option) *Engine {
 	for _, opt := range opts {
 		opt(e)
 	}
-	e.kt = newKernelTracer(e.be, 0)
+	e.kt = newKernelTracer(e.be)
 	return e
 }
 
@@ -94,9 +90,8 @@ func (e *Engine) Close() { e.be.Close() }
 // not released or kept goes back to the pool, where the next run's
 // outputs reuse it. Call it once nothing reads the run's tensors any
 // more, typically when the run ends; the trace stays valid, since it
-// holds tensor IDs and no tensor data. On a stand-alone engine, and for
-// the outputs of forked children, it does nothing: they stay ordinary
-// garbage. Engine goroutine only.
+// holds tensor IDs and no tensor data. On a stand-alone engine it does
+// nothing: its outputs stay ordinary garbage. Engine goroutine only.
 func (e *Engine) Recycle() { e.kt.recycle() }
 
 // Keep exempts the storage of ts from Recycle and Release: a workload
@@ -108,73 +103,18 @@ func (e *Engine) Keep(ts ...*tensor.Tensor) {
 	}
 }
 
-// Fork returns n child engines that share this engine's backend, phase,
-// stage, and sparsity settings but record into private traces, so worker
-// goroutines can record events without racing on the parent trace. Join the
-// children back in a fixed order to keep the merged trace deterministic.
-//
-// Child i records on timeline lane i+1 and its trace is anchored to the
-// parent's epoch, so after Join each child's shard renders on its own
-// worker track of one shared time axis, wrapped in a "fork[i]" span
-// covering the child's whole region.
-func (e *Engine) Fork(n int) []*Engine {
-	kids := make([]*Engine, n)
-	for i := range kids {
-		tr := trace.New()
-		tr.SetEpoch(e.tr.Epoch())
-		k := &Engine{
-			tr:              tr,
-			be:              e.be,
-			phase:           e.phase,
-			stage:           e.stage,
-			kernel:          e.kernel,
-			worker:          i + 1,
-			measureSparsity: e.measureSparsity,
-			sparsityEps:     e.sparsityEps,
-			replicas:        e.replicas,
-			observer:        e.observer,
-		}
-		k.kt = newKernelTracer(e.be, k.worker)
-		tr.BeginSpan(trace.Span{
-			Name:   fmt.Sprintf("fork[%d]", i),
-			Kind:   trace.SpanFork,
-			Phase:  e.phase,
-			Worker: k.worker,
-		})
-		kids[i] = k
-	}
-	return kids
-}
-
-// Join appends the children's events to this engine's trace in argument
-// order, renumbering sequence numbers. Passing children in a fixed order
-// (e.g. fork index) makes the merged trace independent of goroutine timing.
-// Any spans a child left open — including the fork span Fork opened — are
-// closed at join time, so the merged timeline always balances.
-func (e *Engine) Join(kids ...*Engine) {
-	now := time.Now()
-	parts := make([]*trace.Trace, len(kids))
-	for i, k := range kids {
-		if k != nil {
-			k.tr.CloseOpenSpans(now)
-			parts[i] = k.tr
-		}
-	}
-	e.tr.Merge(parts...)
-}
-
-// Begin opens a nested timeline span carrying the engine's current phase
-// and lane; close it with End. Spans are pure timeline annotation — they
+// Begin opens a nested timeline span carrying the engine's current phase;
+// close it with End. Spans are pure timeline annotation — they
 // never contribute to aggregate statistics.
 func (e *Engine) Begin(name string) {
-	e.tr.BeginSpan(trace.Span{Name: name, Phase: e.phase, Worker: e.worker})
+	e.tr.BeginSpan(trace.Span{Name: name, Phase: e.phase})
 }
 
 // End closes the innermost span opened by Begin/InStage.
 func (e *Engine) End() { e.tr.End() }
 
-// SetObserver installs (or, with nil, removes) a live event observer.
-// The observer must be safe for concurrent use if the engine is forked.
+// SetObserver installs (or, with nil, removes) a live event observer. It
+// runs on the engine goroutine, once per recorded event.
 func (e *Engine) SetObserver(fn trace.Observer) { e.observer = fn }
 
 // SetPhase switches the active phase; subsequent events carry it.
@@ -194,7 +134,7 @@ func (e *Engine) InPhase(p trace.Phase, f func()) {
 func (e *Engine) InStage(s string, f func()) {
 	old := e.stage
 	e.stage = s
-	e.tr.BeginSpan(trace.Span{Name: s, Kind: trace.SpanStage, Phase: e.phase, Worker: e.worker})
+	e.tr.BeginSpan(trace.Span{Name: s, Kind: trace.SpanStage, Phase: e.phase})
 	defer func() {
 		e.tr.End()
 		e.stage = old
@@ -307,7 +247,7 @@ func (e *Engine) timed(kernel string, run func() []*tensor.Tensor) (time.Time, t
 }
 
 // emit builds the event for one op over the given execution interval and
-// outputs, stamped with the engine's stage, phase and lane, and appends it
+// outputs, stamped with the engine's stage and phase, and appends it
 // to the trace and the observer.
 func (e *Engine) emit(o op, start time.Time, dur time.Duration, outs []*tensor.Tensor) {
 	ev := trace.Event{
@@ -317,7 +257,6 @@ func (e *Engine) emit(o op, start time.Time, dur time.Duration, outs []*tensor.T
 		Category: o.category,
 		Phase:    e.phase,
 		Start:    start,
-		Worker:   e.worker,
 		Dur:      dur,
 		FLOPs:    o.flops,
 		Bytes:    o.bytes,

@@ -34,7 +34,7 @@ func RegisterPoolMetrics(reg *metrics.Registry, p *Pool) {
 // taxonomy category and the neural/symbolic phase — the live form of the
 // Fig. 3a operator breakdown. Children are resolved up front, so the
 // per-event cost is two array indexes and one histogram observation; the
-// observer is safe for concurrent use by forked engines.
+// observer is safe for concurrent use by the engines of one pool.
 func NewOpObserver(reg *metrics.Registry) trace.Observer {
 	hv := reg.HistogramVec("ns_op_seconds",
 		"Per-operator wall time by taxonomy category and workload phase.",

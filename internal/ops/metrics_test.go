@@ -28,21 +28,6 @@ func TestEngineObserverSeesEveryEvent(t *testing.T) {
 	}
 }
 
-func TestForkPropagatesObserver(t *testing.T) {
-	var n int
-	e := New()
-	e.SetObserver(func(*trace.Event) { n++ })
-	kids := e.Fork(2)
-	g := tensor.NewRNG(1)
-	for _, k := range kids {
-		k.Add(g.Normal(0, 1, 4), g.Normal(0, 1, 4))
-	}
-	e.Join(kids[0], kids[1])
-	if n != 2 {
-		t.Fatalf("observer saw %d forked events, want 2", n)
-	}
-}
-
 func TestPoolObserverAppliesToNewEngines(t *testing.T) {
 	p := Config{}.NewPool()
 	defer p.Close()

@@ -133,46 +133,6 @@ func TestParallelTimelineWorkerTracksOverlap(t *testing.T) {
 	}
 }
 
-// Fork children record on their own lanes inside fork spans anchored to
-// the parent's epoch, so the joined trace is one coherent timeline.
-func TestForkJoinTimeline(t *testing.T) {
-	e := New()
-	g := tensor.NewRNG(3)
-	a, b := g.Normal(0, 1, 16, 16), g.Normal(0, 1, 16, 16)
-
-	kids := e.Fork(2)
-	for _, k := range kids {
-		if !k.Trace().Epoch().Equal(e.Trace().Epoch()) {
-			t.Fatal("fork child does not share the parent epoch")
-		}
-		k.MatMul(a, b)
-	}
-	e.Join(kids[0], kids[1])
-
-	lanes := map[int]bool{}
-	for _, ev := range e.Trace().Events {
-		lanes[ev.Worker] = true
-	}
-	if !lanes[1] || !lanes[2] {
-		t.Fatalf("joined events on lanes %v, want 1 and 2", lanes)
-	}
-	var forks []trace.Span
-	for _, s := range e.Trace().Spans() {
-		if s.Kind == trace.SpanFork {
-			forks = append(forks, s)
-		}
-	}
-	if len(forks) != 2 {
-		t.Fatalf("fork spans = %d, want 2", len(forks))
-	}
-	for _, s := range forks {
-		if s.End.IsZero() {
-			t.Fatalf("fork span %q left open after Join", s.Name)
-		}
-	}
-	exportChrome(t, e.Trace())
-}
-
 // InStage wraps its operator events in a stage span.
 func TestInStageRecordsSpan(t *testing.T) {
 	e := New()

@@ -35,8 +35,7 @@ import (
 // span list and the live set are mutex-guarded. One lock round per
 // recorded chunk or drawn buffer is noise against the work behind it.
 type kernelTracer struct {
-	be     backend.Backend
-	worker int // the owning engine's lane, attributed to caller-run chunks
+	be backend.Backend
 
 	kernel string
 	phase  trace.Phase
@@ -50,8 +49,8 @@ type kernelTracer struct {
 	live map[*float32][]float32
 }
 
-func newKernelTracer(be backend.Backend, worker int) *kernelTracer {
-	return &kernelTracer{be: be, worker: worker}
+func newKernelTracer(be backend.Backend) *kernelTracer {
+	return &kernelTracer{be: be}
 }
 
 // label names the op the next dispatches belong to. Engine goroutine only.
@@ -67,7 +66,7 @@ func (k *kernelTracer) For(n, grain int, fn func(lo, hi int)) {
 		k.be.For(n, grain, fn)
 		return
 	}
-	kernel, phase, lane := k.kernel, k.phase, k.worker
+	kernel, phase := k.kernel, k.phase
 	wf.ForWorker(n, grain, func(worker, lo, hi int) {
 		if lo == 0 && hi == n {
 			// The only chunk: the dispatch never split, nothing to attribute.
@@ -77,9 +76,6 @@ func (k *kernelTracer) For(n, grain int, fn func(lo, hi int)) {
 		start := time.Now()
 		fn(lo, hi)
 		end := time.Now()
-		if worker == 0 {
-			worker = lane
-		}
 		k.mu.Lock()
 		k.spans = append(k.spans, trace.Span{
 			Name:   kernel,

@@ -683,7 +683,7 @@ func (s *Server) characterize(req Request, runID string) ([]byte, error) {
 
 // run executes one characterization and returns the full report (trace
 // included). runID scopes the run's events in the flight recorder; the
-// run's stage/fork spans are copied into the recorder under the same ID
+// run's stage spans are copied into the recorder under the same ID
 // so /v1/trace?request_id= can rebuild the engine timeline later, next to
 // core.build and core.analyze spans for the steps around the engine run.
 func (s *Server) run(req Request, runID string) (*core.Report, error) {

@@ -132,7 +132,7 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 // chromeEvent is one entry of the Chrome trace-event format, loadable in
 // Perfetto (ui.perfetto.dev) and chrome://tracing. The exporter emits
 // "X" complete events (operators and kernel chunks), "B"/"E" nested
-// ranges (stages and fork regions), "M" metadata naming tracks, and "C"
+// ranges (stages), "M" metadata naming tracks, and "C"
 // counter samples.
 type chromeEvent struct {
 	Name string                 `json:"name"`
@@ -146,8 +146,7 @@ type chromeEvent struct {
 }
 
 // Track layout of the Chrome export: one process per phase, one thread
-// per execution lane (0 = the main engine goroutine, >0 = fork/pool
-// workers), plus a counter process for the cumulative-FLOPs and
+// per execution lane (0 = the engine goroutine, >0 = pool workers), plus a counter process for the cumulative-FLOPs and
 // output-sparsity tracks.
 const (
 	chromePIDCounters = 0 // "C" counter samples
@@ -179,7 +178,7 @@ func durPtr(d time.Duration) *float64 {
 //
 // Layout: one pid per phase (named via "M" process_name metadata), one
 // tid per worker lane (lane 0 is the main engine), "B"/"E" ranges for
-// stages and fork regions, "X" complete events for operators and kernel
+// stages, "X" complete events for operators and kernel
 // chunks, and "C" counter tracks for cumulative FLOPs and measured output
 // sparsity. Traces whose events carry no timestamps (hand-built
 // fixtures) fall back to back-to-back layout per track.
@@ -245,9 +244,9 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	}
 
 	// Spans: kernel chunks render as "X" complete events (they may
-	// interleave freely across lanes), stages and fork regions as
-	// properly nested "B"/"E" ranges. Spans exist only on traces with
-	// real clocks, so no synthetic fallback is needed.
+	// interleave freely across lanes), stages as properly nested "B"/"E"
+	// ranges. Spans exist only on traces with real clocks, so no
+	// synthetic fallback is needed.
 	for i := range t.spans {
 		s := &t.spans[i]
 		if s.End.IsZero() || s.Start.IsZero() {

@@ -99,7 +99,7 @@ func (r *Recorder) RecordSpan(id string, s Span) {
 }
 
 // RecordSpans appends every completed span in ss under id — the bulk form
-// used to copy a finished run's stage/fork/chunk ranges into the recorder.
+// used to copy a finished run's stage and chunk ranges into the recorder.
 func (r *Recorder) RecordSpans(id string, ss []Span) {
 	for _, s := range ss {
 		r.RecordSpan(id, s)

@@ -31,9 +31,9 @@ import (
 //     tids unchanged.
 //   - Shape: operator events and non-nesting spans (serving/router
 //     ranges, kernel chunks) render as "X" complete events — they may
-//     overlap freely on a track. Only engine stage and fork spans, which
-//     the span API guarantees properly nested per lane, render as
-//     "B"/"E" ranges.
+//     overlap freely on a track. Only engine stage spans, which the span
+//     API guarantees properly nested per lane, render as "B"/"E"
+//     ranges.
 
 // WireEvent is the portable form of one operator Event: category and
 // phase as strings, start as absolute Unix nanoseconds.
@@ -120,10 +120,10 @@ func (r *Recorder) RequestTrace(id, node string) RequestTrace {
 
 // nestingKind reports whether spans of this kind are guaranteed properly
 // nested per worker lane and may render as "B"/"E" ranges. Engine stages
-// and fork regions come from the nested span API; everything else
-// (serving-layer ranges, router attempts, kernel chunks) may overlap on a
-// lane and renders as "X" complete events instead.
-func nestingKind(kind string) bool { return kind == SpanStage || kind == SpanFork }
+// come from the nested span API; everything else (serving-layer ranges,
+// router attempts, kernel chunks) may overlap on a lane and renders as "X"
+// complete events instead.
+func nestingKind(kind string) bool { return kind == SpanStage }
 
 // WriteStitchedChrome merges the per-process slices of one request into a
 // single Chrome trace-event document: one pid per process (named by its

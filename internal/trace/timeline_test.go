@@ -29,24 +29,6 @@ func TestSpanStackDepthAndClose(t *testing.T) {
 	}
 }
 
-func TestCloseOpenSpans(t *testing.T) {
-	tr := New()
-	tr.BeginSpan(Span{Name: "a"})
-	tr.BeginSpan(Span{Name: "b"})
-	end := time.Now().Add(time.Second)
-	tr.CloseOpenSpans(end)
-	for _, s := range tr.Spans() {
-		if !s.End.Equal(end) {
-			t.Fatalf("span %q end = %v, want %v", s.Name, s.End, end)
-		}
-	}
-	// Closing again is a no-op.
-	tr.CloseOpenSpans(time.Time{})
-	if n := len(tr.Spans()); n != 2 {
-		t.Fatalf("spans = %d after double close, want 2", n)
-	}
-}
-
 func TestEndOnEmptyStackIsNoOp(t *testing.T) {
 	tr := New()
 	tr.End() // must not panic
@@ -72,7 +54,7 @@ func TestMergePreservesTimelineFields(t *testing.T) {
 			tr.Append(ev)
 		}
 		tr.AddSpan(Span{
-			Name: "fork", Kind: SpanFork, Worker: worker,
+			Name: "shard", Kind: SpanStage, Worker: worker,
 			Start: epoch.Add(time.Duration(startUs) * time.Microsecond),
 			End:   epoch.Add(time.Duration(startUs+100) * time.Microsecond),
 		})

@@ -88,7 +88,7 @@ type Event struct {
 	Category Category      // taxonomy category
 	Phase    Phase         // neural or symbolic
 	Start    time.Time     // wall-clock start (monotonic); zero for synthetic events
-	Worker   int           // execution lane: 0 = main engine, >0 = fork/pool worker
+	Worker   int           // execution lane: 0 = engine goroutine, >0 = pool worker
 	Dur      time.Duration // measured wall time
 	FLOPs    int64         // analytic floating-point operation count
 	Bytes    int64         // analytic memory traffic (algorithmic convention)
@@ -101,9 +101,9 @@ type Event struct {
 // Observer is a hook invoked with each event as it is recorded, so a
 // characterization run can be observed live (e.g. streamed into a
 // metrics registry) instead of only analyzed post-hoc. The event pointer
-// is only valid for the duration of the call. Observers run on whatever
-// goroutine records the event — forked engines record concurrently — so
-// implementations must be safe for concurrent use.
+// is only valid for the duration of the call. Observers run on the goroutine of
+// the engine that records the event, and concurrent runs may share one
+// observer, so implementations must be safe for concurrent use.
 type Observer func(ev *Event)
 
 // ArithmeticIntensity returns the event's FLOPs per byte (0 if no traffic).
@@ -118,7 +118,7 @@ func (e *Event) ArithmeticIntensity() float64 {
 //
 // Alongside the flat event log, a trace carries a timeline skeleton: an
 // epoch (the monotonic instant timestamps are measured against) and a set
-// of nested spans (stage ranges, fork regions, kernel chunks) that the
+// of nested spans (stage ranges, kernel chunks) that the
 // Chrome/Perfetto export renders as "B"/"E" ranges and worker tracks
 // around the operator events.
 type Trace struct {
@@ -126,21 +126,21 @@ type Trace struct {
 	params []Param
 
 	// epoch is the monotonic reference instant for the timeline export:
-	// an event at Start == epoch renders at ts 0. Forked child traces
-	// adopt their parent's epoch so merged timelines stay aligned.
+	// an event at Start == epoch renders at ts 0. A batch's per-item
+	// traces adopt the batch trace's epoch so their timelines stay aligned.
 	epoch time.Time
 	spans []Span
 	open  []int // indexes into spans of the currently open (un-Ended) spans
 }
 
 // Span is a named wall-clock range on one timeline track: a workload
-// stage, a forked worker's region, or one kernel chunk. Spans nest (Depth
+// stage, one kernel chunk, or a serving-layer range. Spans nest (Depth
 // is the nesting level at Begin) and never affect aggregate statistics —
 // they are pure timeline annotation, so recording them cannot perturb the
 // paper's figures.
 type Span struct {
 	Name   string
-	Kind   string // SpanStage, SpanFork, SpanChunk, or free-form
+	Kind   string // SpanStage, SpanChunk, or free-form
 	Phase  Phase
 	Worker int       // execution lane, same convention as Event.Worker
 	Depth  int       // nesting depth at Begin (0 = outermost)
@@ -159,7 +159,6 @@ func (s *Span) Duration() time.Duration {
 // Well-known span kinds.
 const (
 	SpanStage = "stage" // a workload-defined stage (Engine.InStage)
-	SpanFork  = "fork"  // one forked engine's region (Engine.Fork..Join)
 	SpanChunk = "chunk" // one kernel chunk executed by a pool worker
 )
 
@@ -178,8 +177,9 @@ func New() *Trace { return &Trace{epoch: time.Now()} }
 // Epoch returns the trace's timeline reference instant.
 func (t *Trace) Epoch() time.Time { return t.epoch }
 
-// SetEpoch re-anchors the timeline. Forked child traces are anchored to
-// their parent's epoch so their events export onto one shared time axis.
+// SetEpoch re-anchors the timeline. A batch's per-item traces are anchored
+// to the batch trace's epoch so their events export onto one shared time
+// axis.
 func (t *Trace) SetEpoch(epoch time.Time) { t.epoch = epoch }
 
 // Append adds an event, assigning its sequence number.
@@ -212,18 +212,6 @@ func (t *Trace) EndAt(end time.Time) {
 	i := t.open[len(t.open)-1]
 	t.open = t.open[:len(t.open)-1]
 	t.spans[i].End = end
-}
-
-// CloseOpenSpans force-closes every open span at the given instant (zero
-// selects now). Join uses it so a forked trace always merges with a
-// balanced span stack even if a workload left spans open.
-func (t *Trace) CloseOpenSpans(end time.Time) {
-	if end.IsZero() {
-		end = time.Now()
-	}
-	for len(t.open) > 0 {
-		t.EndAt(end)
-	}
 }
 
 // AddSpan appends an already-closed span (e.g. a kernel chunk recorded on
