@@ -50,9 +50,6 @@ func (e *Engine) MulInPlace(a, b *tensor.Tensor) *tensor.Tensor {
 	})
 }
 
-// Div records an instrumented element-wise division.
-func (e *Engine) Div(a, b *tensor.Tensor) *tensor.Tensor { return e.binary("Div", a, b, tensor.DivOn) }
-
 // Minimum records an instrumented element-wise minimum.
 func (e *Engine) Minimum(a, b *tensor.Tensor) *tensor.Tensor {
 	return e.binary("Minimum", a, b, tensor.MinimumOn)
@@ -123,18 +120,6 @@ func (e *Engine) Dot(a, b *tensor.Tensor) *tensor.Tensor {
 		bytes:    tensor.BytesEltwiseBinary(a.Size()),
 		inputs:   []*tensor.Tensor{a, b},
 	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.Scalar(tensor.Dot(a, b))} }))
-}
-
-// CosineSimilarity records an instrumented cosine similarity as a scalar tensor.
-func (e *Engine) CosineSimilarity(a, b *tensor.Tensor) *tensor.Tensor {
-	return one(e.record(op{
-		name:     "CosineSimilarity",
-		kernel:   "vectorized_elem",
-		category: trace.VectorEltwise,
-		flops:    6 * int64(a.Size()),
-		bytes:    tensor.BytesEltwiseBinary(a.Size()),
-		inputs:   []*tensor.Tensor{a, b},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.Scalar(tensor.CosineSimilarity(a, b))} }))
 }
 
 // Softmax records an instrumented softmax over the last axis.

@@ -23,20 +23,6 @@ func (e *Engine) CircularConv(a, b *tensor.Tensor) *tensor.Tensor {
 	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.CircularConvOn(e.be, a, b)} }))
 }
 
-// CircularCorr records an instrumented circular correlation — the VSA
-// unbinding primitive.
-func (e *Engine) CircularCorr(a, b *tensor.Tensor) *tensor.Tensor {
-	n := a.Dim(0)
-	return one(e.record(op{
-		name:     "CircularCorr",
-		kernel:   "circular_conv",
-		category: trace.VectorEltwise,
-		flops:    tensor.FlopsCircularConvDirect(n),
-		bytes:    tensor.BytesCircularConv(n),
-		inputs:   []*tensor.Tensor{a, b},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.CircularCorrOn(e.be, a, b)} }))
-}
-
 // Roll records an instrumented circular shift — the VSA permutation
 // primitive (and the NLM tensor-permutation building block).
 func (e *Engine) Roll(a *tensor.Tensor, k int) *tensor.Tensor {

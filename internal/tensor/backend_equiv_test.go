@@ -180,9 +180,6 @@ func TestCircularConvBitIdenticalAcrossBackends(t *testing.T) {
 			if !bitsEqual(t, "CircularConv", CircularConvOn(Serial, a, b), CircularConvOn(be, a, b)) {
 				return
 			}
-			if !bitsEqual(t, "CircularCorr", CircularCorrOn(Serial, a, b), CircularCorrOn(be, a, b)) {
-				return
-			}
 		}
 	})
 }

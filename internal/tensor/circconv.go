@@ -52,31 +52,6 @@ func circularConvDirect(r Runner, a, b *Tensor) *Tensor {
 	return out
 }
 
-// CircularCorr returns the circular correlation of a and b:
-// out[k] = Σ_i a[i] * b[(k+i) mod n]. It is the approximate inverse
-// (unbinding) of CircularConv for unit-norm random vectors.
-func CircularCorr(a, b *Tensor) *Tensor { return CircularCorrOn(Serial, a, b) }
-
-// CircularCorrOn is CircularCorr dispatched on r, chunked over output
-// indices.
-func CircularCorrOn(r Runner, a, b *Tensor) *Tensor {
-	if a.Rank() != 1 || b.Rank() != 1 || a.shape[0] != b.shape[0] {
-		panic(fmt.Sprintf("tensor: CircularCorr needs equal-length vectors, got %v and %v", a.shape, b.shape))
-	}
-	n := a.shape[0]
-	out := emptyOn(r, n)
-	r.For(n, grainFor(2*int64(n)), func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			var s float64
-			for i := 0; i < n; i++ {
-				s += float64(a.data[i]) * float64(b.data[(k+i)%n])
-			}
-			out.data[k] = float32(s)
-		}
-	})
-	return out
-}
-
 func circularConvFFT(r Runner, a, b *Tensor) *Tensor {
 	n := a.shape[0]
 	buf := r.Scratch(4 * n)

@@ -77,21 +77,6 @@ func MulToOn(r Runner, out, a, b *Tensor) *Tensor {
 	return out
 }
 
-// Div returns a / b element-wise. Division by zero follows IEEE semantics.
-func Div(a, b *Tensor) *Tensor { return DivOn(Serial, a, b) }
-
-// DivOn is Div dispatched on r.
-func DivOn(r Runner, a, b *Tensor) *Tensor {
-	out := binOut(r, "Div", a, b)
-	ad, bd, od := a.data, b.data, out.data
-	r.For(len(od), grainEltwise, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			od[i] = ad[i] / bd[i]
-		}
-	})
-	return out
-}
-
 // Minimum returns the element-wise minimum of a and b: a[i] where
 // a[i] < b[i], else b[i] (so a NaN in either operand yields b[i]).
 func Minimum(a, b *Tensor) *Tensor { return MinimumOn(Serial, a, b) }

@@ -45,7 +45,6 @@ func funcUnOp(a *Tensor, f func(x float32) float32) *Tensor {
 func addf(x, y float32) float32 { return x + y }
 func subf(x, y float32) float32 { return x - y }
 func mulf(x, y float32) float32 { return x * y }
-func divf(x, y float32) float32 { return x / y }
 
 func minf(x, y float32) float32 {
 	if x < y {
@@ -125,7 +124,7 @@ func TestEltwiseMatchesFunctionValueForm(t *testing.T) {
 		on   func(Runner, *Tensor, *Tensor) *Tensor
 		f    func(x, y float32) float32
 	}{
-		{"Add", AddOn, addf}, {"Sub", SubOn, subf}, {"Mul", MulOn, mulf}, {"Div", DivOn, divf},
+		{"Add", AddOn, addf}, {"Sub", SubOn, subf}, {"Mul", MulOn, mulf},
 		{"Minimum", MinimumOn, minf}, {"Maximum", MaximumOn, maxf}, {"Greater", GreaterOn, greaterf},
 	}
 	uns := []struct {
@@ -224,7 +223,6 @@ func TestKernelOutputsOverwritePoisonedScratch(t *testing.T) {
 		{"GlobalAvgPool2D", func(r Runner) []*Tensor { return []*Tensor{GlobalAvgPool2DOn(r, img)} }},
 		{"CircularConv/direct", func(r Runner) []*Tensor { return []*Tensor{CircularConvOn(r, v48a, v48b)} }},
 		{"CircularConv/fft", func(r Runner) []*Tensor { return []*Tensor{CircularConvOn(r, v128a, v128b)} }},
-		{"CircularCorr", func(r Runner) []*Tensor { return []*Tensor{CircularCorrOn(r, v48a, v48b)} }},
 		{"Transpose", func(r Runner) []*Tensor { return []*Tensor{TransposeOn(r, mat)} }},
 		{"Permute", func(r Runner) []*Tensor { return []*Tensor{PermuteOn(r, m3, 2, 0, 1)} }},
 		{"Concat", func(r Runner) []*Tensor { return []*Tensor{ConcatOn(r, 1, m3, m3), ConcatOn(r, 0, mat, mat)} }},

@@ -132,7 +132,6 @@ func TestElementwiseOps(t *testing.T) {
 		{"Add", Add(a, b), []float32{5, 7, 9}},
 		{"Sub", Sub(a, b), []float32{-3, -3, -3}},
 		{"Mul", Mul(a, b), []float32{4, 10, 18}},
-		{"Div", Div(b, a), []float32{4, 2.5, 2}},
 		{"Minimum", Minimum(a, b), []float32{1, 2, 3}},
 		{"Maximum", Maximum(a, b), []float32{4, 5, 6}},
 		{"AddScalar", AddScalar(a, 1), []float32{2, 3, 4}},
@@ -515,27 +514,6 @@ func TestCircularConvFFTMatchesDirect(t *testing.T) {
 		if !almostEq(direct.Data()[i], viaFFT.Data()[i], 1e-3) {
 			t.Fatalf("FFT path diverges at %d: %v vs %v", i, direct.Data()[i], viaFFT.Data()[i])
 		}
-	}
-}
-
-func TestCircularCorrUnbinds(t *testing.T) {
-	g := NewRNG(13)
-	n := 1024
-	x := g.HRRVector(n)
-	y := g.HRRVector(n)
-	bound := CircularConv(x, y)
-	recovered := CircularCorr(x, bound) // should approximate y
-	// Circular correlation is only the approximate inverse of circular
-	// convolution; for random HRR vectors the expected recovered cosine is
-	// ≈ 1/√2. Require comfortably above chance.
-	sim := CosineSimilarity(recovered, y)
-	if sim < 0.55 {
-		t.Fatalf("HRR unbind similarity = %v, want > 0.55", sim)
-	}
-	// And it should not look like an unrelated vector.
-	z := g.HRRVector(n)
-	if s := CosineSimilarity(recovered, z); s > 0.3 || s < -0.3 {
-		t.Fatalf("unbind leaked similarity %v to unrelated vector", s)
 	}
 }
 

@@ -1,26 +1,25 @@
-// Package vsa implements vector-symbolic architectures (hyperdimensional
-// computing): high-dimensional distributed representations with binding,
-// bundling, permutation and similarity operators, plus item memories
-// (codebooks) with cleanup.
+// Package vsa holds the hypervector state of the vector-symbolic
+// workloads: spaces that draw random hypervectors, item memories
+// (codebooks) and the random projection of locality-sensitive hashing.
 //
-// Two models are provided, matching the workloads that use them:
+// Two algebras are provided, matching the workloads that use them:
 //
 //   - MAP (Multiply-Add-Permute) over bipolar {-1,+1} vectors, where binding
 //     is the Hadamard product (self-inverse) — used by VSAIT's hyperspace
 //     encoding.
 //   - HRR (Holographic Reduced Representations) over real vectors, where
-//     binding is circular convolution and unbinding circular correlation —
-//     the algebra behind NVSA's codebook reasoning.
+//     binding is circular convolution — the algebra behind NVSA's codebook
+//     reasoning.
 //
-// All operations run through the instrumented ops engine so they appear in
-// the workload traces as the vector/element-wise symbolic kernels the paper
+// The operators themselves (binding, bundling, similarity, cleanup) run in
+// the workloads as instrumented ops.Engine calls, so they appear in the
+// traces as the vector/element-wise symbolic kernels the paper
 // characterizes.
 package vsa
 
 import (
 	"fmt"
 
-	"github.com/neurosym/nsbench/internal/ops"
 	"github.com/neurosym/nsbench/internal/tensor"
 )
 
@@ -72,85 +71,27 @@ func (s *Space) Random() *tensor.Tensor {
 	}
 }
 
-// Bind combines two hypervectors into one dissimilar to both.
-func (s *Space) Bind(e *ops.Engine, a, b *tensor.Tensor) *tensor.Tensor {
-	switch s.Model {
-	case MAP:
-		return e.Mul(a, b)
-	case HRR:
-		return e.CircularConv(a, b)
-	default:
-		panic("vsa: unknown model")
-	}
-}
-
-// Unbind inverts a binding: Unbind(a, Bind(a,b)) ≈ b.
-func (s *Space) Unbind(e *ops.Engine, a, bound *tensor.Tensor) *tensor.Tensor {
-	switch s.Model {
-	case MAP:
-		return e.Mul(a, bound) // bipolar binding is self-inverse
-	case HRR:
-		return e.CircularCorr(a, bound)
-	default:
-		panic("vsa: unknown model")
-	}
-}
-
-// Bundle superimposes hypervectors. For MAP the result is re-bipolarized by
-// sign; for HRR it is L2-normalized.
-func (s *Space) Bundle(e *ops.Engine, vs ...*tensor.Tensor) *tensor.Tensor {
-	if len(vs) == 0 {
-		panic("vsa: Bundle of no vectors")
-	}
-	acc := vs[0]
-	for _, v := range vs[1:] {
-		acc = e.Add(acc, v)
-	}
-	switch s.Model {
-	case MAP:
-		return e.Sign(acc)
-	case HRR:
-		return e.Normalize(acc)
-	default:
-		panic("vsa: unknown model")
-	}
-}
-
-// Permute applies the space's permutation operator (circular shift by k),
-// used to encode order and roles.
-func (s *Space) Permute(e *ops.Engine, v *tensor.Tensor, k int) *tensor.Tensor {
-	return e.Roll(v, k)
-}
-
-// Similarity returns the scalar similarity of two hypervectors: normalized
-// Hamming agreement mapped to [-1,1] for MAP (equivalently cosine), cosine
-// for HRR.
-func (s *Space) Similarity(e *ops.Engine, a, b *tensor.Tensor) float32 {
-	return e.CosineSimilarity(a, b).Item()
-}
-
-// Codebook is an item memory mapping symbols to hypervectors, with
-// similarity-based cleanup. NVSA's "codebook" frontend is an instance.
+// Codebook is an item memory mapping symbols to hypervectors. NVSA's
+// "codebook" frontend is an instance; its cleanup is a similarity search
+// over Vectors.
 type Codebook struct {
-	space   *Space
 	Names   []string
 	Vectors *tensor.Tensor // n × dim matrix of item vectors
-	index   map[string]int
 }
 
-// NewCodebook allocates random item vectors for the given symbols.
+// NewCodebook allocates random item vectors for the given symbols, which
+// must be distinct.
 func NewCodebook(space *Space, names []string) *Codebook {
 	cb := &Codebook{
-		space:   space,
 		Names:   append([]string(nil), names...),
 		Vectors: tensor.New(len(names), space.Dim),
-		index:   make(map[string]int, len(names)),
 	}
+	seen := make(map[string]bool, len(names))
 	for i, n := range names {
-		if _, dup := cb.index[n]; dup {
+		if seen[n] {
 			panic(fmt.Sprintf("vsa: duplicate codebook symbol %q", n))
 		}
-		cb.index[n] = i
+		seen[n] = true
 		v := space.Random()
 		copy(cb.Vectors.Data()[i*space.Dim:(i+1)*space.Dim], v.Data())
 	}
@@ -163,60 +104,19 @@ func (c *Codebook) Len() int { return len(c.Names) }
 // Bytes returns the codebook storage footprint.
 func (c *Codebook) Bytes() int64 { return c.Vectors.Bytes() }
 
-// Vector returns the hypervector for a symbol.
-func (c *Codebook) Vector(name string) *tensor.Tensor {
-	i, ok := c.index[name]
-	if !ok {
-		panic(fmt.Sprintf("vsa: unknown codebook symbol %q", name))
-	}
-	return tensor.FromSlice(c.Vectors.Data()[i*c.space.Dim:(i+1)*c.space.Dim], c.space.Dim)
-}
-
-// Scores returns the similarity of a query against every stored item as a
-// length-n tensor, computed as a single instrumented matrix-vector product.
-func (c *Codebook) Scores(e *ops.Engine, query *tensor.Tensor) *tensor.Tensor {
-	raw := e.MatVec(c.Vectors, query)
-	// Normalize by norms to make scores cosine similarities.
-	norms := tensor.New(c.Len())
-	for i := 0; i < c.Len(); i++ {
-		row := tensor.FromSlice(c.Vectors.Data()[i*c.space.Dim:(i+1)*c.space.Dim], c.space.Dim)
-		norms.Data()[i] = row.Norm() * query.Norm()
-	}
-	for i, v := range norms.Data() {
-		if v == 0 {
-			norms.Data()[i] = 1
-		}
-	}
-	return e.Div(raw, norms)
-}
-
-// Cleanup returns the stored symbol most similar to the query and its score.
-func (c *Codebook) Cleanup(e *ops.Engine, query *tensor.Tensor) (string, float32) {
-	scores := c.Scores(e, query)
-	best := tensor.ArgMax(scores)
-	return c.Names[best], scores.At(best)
-}
-
-// LSHEncoder hashes arbitrary feature vectors into the hyperspace by random
-// projection followed by sign — the locality-sensitive hashing VSAIT uses to
-// encode image features as bipolar hypervectors.
+// LSHEncoder holds the random projection of the locality-sensitive hashing
+// VSAIT uses to encode image features as bipolar hypervectors: a feature
+// vector f hashes to sign(Proj·f).
 type LSHEncoder struct {
 	Proj *tensor.Tensor // dim × in random projection
-	dim  int
 }
 
 // NewLSHEncoder returns an encoder from in-dimensional features to the
 // space's dimensionality.
 func NewLSHEncoder(space *Space, in int, seed int64) *LSHEncoder {
 	g := tensor.NewRNG(seed)
-	return &LSHEncoder{Proj: g.Normal(0, 1, space.Dim, in), dim: space.Dim}
+	return &LSHEncoder{Proj: g.Normal(0, 1, space.Dim, in)}
 }
 
 // Bytes returns the projection storage footprint.
 func (l *LSHEncoder) Bytes() int64 { return l.Proj.Bytes() }
-
-// Encode hashes a feature vector into a bipolar hypervector.
-func (l *LSHEncoder) Encode(e *ops.Engine, features *tensor.Tensor) *tensor.Tensor {
-	proj := e.MatVec(l.Proj, features)
-	return e.Sign(proj)
-}
