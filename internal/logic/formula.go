@@ -2,7 +2,6 @@ package logic
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -18,12 +17,10 @@ func V(name string) Term { return Term{Name: name, Var: true} }
 // C returns a constant term.
 func C(name string) Term { return Term{Name: name, Var: false} }
 
-// Formula is a fuzzy first-order logic formula AST.
+// Formula is a first-order logic formula AST.
 type Formula interface {
 	// String renders the formula.
 	String() string
-	// freeVars accumulates free variable names.
-	freeVars(set map[string]bool)
 }
 
 // Atom is an applied predicate, e.g. isMammal(x).
@@ -44,25 +41,6 @@ func (a *Atom) String() string {
 	return fmt.Sprintf("%s(%s)", a.Pred, strings.Join(parts, ","))
 }
 
-func (a *Atom) freeVars(set map[string]bool) {
-	for _, t := range a.Args {
-		if t.Var {
-			set[t.Name] = true
-		}
-	}
-}
-
-// NotF is fuzzy negation.
-type NotF struct{ F Formula }
-
-// Not constructs a negation.
-func Not(f Formula) *NotF { return &NotF{F: f} }
-
-// String implements Formula.
-func (n *NotF) String() string { return "¬" + n.F.String() }
-
-func (n *NotF) freeVars(set map[string]bool) { n.F.freeVars(set) }
-
 // AndF is fuzzy conjunction over two or more conjuncts.
 type AndF struct{ Fs []Formula }
 
@@ -71,27 +49,6 @@ func And(fs ...Formula) *AndF { return &AndF{Fs: fs} }
 
 // String implements Formula.
 func (a *AndF) String() string { return joinFormulas(a.Fs, " ∧ ") }
-
-func (a *AndF) freeVars(set map[string]bool) {
-	for _, f := range a.Fs {
-		f.freeVars(set)
-	}
-}
-
-// OrF is fuzzy disjunction over two or more disjuncts.
-type OrF struct{ Fs []Formula }
-
-// Or constructs a disjunction.
-func Or(fs ...Formula) *OrF { return &OrF{Fs: fs} }
-
-// String implements Formula.
-func (o *OrF) String() string { return joinFormulas(o.Fs, " ∨ ") }
-
-func (o *OrF) freeVars(set map[string]bool) {
-	for _, f := range o.Fs {
-		f.freeVars(set)
-	}
-}
 
 // ImpliesF is fuzzy implication.
 type ImpliesF struct{ A, B Formula }
@@ -102,11 +59,6 @@ func Implies(a, b Formula) *ImpliesF { return &ImpliesF{A: a, B: b} }
 // String implements Formula.
 func (i *ImpliesF) String() string {
 	return "(" + i.A.String() + " → " + i.B.String() + ")"
-}
-
-func (i *ImpliesF) freeVars(set map[string]bool) {
-	i.A.freeVars(set)
-	i.B.freeVars(set)
 }
 
 // QuantF is a quantified formula over one variable.
@@ -121,11 +73,6 @@ func Forall(v string, body Formula) *QuantF {
 	return &QuantF{Universal: true, Var: v, Body: body}
 }
 
-// Exists constructs an existential quantification.
-func Exists(v string, body Formula) *QuantF {
-	return &QuantF{Universal: false, Var: v, Body: body}
-}
-
 // String implements Formula.
 func (q *QuantF) String() string {
 	sym := "∃"
@@ -133,15 +80,6 @@ func (q *QuantF) String() string {
 		sym = "∀"
 	}
 	return fmt.Sprintf("%s%s.%s", sym, q.Var, q.Body.String())
-}
-
-func (q *QuantF) freeVars(set map[string]bool) {
-	inner := make(map[string]bool)
-	q.Body.freeVars(inner)
-	delete(inner, q.Var)
-	for v := range inner {
-		set[v] = true
-	}
 }
 
 func joinFormulas(fs []Formula, sep string) string {
@@ -152,109 +90,8 @@ func joinFormulas(fs []Formula, sep string) string {
 	return "(" + strings.Join(parts, sep) + ")"
 }
 
-// FreeVars returns the sorted free variable names of a formula.
-func FreeVars(f Formula) []string {
-	set := make(map[string]bool)
-	f.freeVars(set)
-	vars := make([]string, 0, len(set))
-	for v := range set {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	return vars
-}
-
-// Interpretation supplies truth degrees for ground atoms. Predicates may be
-// backed by stored facts or by neural groundings (as in LTN).
-type Interpretation interface {
-	// Truth returns the degree of pred(args...) with fully ground args.
-	Truth(pred string, args []string) float64
-}
-
-// Evaluator evaluates formulas under a semantics, a domain of constants,
-// and quantifier aggregators.
-type Evaluator struct {
-	Sem       Semantics
-	Domain    []string
-	ForallAgg Aggregator
-	ExistsAgg Aggregator
-	// Evals counts ground-atom evaluations, a proxy for symbolic work.
-	Evals int64
-}
-
-// NewEvaluator returns an evaluator with classical min/max quantifiers.
-func NewEvaluator(sem Semantics, domain []string) *Evaluator {
-	return &Evaluator{Sem: sem, Domain: domain, ForallAgg: MinAgg{}, ExistsAgg: MaxAgg{}}
-}
-
-// Eval computes the truth degree of f under the assignment env (variable →
-// constant). Unbound variables panic; quantify or bind them first.
-func (ev *Evaluator) Eval(f Formula, env map[string]string, interp Interpretation) float64 {
-	switch x := f.(type) {
-	case *Atom:
-		args := make([]string, len(x.Args))
-		for i, t := range x.Args {
-			if t.Var {
-				c, ok := env[t.Name]
-				if !ok {
-					panic(fmt.Sprintf("logic: unbound variable %q in %s", t.Name, x))
-				}
-				args[i] = c
-			} else {
-				args[i] = t.Name
-			}
-		}
-		ev.Evals++
-		return clamp01(interp.Truth(x.Pred, args))
-	case *NotF:
-		return ev.Sem.Neg(ev.Eval(x.F, env, interp))
-	case *AndF:
-		if len(x.Fs) == 0 {
-			return 1
-		}
-		acc := ev.Eval(x.Fs[0], env, interp)
-		for _, g := range x.Fs[1:] {
-			acc = ev.Sem.TNorm(acc, ev.Eval(g, env, interp))
-		}
-		return acc
-	case *OrF:
-		if len(x.Fs) == 0 {
-			return 0
-		}
-		acc := ev.Eval(x.Fs[0], env, interp)
-		for _, g := range x.Fs[1:] {
-			acc = ev.Sem.SNorm(acc, ev.Eval(g, env, interp))
-		}
-		return acc
-	case *ImpliesF:
-		return ev.Sem.Implies(ev.Eval(x.A, env, interp), ev.Eval(x.B, env, interp))
-	case *QuantF:
-		if len(ev.Domain) == 0 {
-			if x.Universal {
-				return 1
-			}
-			return 0
-		}
-		degrees := make([]float64, 0, len(ev.Domain))
-		inner := make(map[string]string, len(env)+1)
-		for k, v := range env {
-			inner[k] = v
-		}
-		for _, c := range ev.Domain {
-			inner[x.Var] = c
-			degrees = append(degrees, ev.Eval(x.Body, inner, interp))
-		}
-		if x.Universal {
-			return ev.ForallAgg.Aggregate(degrees)
-		}
-		return ev.ExistsAgg.Aggregate(degrees)
-	default:
-		panic(fmt.Sprintf("logic: unknown formula node %T", f))
-	}
-}
-
-// FactBase is a simple Interpretation backed by stored ground facts.
-// Missing atoms default to the given unknown degree.
+// FactBase stores ground facts with their truth degrees. Missing atoms
+// default to the given unknown degree.
 type FactBase struct {
 	facts   map[string]float64
 	Default float64
@@ -275,7 +112,7 @@ func (fb *FactBase) Assert(pred string, degree float64, args ...string) {
 	fb.facts[fb.key(pred, args)] = clamp01(degree)
 }
 
-// Truth implements Interpretation.
+// Truth returns the degree of pred(args...) with fully ground args.
 func (fb *FactBase) Truth(pred string, args []string) float64 {
 	if d, ok := fb.facts[fb.key(pred, args)]; ok {
 		return d

@@ -2,180 +2,23 @@ package logic
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func feq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestLukasiewiczTruthTable(t *testing.T) {
-	lk := Lukasiewicz{}
-	if !feq(lk.TNorm(1, 1), 1) || !feq(lk.TNorm(1, 0), 0) || !feq(lk.TNorm(0.7, 0.6), 0.3) {
-		t.Fatal("Łukasiewicz TNorm wrong")
-	}
-	if !feq(lk.SNorm(0.5, 0.7), 1) || !feq(lk.SNorm(0.2, 0.3), 0.5) {
-		t.Fatal("Łukasiewicz SNorm wrong")
-	}
-	if !feq(lk.Neg(0.3), 0.7) {
-		t.Fatal("Łukasiewicz Neg wrong")
-	}
-	if !feq(lk.Implies(1, 0), 0) || !feq(lk.Implies(0.4, 0.9), 1) || !feq(lk.Implies(0.9, 0.4), 0.5) {
-		t.Fatal("Łukasiewicz Implies wrong")
-	}
-}
-
-func TestGoedelAndProduct(t *testing.T) {
-	gd := Goedel{}
-	if !feq(gd.TNorm(0.3, 0.8), 0.3) || !feq(gd.SNorm(0.3, 0.8), 0.8) {
-		t.Fatal("Gödel norms wrong")
-	}
-	if !feq(gd.Implies(0.3, 0.8), 1) || !feq(gd.Implies(0.8, 0.3), 0.3) {
-		t.Fatal("Gödel implication wrong")
-	}
-	if !feq(gd.Neg(0), 1) || !feq(gd.Neg(0.5), 0) {
-		t.Fatal("Gödel negation wrong")
-	}
-	pr := Product{}
-	if !feq(pr.TNorm(0.5, 0.4), 0.2) || !feq(pr.SNorm(0.5, 0.4), 0.7) {
-		t.Fatal("product norms wrong")
-	}
-	if !feq(pr.Implies(0.8, 0.4), 0.5) || !feq(pr.Implies(0.2, 0.6), 1) {
-		t.Fatal("product implication wrong")
-	}
-}
-
-func TestPropDeMorganLukasiewicz(t *testing.T) {
-	lk := Lukasiewicz{}
-	f := func(a, b float64) bool {
-		a, b = clamp01(math.Abs(a)-math.Floor(math.Abs(a))), clamp01(math.Abs(b)-math.Floor(math.Abs(b)))
-		// ¬(a ∧ b) == ¬a ∨ ¬b
-		lhs := lk.Neg(lk.TNorm(a, b))
-		rhs := lk.SNorm(lk.Neg(a), lk.Neg(b))
-		return math.Abs(lhs-rhs) < 1e-9
-	}
-	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropTNormProperties(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(2))}
-	for _, sem := range []Semantics{Lukasiewicz{}, Goedel{}, Product{}} {
-		sem := sem
-		f := func(a, b float64) bool {
-			a, b = clamp01(math.Abs(a)-math.Floor(math.Abs(a))), clamp01(math.Abs(b)-math.Floor(math.Abs(b)))
-			// Commutativity, identity with 1, annihilator 0, boundedness.
-			if math.Abs(sem.TNorm(a, b)-sem.TNorm(b, a)) > 1e-9 {
-				return false
-			}
-			if math.Abs(sem.TNorm(a, 1)-a) > 1e-9 {
-				return false
-			}
-			if sem.TNorm(a, 0) > 1e-9 {
-				return false
-			}
-			v := sem.TNorm(a, b)
-			return v >= -1e-9 && v <= math.Min(a, b)+1e-9
-		}
-		if err := quick.Check(f, cfg); err != nil {
-			t.Fatalf("%s: %v", sem.Name(), err)
-		}
-	}
-}
-
 func TestAggregators(t *testing.T) {
 	ds := []float64{0.2, 0.8, 0.5}
-	if (MinAgg{}).Aggregate(ds) != 0.2 || (MaxAgg{}).Aggregate(ds) != 0.8 {
-		t.Fatal("min/max aggregators wrong")
-	}
 	pe := PMeanError{P: 2}.Aggregate(ds)
 	if pe <= 0.2 || pe >= 0.8 {
 		t.Fatalf("pmean_error out of range: %v", pe)
-	}
-	pm := PMean{P: 2}.Aggregate(ds)
-	if pm <= 0.2 || pm >= 0.8 {
-		t.Fatalf("pmean out of range: %v", pm)
 	}
 	// All-true and all-false fixed points.
 	if !feq(PMeanError{P: 2}.Aggregate([]float64{1, 1}), 1) {
 		t.Fatal("pmean_error of all-1 must be 1")
 	}
-	if !feq(PMean{P: 2}.Aggregate([]float64{0, 0}), 0) {
-		t.Fatal("pmean of all-0 must be 0")
-	}
-}
-
-func TestBoundsBasics(t *testing.T) {
-	if !Unknown().Valid() || Unknown().Width() != 1 {
-		t.Fatal("Unknown bounds wrong")
-	}
-	if !True().IsTrue(0.9) || !False().IsFalse(0.9) {
-		t.Fatal("True/False thresholds wrong")
-	}
-	b := Bounds{0.8, 0.3}
-	if !b.Contradictory() {
-		t.Fatal("crossed bounds must be contradictory")
-	}
-	tt := (Bounds{0.2, 0.9}).Tighten(Bounds{0.4, 0.95})
-	if !feq(tt.L, 0.4) || !feq(tt.U, 0.9) {
-		t.Fatalf("Tighten = %v", tt)
-	}
-	if Exactly(0.5).Width() != 0 {
-		t.Fatal("Exactly must have zero width")
-	}
-	if Exactly(1.5).U != 1 {
-		t.Fatal("Exactly must clamp")
-	}
-	if s := (Bounds{0.25, 0.75}).String(); s != "[0.250, 0.750]" {
-		t.Fatalf("String = %s", s)
-	}
-}
-
-func TestBoundsConnectives(t *testing.T) {
-	a, b := Bounds{0.6, 0.9}, Bounds{0.7, 0.8}
-	n := NotBounds(a)
-	if !feq(n.L, 0.1) || !feq(n.U, 0.4) {
-		t.Fatalf("NotBounds = %v", n)
-	}
-	c := AndBounds(a, b)
-	if !feq(c.L, 0.3) || !feq(c.U, 0.7) {
-		t.Fatalf("AndBounds = %v", c)
-	}
-	d := OrBounds(a, b)
-	if !feq(d.L, 1) || !feq(d.U, 1) {
-		t.Fatalf("OrBounds = %v", d)
-	}
-	imp := ImpliesBounds(a, b)
-	// lower: min(1, 1-0.9+0.7)=0.8, upper: min(1, 1-0.6+0.8)=1
-	if !feq(imp.L, 0.8) || !feq(imp.U, 1) {
-		t.Fatalf("ImpliesBounds = %v", imp)
-	}
-}
-
-func TestInferenceRules(t *testing.T) {
-	impl := Bounds{1, 1} // known-true rule
-	ante := Bounds{0.9, 1}
-	mp := ModusPonens(impl, ante)
-	if !feq(mp.L, 0.9) {
-		t.Fatalf("ModusPonens = %v", mp)
-	}
-	cons := Bounds{0, 0.1}
-	mt := ModusTollens(impl, cons)
-	if !feq(mt.U, 0.1) {
-		t.Fatalf("ModusTollens = %v", mt)
-	}
-	conj := Bounds{0.8, 1}
-	other := Bounds{0.9, 1}
-	cd := ConjunctionDownward(conj, other)
-	if !feq(cd.L, 0.8) {
-		t.Fatalf("ConjunctionDownward = %v", cd)
-	}
-	disj := Bounds{0.9, 1}
-	dd := DisjunctionDownward(disj, Bounds{0, 0.2})
-	if !feq(dd.L, 0.7) {
-		t.Fatalf("DisjunctionDownward = %v", dd)
+	if !feq(PMeanError{P: 2}.Aggregate([]float64{0, 0}), 0) {
+		t.Fatal("pmean_error of all-0 must be 0")
 	}
 }
 
@@ -184,93 +27,9 @@ func TestFormulaStringsAndFreeVars(t *testing.T) {
 	if f.String() != "∀x.(carnivore(x) → mammal(x))" {
 		t.Fatalf("String = %s", f.String())
 	}
-	if len(FreeVars(f)) != 0 {
-		t.Fatalf("closed formula has free vars %v", FreeVars(f))
-	}
 	open := And(Pred("p", V("x")), Pred("q", V("y"), C("a")))
-	fv := FreeVars(open)
-	if len(fv) != 2 || fv[0] != "x" || fv[1] != "y" {
-		t.Fatalf("FreeVars = %v", fv)
-	}
-}
-
-func TestEvaluatorGroundAtoms(t *testing.T) {
-	fb := NewFactBase()
-	fb.Assert("mammal", 1.0, "dog")
-	fb.Assert("mammal", 0.2, "lizard")
-	ev := NewEvaluator(Lukasiewicz{}, []string{"dog", "lizard"})
-	if !feq(ev.Eval(Pred("mammal", C("dog")), nil, fb), 1.0) {
-		t.Fatal("ground atom eval wrong")
-	}
-	if !feq(ev.Eval(Not(Pred("mammal", C("lizard"))), nil, fb), 0.8) {
-		t.Fatal("negation eval wrong")
-	}
-	if ev.Evals != 2 {
-		t.Fatalf("Evals = %d", ev.Evals)
-	}
-}
-
-func TestEvaluatorQuantifiers(t *testing.T) {
-	fb := NewFactBase()
-	fb.Assert("carnivore", 1, "dog")
-	fb.Assert("mammal", 1, "dog")
-	fb.Assert("carnivore", 0, "lizard")
-	fb.Assert("mammal", 0.2, "lizard")
-	ev := NewEvaluator(Lukasiewicz{}, []string{"dog", "lizard"})
-	rule := Forall("x", Implies(Pred("carnivore", V("x")), Pred("mammal", V("x"))))
-	// dog: 1→1 = 1; lizard: 0→0.2 = 1; min = 1.
-	if got := ev.Eval(rule, nil, fb); !feq(got, 1) {
-		t.Fatalf("∀ rule degree = %v", got)
-	}
-	ex := Exists("x", Pred("carnivore", V("x")))
-	if got := ev.Eval(ex, nil, fb); !feq(got, 1) {
-		t.Fatalf("∃ degree = %v", got)
-	}
-	// Violated rule: every carnivore is a lizard — dog violates it.
-	bad := Forall("x", Implies(Pred("carnivore", V("x")), Pred("mammal", Term{Name: "lizard", Var: false})))
-	got := ev.Eval(bad, nil, fb)
-	if got > 0.21 {
-		t.Fatalf("violated rule degree = %v", got)
-	}
-}
-
-func TestEvaluatorUnboundPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on unbound variable")
-		}
-	}()
-	ev := NewEvaluator(Goedel{}, []string{"a"})
-	ev.Eval(Pred("p", V("x")), nil, NewFactBase())
-}
-
-func TestEvaluatorConnectivesOverDomain(t *testing.T) {
-	fb := NewFactBase()
-	fb.Assert("p", 0.9, "a")
-	fb.Assert("q", 0.8, "a")
-	ev := NewEvaluator(Product{}, []string{"a"})
-	env := map[string]string{"x": "a"}
-	and := ev.Eval(And(Pred("p", V("x")), Pred("q", V("x"))), env, fb)
-	if !feq(and, 0.72) {
-		t.Fatalf("product conjunction = %v", and)
-	}
-	or := ev.Eval(Or(Pred("p", V("x")), Pred("q", V("x"))), env, fb)
-	if !feq(or, 0.98) {
-		t.Fatalf("product disjunction = %v", or)
-	}
-	if !feq(ev.Eval(And(), env, fb), 1) || !feq(ev.Eval(Or(), env, fb), 0) {
-		t.Fatal("empty connective identities wrong")
-	}
-}
-
-func TestEmptyDomainQuantifiers(t *testing.T) {
-	ev := NewEvaluator(Lukasiewicz{}, nil)
-	fb := NewFactBase()
-	if !feq(ev.Eval(Forall("x", Pred("p", V("x"))), nil, fb), 1) {
-		t.Fatal("∀ over empty domain must be 1")
-	}
-	if !feq(ev.Eval(Exists("x", Pred("p", V("x"))), nil, fb), 0) {
-		t.Fatal("∃ over empty domain must be 0")
+	if open.String() != "(p(x) ∧ q(y,a))" {
+		t.Fatalf("String = %s", open.String())
 	}
 }
 

@@ -1,101 +1,9 @@
-// Package logic implements the symbolic-logic substrate of nsbench: fuzzy
-// first-order logic with pluggable t-norm semantics, truth-bound arithmetic
-// for logical neural networks, formula ASTs, grounding and quantifier
-// aggregation.
+// Package logic implements the symbolic-logic substrate of nsbench: the
+// first-order formula AST that LNN compiles its rules from, the fact base
+// that grounds them, and LTN's smooth universal quantifier.
 package logic
 
-import (
-	"fmt"
-	"math"
-)
-
-// Semantics defines a fuzzy interpretation of the propositional connectives
-// over truth degrees in [0,1].
-type Semantics interface {
-	// Name identifies the semantics ("lukasiewicz", "goedel", "product").
-	Name() string
-	// TNorm is fuzzy conjunction.
-	TNorm(a, b float64) float64
-	// SNorm is fuzzy disjunction.
-	SNorm(a, b float64) float64
-	// Neg is fuzzy negation.
-	Neg(a float64) float64
-	// Implies is fuzzy implication (the residuum in each system).
-	Implies(a, b float64) float64
-}
-
-// Lukasiewicz is the Łukasiewicz logic used by LNN:
-// a∧b = max(0, a+b-1), a∨b = min(1, a+b), a→b = min(1, 1-a+b).
-type Lukasiewicz struct{}
-
-// Name implements Semantics.
-func (Lukasiewicz) Name() string { return "lukasiewicz" }
-
-// TNorm implements Semantics.
-func (Lukasiewicz) TNorm(a, b float64) float64 { return math.Max(0, a+b-1) }
-
-// SNorm implements Semantics.
-func (Lukasiewicz) SNorm(a, b float64) float64 { return math.Min(1, a+b) }
-
-// Neg implements Semantics.
-func (Lukasiewicz) Neg(a float64) float64 { return 1 - a }
-
-// Implies implements Semantics.
-func (Lukasiewicz) Implies(a, b float64) float64 { return math.Min(1, 1-a+b) }
-
-// Goedel is Gödel (min/max) logic.
-type Goedel struct{}
-
-// Name implements Semantics.
-func (Goedel) Name() string { return "goedel" }
-
-// TNorm implements Semantics.
-func (Goedel) TNorm(a, b float64) float64 { return math.Min(a, b) }
-
-// SNorm implements Semantics.
-func (Goedel) SNorm(a, b float64) float64 { return math.Max(a, b) }
-
-// Neg implements Semantics.
-func (Goedel) Neg(a float64) float64 {
-	if a == 0 {
-		return 1
-	}
-	return 0
-}
-
-// Implies implements Semantics.
-func (Goedel) Implies(a, b float64) float64 {
-	if a <= b {
-		return 1
-	}
-	return b
-}
-
-// Product is product logic: a∧b = ab, a∨b = a+b-ab.
-type Product struct{}
-
-// Name implements Semantics.
-func (Product) Name() string { return "product" }
-
-// TNorm implements Semantics.
-func (Product) TNorm(a, b float64) float64 { return a * b }
-
-// SNorm implements Semantics.
-func (Product) SNorm(a, b float64) float64 { return a + b - a*b }
-
-// Neg implements Semantics.
-func (Product) Neg(a float64) float64 { return 1 - a }
-
-// Implies implements Semantics.
-func (Product) Implies(a, b float64) float64 {
-	if a <= b {
-		return 1
-	}
-	if a == 0 {
-		return 1
-	}
-	return b / a
-}
+import "math"
 
 // clamp01 restricts v to [0,1], guarding accumulated rounding.
 func clamp01(v float64) float64 {
@@ -108,57 +16,12 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// Aggregator folds the truth degrees of a quantifier's instances into one
-// degree. LTN uses generalized means; classical fuzzy logic uses min/max.
-type Aggregator interface {
-	// Name identifies the aggregator.
-	Name() string
-	// Aggregate folds the degrees (which must be non-empty).
-	Aggregate(degrees []float64) float64
-}
-
-// MinAgg interprets ∀ as the minimum (Gödel universal quantifier).
-type MinAgg struct{}
-
-// Name implements Aggregator.
-func (MinAgg) Name() string { return "min" }
-
-// Aggregate implements Aggregator.
-func (MinAgg) Aggregate(ds []float64) float64 {
-	m := ds[0]
-	for _, d := range ds[1:] {
-		if d < m {
-			m = d
-		}
-	}
-	return m
-}
-
-// MaxAgg interprets ∃ as the maximum.
-type MaxAgg struct{}
-
-// Name implements Aggregator.
-func (MaxAgg) Name() string { return "max" }
-
-// Aggregate implements Aggregator.
-func (MaxAgg) Aggregate(ds []float64) float64 {
-	m := ds[0]
-	for _, d := range ds[1:] {
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // PMeanError is LTN's smooth universal quantifier: 1 - (mean((1-d)^p))^(1/p).
 // Larger p approaches min.
 type PMeanError struct{ P float64 }
 
-// Name implements Aggregator.
-func (a PMeanError) Name() string { return fmt.Sprintf("pmean_error(p=%g)", a.P) }
-
-// Aggregate implements Aggregator.
+// Aggregate folds the truth degrees of a quantifier's instances (which
+// must be non-empty) into one degree.
 func (a PMeanError) Aggregate(ds []float64) float64 {
 	p := a.P
 	if p <= 0 {
@@ -170,24 +33,4 @@ func (a PMeanError) Aggregate(ds []float64) float64 {
 	}
 	s /= float64(len(ds))
 	return clamp01(1 - math.Pow(s, 1/p))
-}
-
-// PMean is LTN's smooth existential quantifier: (mean(d^p))^(1/p).
-type PMean struct{ P float64 }
-
-// Name implements Aggregator.
-func (a PMean) Name() string { return fmt.Sprintf("pmean(p=%g)", a.P) }
-
-// Aggregate implements Aggregator.
-func (a PMean) Aggregate(ds []float64) float64 {
-	p := a.P
-	if p <= 0 {
-		p = 2
-	}
-	var s float64
-	for _, d := range ds {
-		s += math.Pow(clamp01(d), p)
-	}
-	s /= float64(len(ds))
-	return clamp01(math.Pow(s, 1/p))
 }
