@@ -284,28 +284,6 @@ func BenchmarkRecScheduling(b *testing.B) {
 	b.ReportMetric(speedup, "speedup8")
 }
 
-// BenchmarkRecQuantMatVec compares the INT8 codebook cleanup against FP32.
-func BenchmarkRecQuantMatVec(b *testing.B) {
-	g := tensor.NewRNG(6)
-	a := g.Normal(0, 1, 512, 512)
-	x := g.Normal(0, 1, 512)
-	qa, qx := quant.Quantize(a), quant.Quantize(x)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = quant.MatVecQ(qa, qx)
-	}
-}
-
-func BenchmarkRecFloatMatVec(b *testing.B) {
-	g := tensor.NewRNG(6)
-	a := g.Normal(0, 1, 512, 512)
-	x := g.Normal(0, 1, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tensor.MatVec(a, x)
-	}
-}
-
 // BenchmarkRecSparseJoint compares sparsity-aware against dense joint
 // expansion at PMF-like 90% sparsity (Rec 7).
 func BenchmarkRecSparseJoint(b *testing.B) {

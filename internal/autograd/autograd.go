@@ -219,23 +219,6 @@ func Sigmoid(a *Var) *Var {
 	return v
 }
 
-// Tanh returns tanh(a) with gradient 1 - tanh².
-func Tanh(a *Var) *Var {
-	out := tensor.Tanh(a.Value)
-	v := node(out, nil, a)
-	v.backward = func() {
-		if v.Grad == nil {
-			return
-		}
-		g := tensor.New(out.Shape()...)
-		for i, s := range out.Data() {
-			g.Data()[i] = v.Grad.Data()[i] * (1 - s*s)
-		}
-		a.accumulate(g)
-	}
-	return v
-}
-
 // Sum reduces to the scalar sum of all elements.
 func Sum(a *Var) *Var {
 	out := tensor.Scalar(a.Value.Sum())
@@ -252,26 +235,6 @@ func Sum(a *Var) *Var {
 
 // Square returns a² element-wise.
 func Square(a *Var) *Var { return Mul(a, a) }
-
-// Sqrt returns √a element-wise with gradient 1/(2√a); inputs must be > 0
-// for a finite gradient.
-func Sqrt(a *Var) *Var {
-	out := tensor.Sqrt(a.Value)
-	v := node(out, nil, a)
-	v.backward = func() {
-		if v.Grad == nil {
-			return
-		}
-		g := tensor.New(out.Shape()...)
-		for i, s := range out.Data() {
-			if s > 0 {
-				g.Data()[i] = v.Grad.Data()[i] / (2 * s)
-			}
-		}
-		a.accumulate(g)
-	}
-	return v
-}
 
 // BCE returns the mean binary cross-entropy of probabilities p against 0/1
 // targets, computed stably with an epsilon floor.

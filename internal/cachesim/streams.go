@@ -120,36 +120,3 @@ func GatherStream(h *Hierarchy, tableBytes int64, count int, seed int64, maxAcce
 	}
 	return emitted
 }
-
-// ConvStream emits the pattern of a direct convolution: the input tile is
-// revisited by overlapping kernel windows (high reuse, mostly L1-resident
-// for small tiles), weights are tiny and resident, and the output streams.
-func ConvStream(h *Hierarchy, inBytes, weightBytes, outBytes int64, reuse int, maxAccesses int) int {
-	line := uint64(h.L1.LineSize())
-	in, wt, out := region(0), region(1), region(2)
-	emitted := 0
-	// Weights loaded once.
-	for off := uint64(0); off < uint64(weightBytes); off += line {
-		h.Access(wt + off)
-		if emitted++; emitted >= maxAccesses {
-			return emitted
-		}
-	}
-	// Input revisited `reuse` times (overlapping windows).
-	for r := 0; r < reuse; r++ {
-		for off := uint64(0); off < uint64(inBytes); off += line {
-			h.Access(in + off)
-			if emitted++; emitted >= maxAccesses {
-				return emitted
-			}
-		}
-	}
-	// Output streamed once.
-	for off := uint64(0); off < uint64(outBytes); off += line {
-		h.Access(out + off)
-		if emitted++; emitted >= maxAccesses {
-			return emitted
-		}
-	}
-	return emitted
-}

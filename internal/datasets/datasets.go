@@ -168,22 +168,6 @@ func (f *FamilyGraph) Grandparent() [][]bool {
 	return gp
 }
 
-// SortingInstance is an NLM decision-making instance: an array to sort via
-// pairwise-relation reasoning.
-type SortingInstance struct {
-	Values []float32
-}
-
-// GenSorting draws an array of n distinct values.
-func GenSorting(n int, g *tensor.RNG) SortingInstance {
-	v := make([]float32, n)
-	for i := range v {
-		v[i] = float32(i) + 0.5*g.Rand().Float32()
-	}
-	g.Shuffle(n, func(i, j int) { v[i], v[j] = v[j], v[i] })
-	return SortingInstance{Values: v}
-}
-
 // ImagePair is an unpaired translation instance: a source-domain and a
 // target-domain image with shared layout but different texture statistics —
 // the structure of the GTA→Cityscapes task.

@@ -124,22 +124,6 @@ func TestGrandparentComposition(t *testing.T) {
 	}
 }
 
-func TestGenSorting(t *testing.T) {
-	g := tensor.NewRNG(5)
-	s := GenSorting(16, g)
-	if len(s.Values) != 16 {
-		t.Fatalf("sorting size = %d", len(s.Values))
-	}
-	// Values distinct.
-	seen := map[float32]bool{}
-	for _, v := range s.Values {
-		if seen[v] {
-			t.Fatal("duplicate values")
-		}
-		seen[v] = true
-	}
-}
-
 func TestGenImagePair(t *testing.T) {
 	g := tensor.NewRNG(6)
 	p := GenImagePair(32, 5, g)

@@ -91,35 +91,6 @@ func MaxAbsError(t *tensor.Tensor, q *QTensor) float32 {
 	return m
 }
 
-// MatVecQ computes y = A·x with INT8 inputs and INT32 accumulation,
-// dequantizing the result — the quantized form of the codebook-cleanup
-// kernel that dominates NVSA's symbolic phase.
-func MatVecQ(a *QTensor, x *QTensor) *tensor.Tensor {
-	if len(a.Shape) != 2 || len(x.Shape) != 1 || a.Shape[1] != x.Shape[0] {
-		panic(fmt.Sprintf("quant: MatVecQ shape mismatch %v x %v", a.Shape, x.Shape))
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	out := tensor.New(m)
-	// Precompute Σx and per-row Σa for the affine cross terms:
-	// Σ s_a(a-z_a)·s_x(x-z_x) = s_a·s_x [Σ a·x - z_x Σa - z_a Σx + k·z_a·z_x].
-	var sumX int32
-	for _, v := range x.Data {
-		sumX += int32(v)
-	}
-	za, zx := int32(a.Zero), int32(x.Zero)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*k : (i+1)*k]
-		var acc, sumA int32
-		for j, v := range row {
-			acc += int32(v) * int32(x.Data[j])
-			sumA += int32(v)
-		}
-		corr := acc - zx*sumA - za*sumX + int32(k)*za*zx
-		out.Data()[i] = a.Scale * x.Scale * float32(corr)
-	}
-	return out
-}
-
 // SparseVec is a sparsity-aware vector: only entries with |v| > eps are
 // stored. It executes the element-wise kernels of the symbolic stages
 // touching only non-zero mass (Recommendation 7).
@@ -158,50 +129,6 @@ func (s *SparseVec) NNZ() int { return len(s.Val) }
 
 // Bytes returns the storage footprint (index + value per entry).
 func (s *SparseVec) Bytes() int64 { return int64(len(s.Val)) * 8 }
-
-// MulSparse computes the element-wise product of two sparse vectors via an
-// index merge — the sparsity-aware form of the probability products in the
-// abduction stages. Work is O(nnz_a + nnz_b) instead of O(n).
-func MulSparse(a, b *SparseVec) *SparseVec {
-	if a.N != b.N {
-		panic(fmt.Sprintf("quant: MulSparse length mismatch %d vs %d", a.N, b.N))
-	}
-	out := &SparseVec{N: a.N}
-	i, j := 0, 0
-	for i < len(a.Idx) && j < len(b.Idx) {
-		switch {
-		case a.Idx[i] == b.Idx[j]:
-			out.Idx = append(out.Idx, a.Idx[i])
-			out.Val = append(out.Val, a.Val[i]*b.Val[j])
-			i++
-			j++
-		case a.Idx[i] < b.Idx[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return out
-}
-
-// DotSparse computes the inner product of two sparse vectors.
-func DotSparse(a, b *SparseVec) float32 {
-	var s float64
-	i, j := 0, 0
-	for i < len(a.Idx) && j < len(b.Idx) {
-		switch {
-		case a.Idx[i] == b.Idx[j]:
-			s += float64(a.Val[i]) * float64(b.Val[j])
-			i++
-			j++
-		case a.Idx[i] < b.Idx[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return float32(s)
-}
 
 // JointSparse computes the joint distribution of two sparse PMFs: the
 // sparsity-aware analogue of abduction.Joint, with O(nnz_a · nnz_b) work

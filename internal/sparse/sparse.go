@@ -140,15 +140,6 @@ func (m *COO) ToCSR() *CSR {
 // NNZ returns the stored entry count.
 func (c *CSR) NNZ() int { return len(c.Val) }
 
-// Density returns NNZ / (rows*cols).
-func (c *CSR) Density() float64 {
-	n := c.Rows * c.Cols
-	if n == 0 {
-		return 0
-	}
-	return float64(c.NNZ()) / float64(n)
-}
-
 // SpMM computes the sparse-dense product c × b where b is a dense
 // Cols×n tensor, returning a dense Rows×n tensor.
 func (c *CSR) SpMM(b *tensor.Tensor) *tensor.Tensor {
@@ -167,23 +158,6 @@ func (c *CSR) SpMM(b *tensor.Tensor) *tensor.Tensor {
 				orow[j] += v * brow[j]
 			}
 		}
-	}
-	return out
-}
-
-// SpMV computes the sparse matrix-vector product c × x.
-func (c *CSR) SpMV(x *tensor.Tensor) *tensor.Tensor {
-	if x.Rank() != 1 || x.Dim(0) != c.Cols {
-		panic(fmt.Sprintf("sparse: SpMV dimension mismatch %dx%d times %v", c.Rows, c.Cols, x.Shape()))
-	}
-	out := tensor.New(c.Rows)
-	xd, od := x.Data(), out.Data()
-	for r := 0; r < c.Rows; r++ {
-		var s float64
-		for p := c.RowPtr[r]; p < c.RowPtr[r+1]; p++ {
-			s += float64(c.Val[p]) * float64(xd[c.Col[p]])
-		}
-		od[r] = float32(s)
 	}
 	return out
 }

@@ -72,24 +72,6 @@ func TestFromDenseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCSRSpMVMatchesDense(t *testing.T) {
-	g := tensor.NewRNG(4)
-	d := g.Normal(0, 1, 6, 5)
-	for i := 0; i < d.Size(); i += 2 {
-		d.Data()[i] = 0
-	}
-	csr := FromDense(d, 0).ToCSR()
-	x := g.Normal(0, 1, 5)
-	got := csr.SpMV(x)
-	want := tensor.MatVec(d, x)
-	for i := range want.Data() {
-		diff := got.Data()[i] - want.Data()[i]
-		if diff > 1e-4 || diff < -1e-4 {
-			t.Fatalf("SpMV[%d] = %v, want %v", i, got.Data()[i], want.Data()[i])
-		}
-	}
-}
-
 func TestCSRSpMMMatchesDense(t *testing.T) {
 	g := tensor.NewRNG(5)
 	d := g.Normal(0, 1, 4, 6)
@@ -122,17 +104,6 @@ func TestSDDMM(t *testing.T) {
 	dense := out.ToDense()
 	if dense.At(0, 0) != 1 || dense.At(1, 2) != 14 {
 		t.Fatalf("SDDMM = %v", dense.Data())
-	}
-}
-
-func TestCSRDensity(t *testing.T) {
-	m := NewCOO(10, 10)
-	for i := 0; i < 10; i++ {
-		m.Append(i, i, 1)
-	}
-	c := m.ToCSR()
-	if c.NNZ() != 10 || c.Density() != 0.1 {
-		t.Fatalf("CSR NNZ/Density = %d/%v", c.NNZ(), c.Density())
 	}
 }
 

@@ -87,20 +87,6 @@ func TestMatVecBitIdenticalAcrossBackends(t *testing.T) {
 	})
 }
 
-func TestBatchMatMulBitIdenticalAcrossBackends(t *testing.T) {
-	withBackends(t, func(t *testing.T, be *backend.Parallel) {
-		prop := func(b8, m8, k8, n8 uint8, seed int64) bool {
-			bs, m, k, n := int(b8%6)+1, int(m8%16)+1, int(k8%16)+1, int(n8%16)+1
-			rng := rand.New(rand.NewSource(seed))
-			a, b := randTensor(rng, bs, m, k), randTensor(rng, bs, k, n)
-			return bitsEqual(t, "BatchMatMul", BatchMatMulOn(Serial, a, b), BatchMatMulOn(be, a, b))
-		}
-		if err := quick.Check(prop, equivCfg(3)); err != nil {
-			t.Error(err)
-		}
-	})
-}
-
 func TestConv2DBitIdenticalAcrossBackends(t *testing.T) {
 	withBackends(t, func(t *testing.T, be *backend.Parallel) {
 		prop := func(n8, cin8, cout8, hw8 uint8, seed int64) bool {

@@ -222,15 +222,6 @@ func SignOn(r Runner, a *Tensor) *Tensor {
 	return out
 }
 
-// Sqrt returns the square root element-wise.
-func Sqrt(a *Tensor) *Tensor {
-	out := New(a.shape...)
-	for i, x := range a.data {
-		out.data[i] = float32(math.Sqrt(float64(x)))
-	}
-	return out
-}
-
 // Clamp limits every element to the range [lo, hi].
 func Clamp(a *Tensor, lo, hi float32) *Tensor { return ClampOn(Serial, a, lo, hi) }
 

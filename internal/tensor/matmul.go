@@ -161,43 +161,3 @@ func MatVecsOn(r Runner, kern Kernel, a *Tensor, xs []*Tensor) []*Tensor {
 	}
 	return out
 }
-
-// BatchMatMul multiplies two rank-3 tensors batch-wise: (B×m×k)·(B×k×n) → B×m×n.
-func BatchMatMul(a, b *Tensor) *Tensor { return BatchMatMulOn(Serial, a, b) }
-
-// BatchMatMulOn is BatchMatMul dispatched on r with the auto kernel.
-func BatchMatMulOn(r Runner, a, b *Tensor) *Tensor {
-	return BatchMatMulKernelOn(r, KernelAuto, a, b)
-}
-
-// BatchMatMulKernelOn is BatchMatMul with an explicit kernel choice,
-// chunked over the batch. Per item it runs the same row kernels as MatMul,
-// so each item is bit-identical to the corresponding 2-D product.
-func BatchMatMulKernelOn(r Runner, kern Kernel, a, b *Tensor) *Tensor {
-	if a.Rank() != 3 || b.Rank() != 3 {
-		panic(fmt.Sprintf("tensor: BatchMatMul needs rank-3 operands, got %v x %v", a.shape, b.shape))
-	}
-	if a.shape[0] != b.shape[0] {
-		panic(fmt.Sprintf("tensor: BatchMatMul batch mismatch %v x %v", a.shape, b.shape))
-	}
-	bsz, m, k := a.shape[0], a.shape[1], a.shape[2]
-	if b.shape[1] != k {
-		panic(fmt.Sprintf("tensor: BatchMatMul inner dimension mismatch %v x %v", a.shape, b.shape))
-	}
-	n := b.shape[2]
-	out := NewOn(r, bsz, m, n)
-	tiled := gemmKernel(kern, m, k, n) == KernelTiled
-	r.For(bsz, grainFor(2*int64(m)*int64(k)*int64(n)), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ad := a.data[i*m*k : (i+1)*m*k]
-			bd := b.data[i*k*n : (i+1)*k*n]
-			od := out.data[i*m*n : (i+1)*m*n]
-			if tiled {
-				matMulRowsTiled(r, ad, bd, od, k, n, 0, m)
-			} else {
-				matMulRows(ad, bd, od, k, n, 0, m)
-			}
-		}
-	})
-	return out
-}

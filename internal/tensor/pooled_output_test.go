@@ -210,9 +210,6 @@ func TestKernelOutputsOverwritePoisonedScratch(t *testing.T) {
 		{"MatMul/naive", func(r Runner) []*Tensor { return []*Tensor{MatMulKernelOn(r, KernelNaive, mat, rhs)} }},
 		{"MatMul/tiled", func(r Runner) []*Tensor { return []*Tensor{MatMulKernelOn(r, KernelTiled, mat, rhs)} }},
 		{"MatMul/k=0", func(r Runner) []*Tensor { return []*Tensor{MatMulKernelOn(r, KernelTiled, New(5, 0), New(0, 6))} }},
-		{"BatchMatMul", func(r Runner) []*Tensor {
-			return []*Tensor{BatchMatMulKernelOn(r, KernelTiled, randTensor(rand.New(rand.NewSource(1)), 2, 5, 6), randTensor(rand.New(rand.NewSource(2)), 2, 6, 7))}
-		}},
 		{"MatVec", func(r Runner) []*Tensor { return []*Tensor{MatVecOn(r, mat, vec)} }},
 		{"MatVecs/naive", func(r Runner) []*Tensor { return MatVecsOn(r, KernelNaive, mat, queries) }},
 		{"MatVecs/tiled", func(r Runner) []*Tensor { return MatVecsOn(r, KernelTiled, mat, queries) }},

@@ -75,6 +75,3 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
 // Float64 returns a uniform float64 in [0,1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
-
-// Shuffle randomizes the order of n elements via the provided swap function.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

@@ -162,27 +162,3 @@ func NormalizeL1On(r Runner, a *Tensor) *Tensor {
 	}
 	return MulScalarOn(r, a, float32(1/s))
 }
-
-// TopK returns the indices of the k largest elements of a flat tensor in
-// descending order of value. k is clamped to the tensor size.
-func TopK(a *Tensor, k int) []int {
-	n := a.Size()
-	if k > n {
-		k = n
-	}
-	idx := make([]int, 0, k)
-	// Simple selection; k is small in every call site.
-	used := make([]bool, n)
-	for c := 0; c < k; c++ {
-		best := float32(math.Inf(-1))
-		bi := -1
-		for i, v := range a.data {
-			if !used[i] && v > best {
-				best, bi = v, i
-			}
-		}
-		used[bi] = true
-		idx = append(idx, bi)
-	}
-	return idx
-}

@@ -271,18 +271,6 @@ func TestMatVec(t *testing.T) {
 	}
 }
 
-func TestBatchMatMul(t *testing.T) {
-	a := FromSlice([]float32{1, 0, 0, 1, 2, 0, 0, 2}, 2, 2, 2)
-	b := FromSlice([]float32{1, 2, 3, 4, 1, 2, 3, 4}, 2, 2, 2)
-	c := BatchMatMul(a, b)
-	want := []float32{1, 2, 3, 4, 2, 4, 6, 8}
-	for i, w := range want {
-		if c.Data()[i] != w {
-			t.Fatalf("BatchMatMul[%d] = %v, want %v", i, c.Data()[i], w)
-		}
-	}
-}
-
 func TestConv2DKnown(t *testing.T) {
 	// 1x1x3x3 input, 1x1x2x2 kernel of ones, stride 1, no padding:
 	// each output is the sum of a 2x2 window.
@@ -400,18 +388,6 @@ func TestNormalizeAndL1(t *testing.T) {
 	z := Normalize(Zeros(3))
 	if z.Norm() != 0 {
 		t.Fatal("Normalize of zero must stay zero")
-	}
-}
-
-func TestTopK(t *testing.T) {
-	a := FromSlice([]float32{5, 1, 9, 3}, 4)
-	idx := TopK(a, 2)
-	if len(idx) != 2 || idx[0] != 2 || idx[1] != 0 {
-		t.Fatalf("TopK = %v", idx)
-	}
-	all := TopK(a, 10)
-	if len(all) != 4 {
-		t.Fatalf("TopK clamp = %v", all)
 	}
 }
 

@@ -69,22 +69,6 @@ func TestTiledMatMulBitIdenticalOnParallelBackends(t *testing.T) {
 	})
 }
 
-func TestTiledBatchMatMulBitIdenticalToNaive(t *testing.T) {
-	withBackends(t, func(t *testing.T, be *backend.Parallel) {
-		prop := func(b8, m8, k8, n8 uint8, seed int64) bool {
-			bs, m, k, n := int(b8%4)+1, int(m8%20)+1, int(k8%40)+1, int(n8%40)+1
-			rng := rand.New(rand.NewSource(seed))
-			a, b := randTensor(rng, bs, m, k), randTensor(rng, bs, k, n)
-			want := BatchMatMulKernelOn(Serial, KernelNaive, a, b)
-			ok := bitsEqual(t, "BatchMatMul(tiled,serial)", want, BatchMatMulKernelOn(Serial, KernelTiled, a, b))
-			return ok && bitsEqual(t, "BatchMatMul(tiled,parallel)", want, BatchMatMulKernelOn(be, KernelTiled, a, b))
-		}
-		if err := quick.Check(prop, equivCfg(12)); err != nil {
-			t.Error(err)
-		}
-	})
-}
-
 // convEdgeCases cover padded vs unpadded, strided, kernel-as-big-as-input,
 // and width-below-the-interior-block shapes.
 var convEdgeCases = []struct{ n, cin, cout, h, w, kh, kw, stride, pad int }{

@@ -98,44 +98,6 @@ func TestMergePreservesTimelineFields(t *testing.T) {
 	}
 }
 
-// Filter must deep-copy the params slice: appending a param to the
-// filtered trace used to write through into the parent's backing array.
-func TestFilterDoesNotAliasParams(t *testing.T) {
-	tr := New()
-	tr.Append(mkEvent("a", MatMul, Neural, time.Millisecond, 1, 1))
-	tr.RegisterParam(Param{Name: "w0", Kind: "weight", Bytes: 10})
-	tr.RegisterParam(Param{Name: "w1", Kind: "weight", Bytes: 20})
-
-	sub := tr.Filter(func(ev *Event) bool { return true })
-	sub.RegisterParam(Param{Name: "extra", Kind: "weight", Bytes: 30})
-
-	if n := len(tr.Params()); n != 2 {
-		t.Fatalf("parent params = %d after writing to filtered trace, want 2", n)
-	}
-	if n := len(sub.Params()); n != 3 {
-		t.Fatalf("filtered params = %d, want 3", n)
-	}
-	// Mutating the parent must not show up in the child either.
-	tr.RegisterParam(Param{Name: "late", Kind: "weight", Bytes: 5})
-	if n := len(sub.Params()); n != 3 {
-		t.Fatalf("filtered params grew to %d after parent append", n)
-	}
-}
-
-func TestFilterCarriesEpochAndSpans(t *testing.T) {
-	tr := New()
-	tr.BeginSpan(Span{Name: "stage"})
-	tr.End()
-	tr.Append(mkEvent("a", MatMul, Neural, time.Millisecond, 1, 1))
-	sub := tr.Filter(func(ev *Event) bool { return true })
-	if !sub.Epoch().Equal(tr.Epoch()) {
-		t.Fatal("filtered trace lost the epoch")
-	}
-	if len(sub.Spans()) != 1 {
-		t.Fatalf("filtered spans = %d, want 1", len(sub.Spans()))
-	}
-}
-
 // Equal durations must tie-break on Seq so TopOps is deterministic.
 func TestTopOpsTieBreakIsStable(t *testing.T) {
 	tr := New()

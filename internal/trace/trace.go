@@ -101,26 +101,18 @@ type Event struct {
 // Observer is a hook invoked with each event as it is recorded, so a
 // characterization run can be observed live (e.g. streamed into a
 // metrics registry) instead of only analyzed post-hoc. The event pointer
-// is only valid for the duration of the call. Observers run on the goroutine of
-// the engine that records the event, and concurrent runs may share one
-// observer, so implementations must be safe for concurrent use.
+// is only valid for the duration of the call. Observers run on the
+// goroutine of the engine that records the event, and concurrent runs may
+// share one observer, so implementations must be safe for concurrent use.
 type Observer func(ev *Event)
-
-// ArithmeticIntensity returns the event's FLOPs per byte (0 if no traffic).
-func (e *Event) ArithmeticIntensity() float64 {
-	if e.Bytes == 0 {
-		return 0
-	}
-	return float64(e.FLOPs) / float64(e.Bytes)
-}
 
 // Trace is an ordered log of events plus workload-level registrations.
 //
 // Alongside the flat event log, a trace carries a timeline skeleton: an
 // epoch (the monotonic instant timestamps are measured against) and a set
-// of nested spans (stage ranges, kernel chunks) that the
-// Chrome/Perfetto export renders as "B"/"E" ranges and worker tracks
-// around the operator events.
+// of nested spans (stage ranges, kernel chunks) that the Chrome/Perfetto
+// export renders as "B"/"E" ranges and worker tracks around the operator
+// events.
 type Trace struct {
 	Events []Event
 	params []Param
@@ -396,23 +388,6 @@ func (t *Trace) Merge(parts ...*Trace) {
 		t.params = append(t.params, p.params...)
 		t.spans = append(t.spans, p.spans...)
 	}
-}
-
-// Filter returns a new trace holding the events for which keep returns
-// true. Params and spans are carried over as copies: the filtered trace
-// must not alias the parent's backing arrays, or a later RegisterParam on
-// either trace could clobber the other through a shared-array append.
-func (t *Trace) Filter(keep func(*Event) bool) *Trace {
-	out := New()
-	out.epoch = t.epoch
-	for i := range t.Events {
-		if keep(&t.Events[i]) {
-			out.Append(t.Events[i])
-		}
-	}
-	out.params = append([]Param(nil), t.params...)
-	out.spans = append([]Span(nil), t.spans...)
-	return out
 }
 
 // TopOps returns the n longest events, descending by duration. Ties are

@@ -118,15 +118,7 @@ func TestFilterAndTopOps(t *testing.T) {
 	tr := New()
 	tr.Append(mkEvent("short", MatMul, Neural, time.Millisecond, 0, 0))
 	tr.Append(mkEvent("long", Other, Symbolic, time.Second, 0, 0))
-	tr.RegisterParam(Param{Name: "w", Kind: "weight", Bytes: 128})
 
-	f := tr.Filter(func(e *Event) bool { return e.Phase == Symbolic })
-	if f.Len() != 1 || f.Events[0].Name != "long" {
-		t.Fatalf("Filter = %+v", f.Events)
-	}
-	if len(f.Params()) != 1 {
-		t.Fatal("Filter must carry params")
-	}
 	top := tr.TopOps(1)
 	if len(top) != 1 || top[0].Name != "long" {
 		t.Fatalf("TopOps = %+v", top)
@@ -144,17 +136,6 @@ func TestParamBytesByKind(t *testing.T) {
 	m := tr.ParamBytesByKind()
 	if m["weight"] != 150 || m["codebook"] != 1000 {
 		t.Fatalf("ParamBytesByKind = %v", m)
-	}
-}
-
-func TestEventArithmeticIntensity(t *testing.T) {
-	e := mkEvent("x", MatMul, Neural, 0, 100, 25)
-	if e.ArithmeticIntensity() != 4 {
-		t.Fatalf("AI = %v", e.ArithmeticIntensity())
-	}
-	z := mkEvent("z", Other, Neural, 0, 100, 0)
-	if z.ArithmeticIntensity() != 0 {
-		t.Fatal("zero-byte AI must be 0")
 	}
 }
 

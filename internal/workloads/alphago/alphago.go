@@ -13,7 +13,6 @@
 package alphago
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/neurosym/nsbench/internal/nn"
@@ -315,30 +314,4 @@ func bestChild(n *node) *node {
 		}
 	}
 	return best
-}
-
-// PlayGreedyGame plays a full self-play game and returns the winner (±1, 0
-// for a draw) — a functional sanity check that search prefers wins.
-func (w *Workload) PlayGreedyGame() (int8, error) {
-	b := newBoard(w.cfg.Board)
-	player := int8(1)
-	for !b.full() {
-		e := w.newEngine()
-		mv, err := w.Search(e, b, player)
-		if err != nil {
-			return 0, err
-		}
-		if mv < 0 {
-			break
-		}
-		if b.cells[mv] != 0 {
-			return 0, fmt.Errorf("alphago: illegal move %d", mv)
-		}
-		b.cells[mv] = player
-		if win := b.winner(w.cfg.Connect); win != 0 {
-			return win, nil
-		}
-		player = -player
-	}
-	return 0, nil
 }

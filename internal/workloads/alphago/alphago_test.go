@@ -90,17 +90,6 @@ func TestRunRecordsBothPhases(t *testing.T) {
 	}
 }
 
-func TestPlayGreedyGameTerminates(t *testing.T) {
-	w := New(Config{Board: 5, Connect: 4, Simulations: 12, Seed: 7})
-	winner, err := w.PlayGreedyGame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if winner != 1 && winner != -1 && winner != 0 {
-		t.Fatalf("winner = %d", winner)
-	}
-}
-
 func TestNameCategory(t *testing.T) {
 	w := New(Config{Board: 5})
 	if w.Name() != "AlphaGo" || w.Category() != "Symbolic[Neuro]" {
