@@ -402,16 +402,16 @@ func benchBackendConv2D(b *testing.B, workers int) {
 	if workers == 1 {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = tensor.Conv2DOn(tensor.Serial, in, w, nil, 1, 1)
+			_ = tensor.Conv2DKernelOn(tensor.Serial, tensor.KernelAuto, in, w, nil, 1, 1)
 		}
 		return
 	}
-	serialNs := serialBaselineNs(func() { _ = tensor.Conv2DOn(tensor.Serial, in, w, nil, 1, 1) })
+	serialNs := serialBaselineNs(func() { _ = tensor.Conv2DKernelOn(tensor.Serial, tensor.KernelAuto, in, w, nil, 1, 1) })
 	be := backend.NewParallel(workers)
 	defer be.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = tensor.Conv2DOn(be, in, w, nil, 1, 1)
+		_ = tensor.Conv2DKernelOn(be, tensor.KernelAuto, in, w, nil, 1, 1)
 	}
 	b.StopTimer()
 	parNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)

@@ -97,8 +97,8 @@ func TestConv2DBitIdenticalAcrossBackends(t *testing.T) {
 			w := randTensor(rng, cout, cin, 3, 3)
 			bias := randTensor(rng, cout)
 			return bitsEqual(t, "Conv2D",
-				Conv2DOn(Serial, in, w, bias, 1, 1),
-				Conv2DOn(be, in, w, bias, 1, 1))
+				Conv2DKernelOn(Serial, KernelAuto, in, w, bias, 1, 1),
+				Conv2DKernelOn(be, KernelAuto, in, w, bias, 1, 1))
 		}
 		if err := quick.Check(prop, equivCfg(4)); err != nil {
 			t.Error(err)

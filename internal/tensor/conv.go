@@ -11,13 +11,7 @@ import "fmt"
 // workload sizes used in the characterization study and keeps the byte/FLOP
 // accounting transparent.
 func Conv2D(input, weight, bias *Tensor, stride, pad int) *Tensor {
-	return Conv2DOn(Serial, input, weight, bias, stride, pad)
-}
-
-// Conv2DOn is Conv2D dispatched on r with the auto kernel: the measured
-// dispatch table picks the naive or tiled implementation per shape.
-func Conv2DOn(r Runner, input, weight, bias *Tensor, stride, pad int) *Tensor {
-	return Conv2DKernelOn(r, KernelAuto, input, weight, bias, stride, pad)
+	return Conv2DKernelOn(Serial, KernelAuto, input, weight, bias, stride, pad)
 }
 
 // Conv2DKernelOn is Conv2D with an explicit kernel choice. The naive

@@ -98,7 +98,7 @@ func TestPropCircularConvCommutative(t *testing.T) {
 	f := func(v smallVec) bool {
 		n := len(v)
 		a := FromSlice(append([]float32(nil), v...), n)
-		b := Roll(a, 1)
+		b := RollOn(Serial, a, 1)
 		x, y := CircularConv(a, b), CircularConv(b, a)
 		for i := range x.Data() {
 			if !almostEq(x.Data()[i], y.Data()[i], 1e-3) {
@@ -135,7 +135,7 @@ func TestPropRollInverse(t *testing.T) {
 	f := func(v smallVec, k int) bool {
 		n := len(v)
 		a := FromSlice(append([]float32(nil), v...), n)
-		r := Roll(Roll(a, k), -k)
+		r := RollOn(Serial, RollOn(Serial, a, k), -k)
 		for i := range a.Data() {
 			if r.Data()[i] != a.Data()[i] {
 				return false

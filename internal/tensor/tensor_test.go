@@ -397,14 +397,14 @@ func TestTransposePermute(t *testing.T) {
 	if tr.Dim(0) != 3 || tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
 		t.Fatalf("Transpose = %v %v", tr.Shape(), tr.Data())
 	}
-	p := Permute(a, 1, 0)
+	p := PermuteOn(Serial, a, 1, 0)
 	for i := range tr.Data() {
 		if p.Data()[i] != tr.Data()[i] {
 			t.Fatal("Permute(1,0) != Transpose")
 		}
 	}
 	b := NewRNG(3).Normal(0, 1, 2, 3, 4)
-	pp := Permute(Permute(b, 2, 0, 1), 1, 2, 0)
+	pp := PermuteOn(Serial, PermuteOn(Serial, b, 2, 0, 1), 1, 2, 0)
 	for i := range b.Data() {
 		if pp.Data()[i] != b.Data()[i] {
 			t.Fatal("Permute roundtrip failed")
@@ -423,7 +423,7 @@ func TestConcatStackSlice(t *testing.T) {
 	if c1.Dim(1) != 4 || c1.At(0, 3) != 4 {
 		t.Fatalf("Concat axis1 = %v %v", c1.Shape(), c1.Data())
 	}
-	st := Stack(a.Reshape(a.Size()), b.Reshape(b.Size()))
+	st := StackOn(Serial, a.Reshape(a.Size()), b.Reshape(b.Size()))
 	if st.Dim(0) != 2 || st.At(1, 0) != 3 {
 		t.Fatalf("Stack = %v", st.Data())
 	}
@@ -440,11 +440,11 @@ func TestGatherMaskedSelect(t *testing.T) {
 		t.Fatalf("Gather = %v", gth.Data())
 	}
 	mask := FromSlice([]float32{1, 0, 0, 1, 1, 0}, 3, 2)
-	ms := MaskedSelect(a, mask)
+	ms := MaskedSelectOn(Serial, a, mask)
 	if ms.Size() != 3 || ms.At(0) != 1 || ms.At(1) != 4 || ms.At(2) != 5 {
 		t.Fatalf("MaskedSelect = %v", ms.Data())
 	}
-	empty := MaskedSelect(a, Zeros(3, 2))
+	empty := MaskedSelectOn(Serial, a, Zeros(3, 2))
 	if empty.Size() != 0 {
 		t.Fatalf("MaskedSelect empty = %v", empty.Data())
 	}
@@ -452,11 +452,11 @@ func TestGatherMaskedSelect(t *testing.T) {
 
 func TestPad2DRollOneHot(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3}, 3)
-	r := Roll(a, 1)
+	r := RollOn(Serial, a, 1)
 	if r.At(0) != 3 || r.At(1) != 1 {
 		t.Fatalf("Roll = %v", r.Data())
 	}
-	rn := Roll(a, -1)
+	rn := RollOn(Serial, a, -1)
 	if rn.At(0) != 2 {
 		t.Fatalf("Roll(-1) = %v", rn.Data())
 	}

@@ -20,11 +20,8 @@ func TransposeOn(r Runner, a *Tensor) *Tensor {
 	return out
 }
 
-// Permute reorders the axes of a according to perm (a permutation of
-// 0..rank-1) and materializes the result.
-func Permute(a *Tensor, perm ...int) *Tensor { return PermuteOn(Serial, a, perm...) }
-
-// PermuteOn is Permute with its output drawn from ru.
+// PermuteOn reorders the axes of a according to perm (a permutation of
+// 0..rank-1) and materializes the result, drawn from ru.
 func PermuteOn(ru Runner, a *Tensor, perm ...int) *Tensor {
 	r := a.Rank()
 	if len(perm) != r {
@@ -116,10 +113,8 @@ func ConcatOn(ru Runner, axis int, ts ...*Tensor) *Tensor {
 	return out
 }
 
-// Stack stacks equal-shape tensors along a new leading axis.
-func Stack(ts ...*Tensor) *Tensor { return StackOn(Serial, ts...) }
-
-// StackOn is Stack with its output drawn from r.
+// StackOn stacks equal-shape tensors along a new leading axis, with its
+// output drawn from r.
 func StackOn(r Runner, ts ...*Tensor) *Tensor {
 	if len(ts) == 0 {
 		panic("tensor: Stack of no tensors")
@@ -155,12 +150,10 @@ func SliceOn(r Runner, a *Tensor, lo, hi int) *Tensor {
 	return out
 }
 
-// SliceAxis returns a[..., lo:hi, ...] along the given axis, materialized.
-// It generalizes Slice to any axis, which batched workloads need to carve
-// per-item panels out of a (batch, panels, ...) embedding block.
-func SliceAxis(a *Tensor, axis, lo, hi int) *Tensor { return SliceAxisOn(Serial, a, axis, lo, hi) }
-
-// SliceAxisOn is SliceAxis with its output drawn from ru.
+// SliceAxisOn returns a[..., lo:hi, ...] along the given axis,
+// materialized in a buffer drawn from ru. It generalizes Slice to any
+// axis, which batched workloads need to carve per-item panels out of a
+// (batch, panels, ...) embedding block.
 func SliceAxisOn(ru Runner, a *Tensor, axis, lo, hi int) *Tensor {
 	r := a.Rank()
 	if axis < 0 || axis >= r {
@@ -239,11 +232,8 @@ func OuterExpandOn(r Runner, ea, eb, a, b *Tensor) {
 	})
 }
 
-// MaskedSelect returns a flat tensor of the elements of a where mask is
-// nonzero. mask must have a's shape.
-func MaskedSelect(a, mask *Tensor) *Tensor { return MaskedSelectOn(Serial, a, mask) }
-
-// MaskedSelectOn is MaskedSelect with its output drawn from r.
+// MaskedSelectOn returns a flat tensor, drawn from r, of the elements of
+// a where mask is nonzero. mask must have a's shape.
 func MaskedSelectOn(r Runner, a, mask *Tensor) *Tensor {
 	if !a.SameShape(mask) {
 		panic(fmt.Sprintf("tensor: MaskedSelect shape mismatch %v vs %v", a.shape, mask.shape))
@@ -265,11 +255,8 @@ func MaskedSelectOn(r Runner, a, mask *Tensor) *Tensor {
 	return out
 }
 
-// Roll circularly shifts a flat tensor right by k positions (k may be
-// negative or exceed the length).
-func Roll(a *Tensor, k int) *Tensor { return RollOn(Serial, a, k) }
-
-// RollOn is Roll with its output drawn from r.
+// RollOn circularly shifts a flat tensor right by k positions (k may be
+// negative or exceed the length), with its output drawn from r.
 func RollOn(r Runner, a *Tensor, k int) *Tensor {
 	n := a.Size()
 	out := emptyOn(r, a.shape...)
