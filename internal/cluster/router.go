@@ -261,8 +261,10 @@ func New(cfg Config) (*Router, error) {
 			}
 		},
 		func(node string) {
-			rt.ring.Add(node)
+			// Record before the ring edit: whoever sees the node in the
+			// ring can rely on its readmit span already being there.
 			rt.recordRouterSpan(healthTraceID, "health.readmit("+node+")", time.Now())
+			rt.ring.Add(node)
 			if rt.logger != nil {
 				rt.logger.Info("replica readmitted", "node", node)
 			}
