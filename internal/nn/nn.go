@@ -151,11 +151,14 @@ func (b *BatchNorm2d) Forward(e *ops.Engine, x *tensor.Tensor) *tensor.Tensor {
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	// Materialize the broadcast per-channel parameters once, chunked per
-	// (batch, channel) plane on the engine's backend.
-	scale := tensor.New(n, c, h, w)
-	shift := tensor.New(n, c, h, w)
+	// (batch, channel) plane on the engine's backend. Every element is
+	// written, so the buffers come from the backend's scratch pool and go
+	// back once the two ops have read them.
+	be := e.Backend()
+	scale := tensor.FromSlice(be.Scratch32(x.Size()), n, c, h, w)
+	shift := tensor.FromSlice(be.Scratch32(x.Size()), n, c, h, w)
 	hw := h * w
-	e.Backend().For(n*c, 1, func(lo, hi int) {
+	be.For(n*c, 1, func(lo, hi int) {
 		for bc := lo; bc < hi; bc++ {
 			base := bc * hw
 			sv, bv := b.Scale.At(bc%c), b.Bias.At(bc%c)
@@ -165,8 +168,10 @@ func (b *BatchNorm2d) Forward(e *ops.Engine, x *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	})
-	y := e.Mul(x, scale)
-	return e.Add(y, shift)
+	y := e.Add(e.Mul(x, scale), shift)
+	be.Release32(scale.Data())
+	be.Release32(shift.Data())
+	return y
 }
 
 // Register records the layer parameters.
