@@ -43,6 +43,28 @@ func TestNeuralDominates(t *testing.T) {
 	}
 }
 
+// TestNeuralFLOPsDominate is the deterministic sibling of
+// TestNeuralDominates: the same Fig. 2a claim over the analytic FLOPs of
+// the two phases, which do not move with CPU contention. The neural phase
+// carries 0.924 of them at defaults.
+func TestNeuralFLOPsDominate(t *testing.T) {
+	w := New(Config{})
+	e := ops.New()
+	if err := w.Run(e); err != nil {
+		t.Fatal(err)
+	}
+	var neural, total int64
+	for _, ev := range e.Trace().Events {
+		total += ev.FLOPs
+		if ev.Phase == trace.Neural {
+			neural += ev.FLOPs
+		}
+	}
+	if share := float64(neural) / float64(total); total == 0 || share <= 0.5 {
+		t.Fatalf("neural FLOP share = %.3f of %d FLOPs, want > 0.5 (Fig. 2a; measured 0.924)", share, total)
+	}
+}
+
 func TestStages(t *testing.T) {
 	w := New(Config{ImgSize: 32, Ensemble: 1})
 	e := ops.New()
