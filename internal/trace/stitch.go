@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
 )
@@ -129,7 +130,9 @@ func nestingKind(kind string) bool { return kind == SpanStage }
 // single Chrome trace-event document: one pid per process (named by its
 // Node string, in argument order), one tid per worker lane, all
 // timestamps re-anchored to the earliest instant across every process.
-// The output satisfies ValidateChrome.
+// The output satisfies ValidateChrome. A slice entry that cannot be
+// placed on that axis (see placeable) is an error, and nothing is
+// written.
 func WriteStitchedChrome(w io.Writer, procs []RequestTrace) error {
 	if len(procs) == 0 {
 		return fmt.Errorf("trace: nothing to stitch (no process traces)")
@@ -138,20 +141,25 @@ func WriteStitchedChrome(w io.Writer, procs []RequestTrace) error {
 	// Global epoch: earliest timestamp anywhere.
 	var epoch int64
 	seen := false
-	observe := func(ns int64) {
-		if ns == 0 {
-			return
+	observe := func(name string, start, dur int64) error {
+		if err := placeable(name, start, dur); err != nil {
+			return err
 		}
-		if !seen || ns < epoch {
-			epoch, seen = ns, true
+		if !seen || start < epoch {
+			epoch, seen = start, true
 		}
+		return nil
 	}
 	for i := range procs {
-		for j := range procs[i].Events {
-			observe(procs[i].Events[j].StartUnixNs)
+		for _, e := range procs[i].Events {
+			if err := observe(e.Name, e.StartUnixNs, e.DurNs); err != nil {
+				return err
+			}
 		}
-		for j := range procs[i].Spans {
-			observe(procs[i].Spans[j].StartUnixNs)
+		for _, s := range procs[i].Spans {
+			if err := observe(s.Name, s.StartUnixNs, s.DurNs); err != nil {
+				return err
+			}
 		}
 	}
 	if !seen {
@@ -264,6 +272,18 @@ func WriteStitchedChrome(w io.Writer, procs []RequestTrace) error {
 		"traceEvents":     evs,
 		"displayTimeUnit": "ms",
 	})
+}
+
+// placeable checks that an entry starting at start and lasting dur
+// nanoseconds has a place on the stitched time axis: wire timestamps are
+// absolute Unix nanoseconds, so the start must be positive, the duration
+// non-negative and the end representable. Otherwise an entry would render
+// before the axis origin or end before it begins.
+func placeable(name string, start, dur int64) error {
+	if start <= 0 || dur < 0 || dur > math.MaxInt64-start {
+		return fmt.Errorf("trace: cannot stitch %q: start %d ns, duration %d ns", name, start, dur)
+	}
+	return nil
 }
 
 // SpanAt builds a closed span from explicit instants — the constructor

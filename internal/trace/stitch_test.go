@@ -168,3 +168,50 @@ func TestWriteStitchedChromeEmpty(t *testing.T) {
 		t.Fatalf("err = %v, want nothing-to-stitch", err)
 	}
 }
+
+// FuzzStitchedChrome drives the router's trace boundary: replica
+// RequestTrace JSON is decoded and handed to WriteStitchedChrome, whose
+// contract is that its output satisfies ValidateChrome. Whenever the
+// writer accepts the slices, the validator must accept what it wrote.
+func FuzzStitchedChrome(f *testing.F) {
+	// A real two-process trace, as two flight recorders produce it.
+	router, replica := NewRecorder(16), NewRecorder(16)
+	router.RecordSpan("req", SpanAt("proxy", "router", 0, stamp(0), stamp(9*time.Millisecond)))
+	op := mkEvent("op", MatMul, Neural, 2*time.Millisecond, 100, 200)
+	op.Start = stamp(2 * time.Millisecond)
+	op.Worker = 1
+	replica.Record("req", &op)
+	replica.RecordSpan("req", SpanAt("queue.wait", "serve", 0, stamp(time.Millisecond), stamp(2*time.Millisecond)))
+	replica.RecordSpan("req", SpanAt("solve", SpanStage, 0, stamp(2*time.Millisecond), stamp(5*time.Millisecond)))
+	real, err := json.Marshal([]RequestTrace{router.RequestTrace("req", "router"), replica.RequestTrace("req", "replica-a")})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		string(real),
+		`[]`,
+		`[{"request_id":"r","node":"a"}]`,
+		// A span that ends before it starts.
+		`[{"node":"a","spans":[{"name":"s","kind":"stage","worker":0,"start_unix_ns":2000,"dur_ns":-1000}]}]`,
+		// Nested stage spans on one lane.
+		`[{"node":"a","spans":[{"name":"outer","kind":"stage","start_unix_ns":1000,"dur_ns":5000},` +
+			`{"name":"inner","kind":"stage","start_unix_ns":2000,"dur_ns":1000}]}]`,
+		// The kind forked engines used to record.
+		`[{"node":"a","spans":[{"name":"fork[0]","kind":"fork","worker":1,"start_unix_ns":1000,"dur_ns":500}]}]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var procs []RequestTrace
+		if json.Unmarshal(data, &procs) != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if WriteStitchedChrome(&buf, procs) != nil {
+			return
+		}
+		if _, err := ValidateChrome(buf.Bytes()); err != nil {
+			t.Fatalf("WriteStitchedChrome output fails ValidateChrome: %v\ninput: %s", err, data)
+		}
+	})
+}
