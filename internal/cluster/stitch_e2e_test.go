@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -243,6 +244,25 @@ func TestClusterStitchedTraceEndToEnd(t *testing.T) {
 }
 
 // routerGet issues one GET through the router handler.
+// TestStitchedTraceRejectsUnplaceableSlice: when a replica's slice holds
+// an entry the stitched axis cannot place (here a span that ends before
+// it starts), the router answers an error status with the writer's
+// reason instead of an empty 200.
+func TestStitchedTraceRejectsUnplaceableSlice(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusOK) })
+	mux.HandleFunc("/v1/trace", func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"request_id":"x","node":"a","spans":[{"name":"s","kind":"stage","start_unix_ns":2000,"dur_ns":-1000}]}`))
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	rt := newTestRouter(t, Config{Replicas: []string{srv.URL}, Health: fastHealth()})
+	rec := routerGet(rt.Handler(), "/v1/trace?request_id=x")
+	if rec.Code != http.StatusBadGateway || !strings.Contains(rec.Body.String(), "cannot stitch") {
+		t.Fatalf("status %d, body %q; want 502 with the writer's reason", rec.Code, rec.Body.String())
+	}
+}
+
 func routerGet(h http.Handler, path string) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	rec := httptest.NewRecorder()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/url"
@@ -93,7 +94,15 @@ func (rt *Router) handleStitchedTrace(w http.ResponseWriter, r *http.Request, id
 		w.Write(b)
 		return
 	}
-	if err := trace.WriteStitchedChrome(w, procs); err != nil && rt.logger != nil {
-		rt.logger.Error("stitched trace write failed", "id", id, "err", err)
+	// Stitch into a buffer: a slice the writer rejects must become an
+	// error status, not an empty 200.
+	var buf bytes.Buffer
+	if err := trace.WriteStitchedChrome(&buf, procs); err != nil {
+		if rt.logger != nil {
+			rt.logger.Error("stitched trace write failed", "id", id, "err", err)
+		}
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
 	}
+	w.Write(buf.Bytes())
 }
