@@ -87,25 +87,17 @@ func (e *Engine) Close() { e.be.Close() }
 
 // Recycle ends the output lifetimes of an engine from a Pool: every
 // buffer its operators drew from the backend's scratch pool and that was
-// not released or kept goes back to the pool, where the next run's
-// outputs reuse it. Call it once nothing reads the run's tensors any
-// more, typically when the run ends; the trace stays valid, since it
-// holds tensor IDs and no tensor data. On a stand-alone engine it does
+// not released goes back to the pool, where the next run's outputs reuse
+// it. Call it once nothing reads the run's tensors any more, typically
+// when the run ends; the trace stays valid, since it holds tensor IDs and
+// no tensor data. An output that must outlive the run has to be copied
+// to the heap first (Tensor.Clone). On a stand-alone engine Recycle does
 // nothing: its outputs stay ordinary garbage. Engine goroutine only.
 func (e *Engine) Recycle() { e.kt.recycle() }
 
-// Keep exempts the storage of ts from Recycle and Release: a workload
-// calls it for the rare output that must outlive the run (state read by
-// a later Run). Kept storage is ordinary heap memory from then on.
-func (e *Engine) Keep(ts ...*tensor.Tensor) {
-	for _, t := range ts {
-		e.kt.forget(t.Data())
-	}
-}
-
 // Begin opens a nested timeline span carrying the engine's current phase;
-// close it with End. Spans are pure timeline annotation — they
-// never contribute to aggregate statistics.
+// close it with End. Spans are pure timeline annotation — they never
+// contribute to aggregate statistics.
 func (e *Engine) Begin(name string) {
 	e.tr.BeginSpan(trace.Span{Name: name, Phase: e.phase})
 }

@@ -26,9 +26,9 @@ import (
 // them, like their internal scratch, with tensor.Runner.Scratch32. For an
 // engine from a Pool, every buffer drawn is recorded as live until the
 // kernel hands it back with Release32 (its internal scratch) or the engine
-// releases, keeps or recycles it (see Engine.Recycle). A stand-alone
-// engine records nothing (live is nil): it has no run boundary to return
-// its outputs at, so they stay ordinary garbage.
+// releases or recycles it (see Engine.Recycle). A stand-alone engine
+// records nothing (live is nil): it has no run boundary to return its
+// outputs at, so they stay ordinary garbage.
 //
 // The label (kernel name, phase) is written by the engine goroutine
 // between ops; chunk callbacks run concurrently on pool workers, so the
@@ -114,7 +114,7 @@ func (k *kernelTracer) Scratch32(n int) []float32 {
 }
 
 // Release32 returns a buffer to the backend's pool. A tracking engine
-// returns only buffers it holds live: one already returned, kept, or never
+// returns only buffers it holds live: one already returned or never
 // drawn here is left alone, so no buffer reaches the pool twice.
 func (k *kernelTracer) Release32(buf []float32) {
 	if k.live == nil || k.forget(buf) {
