@@ -425,14 +425,13 @@ func BenchmarkBackendParallelConv2Dx4(b *testing.B) { benchBackendConv2D(b, 4) }
 // reports the symbolic-phase share, exercising circular convolution and the
 // factorization loop through the pool.
 func benchBackendNVSA(b *testing.B, cfg ops.Config) {
-	w := nvsa.New(nvsa.Config{Engine: cfg})
-	defer w.Close()
-	newEngine, release := cfg.Factory()
-	defer release() // tears down the factory's shared pool
+	w := nvsa.New(nvsa.Config{})
+	pool := cfg.NewPool()
+	defer pool.Close()
 	var sym time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := newEngine()
+		e := pool.Engine()
 		if err := w.Run(e); err != nil {
 			b.Fatal(err)
 		}

@@ -27,8 +27,7 @@ func runExplore(path, workload string, dev hwsim.Device, eng ops.Config) error {
 		return err
 	}
 	charStart := time.Now()
-	report, err := core.Characterize(wl, core.Options{Engine: eng, Pool: pool, Device: dev})
-	core.CloseWorkload(wl)
+	report, err := core.Characterize(wl, core.Options{Pool: pool, Device: dev})
 	if err != nil {
 		return err
 	}

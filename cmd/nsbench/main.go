@@ -33,7 +33,6 @@ func main() {
 	metricsOut := flag.String("metrics", "", "dump runtime/pool/operator metrics (Prometheus text) to this file at exit (\"-\" = stderr)")
 	chromeTrace := flag.String("chrome-trace", "", "write the suite's merged operator timeline (Chrome trace-event JSON, loadable in Perfetto) to this file; needs a suite experiment (fig2a/fig3*/fig4/all)")
 	batch := flag.Int("batch", 0, "run the continuous-batching comparison instead of -experiment: one batched pass of N items vs N sequential solo runs, per workload (N >= 2)")
-	kernelName := flag.String("kernel", "auto", "GEMM/conv kernel implementation: auto (measured dispatch table), naive, or tiled")
 	kernelBench := flag.String("kernel-bench", "", "benchmark naive vs tiled kernels over the workload operator shapes and write the roofline table (BENCH_kernels.json format) to this file instead of running -experiment")
 	explore := flag.String("explore", "", "run the design-space exploration smoke instead of -experiment: characterize -explore-workload once, sweep the default 256-point config space over the cached trace, and write the BENCH_explore.json artifact to this file")
 	exploreWorkload := flag.String("explore-workload", "NVSA", "workload the -explore sweep characterizes and projects")
@@ -53,7 +52,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng := ops.Config{Backend: *backendName, Workers: *workers, Kernel: *kernelName}
+	eng := ops.Config{Backend: *backendName, Workers: *workers}
 	if err := eng.Validate(); err != nil {
 		fatal(err)
 	}
@@ -118,7 +117,7 @@ func fatal(err error) {
 func runBatchCompare(n int, dev hwsim.Device, eng ops.Config) error {
 	pool := eng.NewPool()
 	defer pool.Close()
-	opts := core.Options{Engine: eng, Pool: pool, Device: dev}
+	opts := core.Options{Pool: pool, Device: dev}
 	fmt.Printf("Continuous batching — one batched pass of n=%d vs n sequential solo runs\n", n)
 	fmt.Printf("%-16s %14s %14s %9s\n", "model", "sequential", "batched", "speedup")
 	for _, name := range core.WorkloadNames() {
@@ -128,10 +127,8 @@ func runBatchCompare(n int, dev hwsim.Device, eng ops.Config) error {
 			if err != nil {
 				return err
 			}
-			_, rerr := core.Characterize(wl, opts)
-			core.CloseWorkload(wl)
-			if rerr != nil {
-				return rerr
+			if _, err := core.Characterize(wl, opts); err != nil {
+				return err
 			}
 		}
 		seq := time.Since(seqStart)
@@ -140,10 +137,8 @@ func runBatchCompare(n int, dev hwsim.Device, eng ops.Config) error {
 			return err
 		}
 		batStart := time.Now()
-		_, rerr := core.CharacterizeBatch(bw, n, opts)
-		core.CloseWorkload(bw)
-		if rerr != nil {
-			return rerr
+		if _, err := core.CharacterizeBatch(bw, n, opts); err != nil {
+			return err
 		}
 		bat := time.Since(batStart)
 		fmt.Printf("%-16s %14v %14v %8.2fx\n", name, seq.Round(time.Millisecond), bat.Round(time.Millisecond), float64(seq)/float64(bat))
@@ -193,7 +188,7 @@ func run(experiment string, dev hwsim.Device, eng ops.Config, reg *metrics.Regis
 		ops.RegisterPoolMetrics(reg, pool)
 		pool.SetObserver(ops.NewOpObserver(reg))
 	}
-	opts := core.Options{Engine: eng, Pool: pool}
+	opts := core.Options{Pool: pool}
 
 	var reports []*core.Report
 	if needSuite[experiment] {

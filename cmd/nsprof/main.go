@@ -32,7 +32,6 @@ func main() {
 	chromeOut := flag.String("chrome-trace", "", "write a chrome://tracing / Perfetto timeline to this file")
 	backendName := flag.String("backend", ops.BackendSerial, "execution backend: serial or parallel")
 	workers := flag.Int("workers", 0, "parallel backend worker count (0 = GOMAXPROCS)")
-	kernelName := flag.String("kernel", "auto", "GEMM/conv kernel implementation: auto (measured dispatch table), naive, or tiled")
 	metricsOut := flag.String("metrics", "", "dump runtime/pool/operator metrics (Prometheus text) to this file at exit (\"-\" = stderr)")
 	logFormat := flag.String("log-format", logging.FormatText, "log output format: text or json")
 	flag.Parse()
@@ -48,7 +47,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng := ops.Config{Backend: *backendName, Workers: *workers, Kernel: *kernelName}
+	eng := ops.Config{Backend: *backendName, Workers: *workers}
 	if err := eng.Validate(); err != nil {
 		fatal(err)
 	}
@@ -62,8 +61,7 @@ func main() {
 		ops.RegisterPoolMetrics(reg, pool)
 		pool.SetObserver(ops.NewOpObserver(reg))
 	}
-	r, err := core.Characterize(w, core.Options{Device: dev, Engine: eng, Pool: pool})
-	core.CloseWorkload(w)
+	r, err := core.Characterize(w, core.Options{Device: dev, Pool: pool})
 	pool.Close()
 	if err != nil {
 		fatal(err)

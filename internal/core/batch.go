@@ -51,8 +51,8 @@ func CharacterizeBatch(w Workload, n int, opts Options, items ...ItemOptions) ([
 		return nil, fmt.Errorf("core: CharacterizeBatch got %d item options for batch size %d", len(items), n)
 	}
 	opts.defaults()
-	e, release := opts.engine()
-	defer release()
+	e := opts.engine()
+	defer e.Recycle()
 
 	var parts []*trace.Trace
 	var err error
@@ -104,9 +104,7 @@ func BuildBatchWorkload(name string) (BatchWorkload, error) {
 	if bw, ok := w.(BatchWorkload); ok {
 		return bw, nil
 	}
-	adapter := &loopBatch{name: w.Name(), category: w.Category(), build: b, ownsItems: true}
-	CloseWorkload(w)
-	return adapter, nil
+	return &loopBatch{name: w.Name(), category: w.Category(), build: b}, nil
 }
 
 // loopBatch adapts any workload to BatchWorkload by running one instance
@@ -115,21 +113,12 @@ func BuildBatchWorkload(name string) (BatchWorkload, error) {
 type loopBatch struct {
 	name, category string
 	build          Builder
-	// ownsItems marks instances as adapter-built (closed after each
-	// item) rather than caller-owned.
-	ownsItems bool
 }
 
 func (a *loopBatch) Name() string     { return a.name }
 func (a *loopBatch) Category() string { return a.category }
 
-func (a *loopBatch) Run(e *ops.Engine) error {
-	w := a.build()
-	if a.ownsItems {
-		defer CloseWorkload(w)
-	}
-	return w.Run(e)
-}
+func (a *loopBatch) Run(e *ops.Engine) error { return a.build().Run(e) }
 
 func (a *loopBatch) RunBatch(e *ops.Engine, n int) error {
 	_, err := a.runItems(e, n)
@@ -150,9 +139,6 @@ func (a *loopBatch) runItems(e *ops.Engine, n int) ([]itemBounds, error) {
 		e.Begin(fmt.Sprintf("item[%d]", i))
 		err := w.Run(e)
 		e.End()
-		if a.ownsItems {
-			CloseWorkload(w)
-		}
 		if err != nil {
 			return nil, fmt.Errorf("item %d: %w", i, err)
 		}

@@ -90,6 +90,8 @@ func TestCharacterizeBatchMatchesSequential(t *testing.T) {
 			name, eng := name, eng
 			t.Run(fmt.Sprintf("%s/%s", name, eng.Backend), func(t *testing.T) {
 				t.Parallel()
+				pool := eng.NewPool()
+				defer pool.Close()
 				var want [][]byte
 				var solo []*Report
 				for i := 0; i < n; i++ {
@@ -97,8 +99,7 @@ func TestCharacterizeBatchMatchesSequential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("build: %v", err)
 					}
-					r, err := Characterize(w, Options{Engine: eng})
-					CloseWorkload(w)
+					r, err := Characterize(w, Options{Pool: pool})
 					if err != nil {
 						t.Fatalf("sequential run %d: %v", i, err)
 					}
@@ -113,8 +114,7 @@ func TestCharacterizeBatchMatchesSequential(t *testing.T) {
 				if _, native := bw.(*loopBatch); !native {
 					t.Logf("%s: native batch path", name)
 				}
-				reports, err := CharacterizeBatch(bw, n, Options{Engine: eng})
-				CloseWorkload(bw)
+				reports, err := CharacterizeBatch(bw, n, Options{Pool: pool})
 				if err != nil {
 					t.Fatalf("batch run: %v", err)
 				}
@@ -145,21 +145,16 @@ func TestAdapterPathOnNativeWorkloads(t *testing.T) {
 				t.Fatalf("build: %v", err)
 			}
 			if _, ok := w.(BatchWorkload); !ok {
-				CloseWorkload(w)
 				t.Skip("adapter is the default path; covered by the main property test")
 			}
 			builder := registry[name]
-			adapter := &loopBatch{name: w.Name(), category: w.Category(), build: builder, ownsItems: true}
-			CloseWorkload(w)
+			adapter := &loopBatch{name: w.Name(), category: w.Category(), build: builder}
 
-			solo, err := func() (*Report, error) {
-				sw, err := BuildWorkload(name)
-				if err != nil {
-					return nil, err
-				}
-				defer CloseWorkload(sw)
-				return Characterize(sw, Options{})
-			}()
+			sw, err := BuildWorkload(name)
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			solo, err := Characterize(sw, Options{})
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/neurosym/nsbench/internal/backend"
 	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/ops"
 	"github.com/neurosym/nsbench/internal/roofline"
@@ -102,14 +103,10 @@ type Options struct {
 	// ProjectDevices lists devices for Fig. 2b projections; nil means
 	// TX2, Xavier NX, RTX 2080 Ti.
 	ProjectDevices []hwsim.Device
-	// Engine selects the execution backend the characterization run
-	// executes on; the zero value is serial.
-	Engine ops.Config
-	// Pool, when non-nil, supplies engines from a shared backend worker
-	// pool instead of building (and tearing down) a private backend per
-	// run. The pool's owner is responsible for closing it; Characterize
-	// only borrows engines. Long-lived callers (servers, sweeps) set this
-	// so repeated characterizations reuse one worker pool.
+	// Pool supplies the run's engine and so its execution backend. The
+	// pool's owner (a binary, a server, a test) closes it; Characterize
+	// only borrows engines. Nil borrows from one package-level serial
+	// pool.
 	Pool *ops.Pool
 	// Observer, when non-nil, sees every operator event live as the run
 	// records it (e.g. streaming into a metrics registry). It overrides
@@ -139,48 +136,43 @@ func Characterize(w Workload, opts Options) (*Report, error) {
 }
 
 // Execute runs one inference of w on an engine chosen by opts and returns
-// its trace. The run's tensors are gone when it returns (see
-// Options.engine); the trace holds everything Analyze reads.
+// its trace. The run's tensors are recycled when it returns; the trace
+// holds everything Analyze reads.
 func Execute(w Workload, opts Options) (*trace.Trace, error) {
-	e, release := opts.engine()
-	defer release()
+	e := opts.engine()
+	defer e.Recycle()
 	if err := w.Run(e); err != nil {
 		return nil, fmt.Errorf("core: running %s: %w", w.Name(), err)
 	}
 	return e.Trace(), nil
 }
 
-// engine returns a run engine plus its release function, which ends the
-// run: it recycles every engine output into the backend's scratch pool (a
-// report keeps only the trace, which holds no tensor data) and, for a
-// private engine, tears its backend down. A borrowed engine's backend
-// belongs to the shared Pool, whose owner closes it.
-func (o *Options) engine() (*ops.Engine, func()) {
-	pool, private := o.Pool, o.Pool == nil
-	if private {
-		pool = o.Engine.NewPool()
+// serialPool serves runs whose Options name no Pool. The serial backend
+// has no workers and its scratch pools are package-level, so one shared
+// pool that is never closed costs nothing.
+var serialPool = ops.NewPool(backend.Serial{})
+
+// engine returns a run engine from the options' pool. The caller ends the
+// run with the engine's Recycle, which hands every engine output back to
+// the backend's scratch pool (a report keeps only the trace, which holds
+// no tensor data).
+func (o *Options) engine() *ops.Engine {
+	pool := o.Pool
+	if pool == nil {
+		pool = serialPool
 	}
 	e := pool.Engine()
-	release := func() {
-		e.Recycle()
-		if private {
-			pool.Close()
-		}
-	}
 	if o.Observer != nil {
 		e.SetObserver(o.Observer)
 	}
-	return e, release
+	return e
 }
 
-// CloseWorkload releases any shared engine backend a workload holds for
-// its internal runs (accuracy loops build engines from a per-workload
-// pool). Workloads without resources are left untouched.
-func CloseWorkload(w Workload) {
-	if c, ok := w.(interface{ Close() }); ok {
-		c.Close()
-	}
-}
+// CloseWorkload does nothing: workloads hold models, not execution
+// backends, so there is nothing to release. It stays because the
+// end-to-end benchmark module (e2ebench), whose source is held fixed,
+// calls it.
+func CloseWorkload(Workload) {}
 
 // Analyze derives a report from an existing trace.
 func Analyze(name, category string, tr *trace.Trace, opts Options) *Report {

@@ -33,6 +33,28 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestWorkloadsOwnNoBackend pins who owns execution backends: the caller
+// that runs the engine (Options.Pool), never the workload. A registered
+// workload, or its batch form, with a Close method would be holding
+// something that outlives a run.
+func TestWorkloadsOwnNoBackend(t *testing.T) {
+	for _, name := range WorkloadNames() {
+		w, err := BuildWorkload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bw, err := BuildBatchWorkload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range []Workload{w, bw} {
+			if _, ok := x.(interface{ Close() }); ok {
+				t.Errorf("%s (%T) has a Close method; workloads hold models, not execution backends", name, x)
+			}
+		}
+	}
+}
+
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -292,7 +314,6 @@ func TestFig2cProjectedScaling(t *testing.T) {
 	for i, m := range []int{2, 3} {
 		w := nvsa.New(nvsa.Config{M: m})
 		r, err := Characterize(w, Options{ProjectDevices: []hwsim.Device{hwsim.JetsonTX2}})
-		CloseWorkload(w)
 		if err != nil {
 			t.Fatal(err)
 		}

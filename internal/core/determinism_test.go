@@ -8,12 +8,13 @@ import (
 	"github.com/neurosym/nsbench/internal/workloads/nvsa"
 )
 
-// characterizeNVSA runs one NVSA characterization with the given engine
-// config and returns its trace.
+// characterizeNVSA runs one NVSA characterization on a pool of the given
+// backend and returns its trace.
 func characterizeNVSA(t *testing.T, eng ops.Config) *trace.Trace {
 	t.Helper()
-	w := nvsa.New(nvsa.Config{Engine: eng})
-	r, err := Characterize(w, Options{Engine: eng})
+	pool := eng.NewPool()
+	defer pool.Close()
+	r, err := Characterize(nvsa.New(nvsa.Config{}), Options{Pool: pool})
 	if err != nil {
 		t.Fatalf("characterize: %v", err)
 	}

@@ -21,7 +21,6 @@ func Fig2a(opts Options) ([]*Report, error) {
 			return nil, err
 		}
 		r, err := Characterize(w, opts)
-		CloseWorkload(w)
 		if err != nil {
 			return nil, err
 		}
@@ -51,13 +50,10 @@ func Fig2b(opts Options) ([]Fig2bRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		e, release := opts.engine()
-		defer release()
-		defer CloseWorkload(w)
-		if err := w.Run(e); err != nil {
+		tr, err := Execute(w, opts)
+		if err != nil {
 			return nil, err
 		}
-		tr := e.Trace()
 		var tx2 hwsim.Projection
 		projections := make([]hwsim.Projection, 0, 3)
 		for _, d := range hwsim.EdgeDevices() {
@@ -99,9 +95,8 @@ func Fig2c(opts Options) ([]Fig2cRow, error) {
 	for _, m := range []int{2, 3} {
 		best := Fig2cRow{TaskSize: fmt.Sprintf("%dx%d", m, m)}
 		for rep := 0; rep < 3; rep++ {
-			w := nvsa.New(nvsa.Config{M: m, Engine: opts.Engine})
+			w := nvsa.New(nvsa.Config{M: m})
 			r, err := Characterize(w, opts)
-			CloseWorkload(w)
 			if err != nil {
 				return nil, err
 			}
@@ -133,7 +128,6 @@ func Fig5(opts Options) ([]Fig5Row, error) {
 		return nil, err
 	}
 	r, err := Characterize(w, opts)
-	CloseWorkload(w)
 	if err != nil {
 		return nil, err
 	}
@@ -161,13 +155,10 @@ func Tab4(device hwsim.Device, opts Options) ([]hwsim.KernelStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, release := opts.engine()
-	defer release()
-	defer CloseWorkload(w)
-	if err := w.Run(e); err != nil {
+	tr, err := Execute(w, opts)
+	if err != nil {
 		return nil, err
 	}
-	tr := e.Trace()
 	pick := func(phase trace.Phase, kernels ...string) []trace.Event {
 		var out []trace.Event
 		for _, ev := range tr.Events {
@@ -212,9 +203,8 @@ type ScalabilityRow struct {
 func ScalabilitySweep(dims []int, opts Options) ([]ScalabilityRow, error) {
 	var rows []ScalabilityRow
 	for _, d := range dims {
-		w := nvsa.New(nvsa.Config{Dim: d, Engine: opts.Engine})
+		w := nvsa.New(nvsa.Config{Dim: d})
 		r, err := Characterize(w, opts)
-		CloseWorkload(w)
 		if err != nil {
 			return nil, err
 		}

@@ -11,7 +11,6 @@ import (
 	"github.com/neurosym/nsbench/internal/backend"
 	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/ops"
-	"github.com/neurosym/nsbench/internal/tensor"
 	"github.com/neurosym/nsbench/internal/trace"
 )
 
@@ -64,14 +63,13 @@ func (p *poisonBackend) Release32(buf []float32) {
 const runs = 2
 
 // serialReports characterizes one instance of the named workload runs
-// times, each on a fresh private serial engine: the reference side.
+// times on the default serial pool: the reference side.
 func serialReports(t *testing.T, name string) []*Report {
 	t.Helper()
 	w, err := BuildWorkload(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer CloseWorkload(w)
 	var out []*Report
 	for i := 0; i < runs; i++ {
 		r, err := Characterize(w, Options{})
@@ -122,13 +120,11 @@ func TestRecycledPoolReportsMatchFreshSerial(t *testing.T) {
 			if _, err := Characterize(warm, Options{Pool: pool}); err != nil {
 				t.Fatalf("warm-up run: %v", err)
 			}
-			CloseWorkload(warm)
 
 			w, err := BuildWorkload(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer CloseWorkload(w)
 			var got []*Report
 			for i := 0; i < runs; i++ {
 				r, err := Characterize(w, Options{Pool: pool})
@@ -155,12 +151,11 @@ func TestPoisonedBackendReportsMatchFreshSerial(t *testing.T) {
 			want := serialReports(t, name)
 
 			pb := &poisonBackend{}
-			pool := ops.NewPool(pb, tensor.KernelAuto)
+			pool := ops.NewPool(pb)
 			w, err := BuildWorkload(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer CloseWorkload(w)
 			var got []*Report
 			for i := 0; i < runs; i++ {
 				r, err := Characterize(w, Options{Pool: pool})
@@ -200,7 +195,6 @@ func TestConcurrentCharacterizeSharedPool(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				defer CloseWorkload(w)
 				r, err := Characterize(w, Options{Pool: pool})
 				if err != nil {
 					t.Errorf("%s: %v", name, err)
@@ -225,9 +219,8 @@ func TestRecycleHandsEveryBufferBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer CloseWorkload(w)
 	pb := &poisonBackend{}
-	e := ops.NewPool(pb, tensor.KernelAuto).Engine()
+	e := ops.NewPool(pb).Engine()
 	if err := w.Run(e); err != nil {
 		t.Fatal(err)
 	}

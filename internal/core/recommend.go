@@ -44,13 +44,10 @@ func RecommendationAblations(units []int, opts Options) (*Recommendations, error
 	if err != nil {
 		return nil, err
 	}
-	e, release := opts.engine()
-	defer release()
-	defer CloseWorkload(w)
-	if err := w.Run(e); err != nil {
+	tr, err := Execute(w, opts)
+	if err != nil {
 		return nil, err
 	}
-	tr := e.Trace()
 
 	rec := &Recommendations{}
 	// Rec 5: schedule the graph on the GPU cost model so the makespans are

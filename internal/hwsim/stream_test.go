@@ -29,9 +29,7 @@ func suiteKernelCalls(t *testing.T) []kernelCall {
 			t.Fatal(err)
 		}
 		e := ops.New()
-		err = w.Run(e)
-		core.CloseWorkload(w)
-		if err != nil {
+		if err := w.Run(e); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		tr := e.Trace()

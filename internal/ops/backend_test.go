@@ -38,21 +38,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestConfigFactorySharesBackend(t *testing.T) {
-	newEngine, release := Config{Backend: BackendParallel, Workers: 2}.Factory()
-	e1, e2 := newEngine(), newEngine()
-	if e1.Backend() != e2.Backend() {
-		t.Fatal("factory engines do not share one backend")
-	}
-	if e1.Backend().Workers() != 2 {
-		t.Fatalf("workers = %d, want 2", e1.Backend().Workers())
-	}
-	release()
-	release() // idempotent
-	// Engines survive release by degrading to inline dispatch.
-	e1.Backend().For(4, 1, func(lo, hi int) {})
-}
-
 func TestPoolEngineAndClose(t *testing.T) {
 	pool := Config{Backend: BackendParallel, Workers: 2}.NewPool()
 	e1, e2 := pool.Engine(), pool.Engine()
@@ -62,8 +47,13 @@ func TestPoolEngineAndClose(t *testing.T) {
 	if e1.Trace() == e2.Trace() {
 		t.Fatal("pool engines must record into private traces")
 	}
+	if e1.Backend().Workers() != 2 {
+		t.Fatalf("workers = %d, want 2", e1.Backend().Workers())
+	}
 	pool.Close()
 	pool.Close() // idempotent
+	// Engines survive Close by degrading to inline dispatch.
+	e1.Backend().For(4, 1, func(lo, hi int) {})
 }
 
 func TestParallelEngineMatchesSerial(t *testing.T) {

@@ -26,11 +26,6 @@ type Engine struct {
 	phase trace.Phase
 	stage string
 
-	// kernel selects the tensor kernel variant (auto, naive, tiled) the
-	// engine's GEMM and convolution ops dispatch to. The zero value is
-	// tensor.KernelAuto: the measured per-shape dispatch table decides.
-	kernel tensor.Kernel
-
 	// kt shims the backend during instrumented ops to record kernel
 	// chunks as worker-attributed timeline spans.
 	kt *kernelTracer
@@ -59,8 +54,8 @@ type Engine struct {
 const defaultSparsityEps float32 = 1e-6
 
 // New returns an engine recording into a fresh trace, starting in the
-// neural phase on the serial backend. Options select a different backend
-// or kernel variant:
+// neural phase on the serial backend. WithBackend selects a different
+// backend:
 //
 //	ops.New(ops.WithBackend(sharedBackend))
 //
@@ -81,8 +76,8 @@ func (e *Engine) Trace() *trace.Trace { return e.tr }
 func (e *Engine) Backend() backend.Backend { return e.be }
 
 // Close releases the engine's backend resources (worker goroutines). Only
-// call it when the engine owns its backend; engines built from a shared
-// Config.Factory backend must leave Close to the owner.
+// call it when the engine owns its backend (Config.New); engines from a
+// Pool must leave Close to the pool's owner.
 func (e *Engine) Close() { e.be.Close() }
 
 // Recycle ends the output lifetimes of an engine from a Pool: every

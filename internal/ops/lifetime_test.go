@@ -46,11 +46,16 @@ func (c *countingBackend) Release32(buf []float32) {
 func TestRecycleReturnsEachBufferOnce(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cb := &countingBackend{}
-	e := NewPool(cb, tensor.KernelTiled).Engine()
+	e := NewPool(cb).Engine()
 	g := tensor.NewRNG(3)
 	x := g.Normal(0, 1, 64)
-	a := g.Normal(0, 1, 8, 16)
-	b := g.Normal(0, 1, 16, 8)
+	// Large enough that the dispatch table picks the tiled GEMM, whose
+	// packing panel is kernel scratch.
+	a := g.Normal(0, 1, 32, 64)
+	b := g.Normal(0, 1, 64, 32)
+	if k := tensor.GemmKernelFor(32, 64, 32); k != tensor.KernelTiled {
+		t.Fatalf("dispatch picks %v for the 32×64·64×32 GEMM, want tiled", k)
+	}
 
 	y := e.Add(x, x)
 	_ = e.Reshape(y, 8, 8)

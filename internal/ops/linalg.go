@@ -17,7 +17,7 @@ func (e *Engine) MatMul(a, b *tensor.Tensor) *tensor.Tensor {
 		flops:    tensor.FlopsMatMul(m, k, n),
 		bytes:    tensor.BytesMatMul(m, k, n),
 		inputs:   []*tensor.Tensor{a, b},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.MatMulKernelOn(e.be, e.kernel, a, b)} }))
+	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.MatMulOn(e.be, a, b)} }))
 }
 
 // MatMulBatch records a GEMM whose left operand stacks `batch` row blocks
@@ -36,7 +36,7 @@ func (e *Engine) MatMulBatch(a, b *tensor.Tensor, batch int) *tensor.Tensor {
 		flops:    int64(batch) * tensor.FlopsMatMul(m, k, n),
 		bytes:    int64(batch) * tensor.BytesMatMul(m, k, n),
 		inputs:   []*tensor.Tensor{a, b},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.MatMulKernelOn(e.be, e.kernel, a, b)} }))
+	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.MatMulOn(e.be, a, b)} }))
 }
 
 // matVecOp describes one GEMV of a (m×k) with x.
@@ -68,7 +68,7 @@ func (e *Engine) MatVec(a, x *tensor.Tensor) *tensor.Tensor {
 // measured duration is split evenly across the events, which start back
 // to back and sum to it.
 func (e *Engine) MatVecs(a *tensor.Tensor, xs []*tensor.Tensor) []*tensor.Tensor {
-	start, dur, outs := e.timed("sgemv", func() []*tensor.Tensor { return tensor.MatVecsOn(e.be, e.kernel, a, xs) })
+	start, dur, outs := e.timed("sgemv", func() []*tensor.Tensor { return tensor.MatVecsOn(e.be, tensor.KernelAuto, a, xs) })
 	n := time.Duration(len(xs))
 	for j, x := range xs {
 		lo, hi := dur*time.Duration(j)/n, dur*time.Duration(j+1)/n
@@ -94,7 +94,7 @@ func (e *Engine) Conv2DBatch(in, w, bias *tensor.Tensor, stride, pad, batch int)
 		bytes:    int64(batch) * tensor.BytesConv2D(n, cin, h, wd, cout, hout, wout, kh, kw),
 		inputs:   []*tensor.Tensor{in, w, bias},
 	}, func() []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.Conv2DKernelOn(e.be, e.kernel, in, w, bias, stride, pad)}
+		return []*tensor.Tensor{tensor.Conv2DKernelOn(e.be, tensor.KernelAuto, in, w, bias, stride, pad)}
 	}))
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"github.com/neurosym/nsbench/internal/backend"
-	"github.com/neurosym/nsbench/internal/tensor"
 	"github.com/neurosym/nsbench/internal/trace"
 )
 
@@ -29,61 +28,39 @@ func WithBackend(b backend.Backend) Option {
 	}
 }
 
-// WithKernel pins the tensor kernel variant the engine's GEMM and
-// convolution ops dispatch to. The default, tensor.KernelAuto, lets the
-// measured per-shape dispatch table choose; KernelNaive and KernelTiled
-// force one implementation (outputs are bit-identical either way).
-func WithKernel(k tensor.Kernel) Option {
-	return func(e *Engine) { e.kernel = k }
-}
-
 // Config names an execution backend in the plain-data form carried by
-// workload configs and CLI flags. The zero value selects the serial
+// CLI flags and service configs. The zero value selects the serial
 // backend.
 type Config struct {
 	Backend string // "serial" (default) or "parallel"
 	Workers int    // parallel worker count; <1 selects GOMAXPROCS
-	Kernel  string // "auto" (default), "naive", or "tiled" kernel variant
 }
 
-// Validate reports whether the backend and kernel names are known.
+// Validate reports whether the backend name is known.
 func (c Config) Validate() error {
 	switch c.Backend {
 	case "", BackendSerial, BackendParallel:
 	default:
 		return fmt.Errorf("ops: unknown backend %q (want %q or %q)", c.Backend, BackendSerial, BackendParallel)
 	}
-	if _, err := tensor.ParseKernel(c.Kernel); err != nil {
-		return fmt.Errorf("ops: %v", err)
-	}
 	return nil
 }
 
 // New builds an engine on a backend of its own. The caller owns the
 // engine's backend and must Close the engine when done.
-func (c Config) New() *Engine { return New(WithBackend(c.build()), WithKernel(c.kernel())) }
+func (c Config) New() *Engine { return New(WithBackend(c.build())) }
 
 // NewPool builds the shared-backend pool for c. Every engine the pool
 // hands out runs on one backend — and so one worker pool and one scratch
 // pool — and the pool's Close is the single teardown point for all of
-// them. Workloads and services that build a fresh engine per run
-// (accuracy loops, sweeps, servers) use this to avoid spawning a worker
-// pool per iteration and to avoid leaking the one they share.
-func (c Config) NewPool() *Pool { return NewPool(c.build(), c.kernel()) }
+// them. Whoever runs engines owns the pool: a binary or service builds
+// one at startup and passes it to every run (core.Options.Pool), so no
+// run spawns a worker pool of its own.
+func (c Config) NewPool() *Pool { return NewPool(c.build()) }
 
-// NewPool returns a pool handing out engines on be that dispatch GEMM and
-// convolution to kern. The pool's Close closes be.
-func NewPool(be backend.Backend, kern tensor.Kernel) *Pool { return &Pool{be: be, kern: kern} }
-
-// Factory returns an engine constructor that shares one backend across
-// every engine it creates, plus the release function that tears that
-// backend down. The caller owns the shared backend: exactly one release
-// call is required (extra calls are no-ops), after which engines built by
-// the constructor must no longer run kernels.
-func (c Config) Factory() (newEngine func() *Engine, release func()) {
-	p := c.NewPool()
-	return p.Engine, p.Close
-}
+// NewPool returns a pool handing out engines on be. The pool's Close
+// closes be.
+func NewPool(be backend.Backend) *Pool { return &Pool{be: be} }
 
 // Pool owns one shared execution backend and builds engines on it. The
 // zero value is not usable; construct pools with Config.NewPool. A Pool is
@@ -91,7 +68,6 @@ func (c Config) Factory() (newEngine func() *Engine, release func()) {
 // (each engine itself stays single-goroutine).
 type Pool struct {
 	be   backend.Backend
-	kern tensor.Kernel
 	once sync.Once
 	// observer, when set, is installed on every engine the pool hands
 	// out, so every run through a shared pool feeds the same live
@@ -118,7 +94,7 @@ func (p *Pool) SetObserver(fn trace.Observer) {
 // backend's scratch pool for the pool's next engines (dropping the engine
 // without Recycle leaves them to the garbage collector).
 func (p *Pool) Engine() *Engine {
-	e := New(WithBackend(p.be), WithKernel(p.kern))
+	e := New(WithBackend(p.be))
 	e.kt.live = map[*float32][]float32{}
 	if fn := p.observer.Load(); fn != nil {
 		e.observer = *fn
@@ -141,14 +117,4 @@ func (c Config) build() backend.Backend {
 		return backend.NewParallel(c.Workers)
 	}
 	return backend.Serial{}
-}
-
-// kernel resolves the config's kernel name; Validate has already vetted it
-// wherever build ran, so a parse failure here is a programmer error.
-func (c Config) kernel() tensor.Kernel {
-	k, err := tensor.ParseKernel(c.Kernel)
-	if err != nil {
-		panic(err)
-	}
-	return k
 }

@@ -173,7 +173,6 @@ func (s *Server) characterizeBatch(fs []*flight) ([][]byte, error) {
 		return nil, err
 	}
 	s.recordServeSpan(fs[0].id, "core.build", start)
-	defer core.CloseWorkload(bw)
 	items := make([]core.ItemOptions, len(fs))
 	for i, f := range fs {
 		dev, err := hwsim.DeviceByName(f.req.Device)

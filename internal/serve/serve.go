@@ -402,7 +402,6 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			list = append(list, entry{Name: wl.Name(), Category: wl.Category()})
-			core.CloseWorkload(wl)
 		}
 		s.workloadsJSON, s.workloadsErr = json.Marshal(list)
 	})
@@ -693,7 +692,6 @@ func (s *Server) run(req Request, runID string) (*core.Report, error) {
 		return nil, err
 	}
 	s.recordServeSpan(runID, "core.build", start)
-	defer core.CloseWorkload(wl)
 	dev, err := hwsim.DeviceByName(req.Device)
 	if err != nil {
 		return nil, err

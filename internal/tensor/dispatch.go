@@ -1,7 +1,5 @@
 package tensor
 
-import "fmt"
-
 // Kernel selects a GEMM/conv kernel implementation. The zero value is
 // KernelAuto, which consults the measured dispatch table below; the
 // explicit values force one implementation, which is what the bit-identity
@@ -19,37 +17,16 @@ const (
 	KernelTiled
 )
 
-// Kernel names accepted by ParseKernel and the CLI -kernel flag.
-const (
-	KernelNameAuto  = "auto"
-	KernelNameNaive = "naive"
-	KernelNameTiled = "tiled"
-)
-
-// String returns the kernel's CLI name.
+// String returns the kernel's name as the kernel benchmarks report it.
 func (k Kernel) String() string {
 	switch k {
 	case KernelNaive:
-		return KernelNameNaive
+		return "naive"
 	case KernelTiled:
-		return KernelNameTiled
+		return "tiled"
 	default:
-		return KernelNameAuto
+		return "auto"
 	}
-}
-
-// ParseKernel maps a CLI/config kernel name to a Kernel. The empty string
-// selects KernelAuto, matching the zero value of config structs.
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "", KernelNameAuto:
-		return KernelAuto, nil
-	case KernelNameNaive:
-		return KernelNaive, nil
-	case KernelNameTiled:
-		return KernelTiled, nil
-	}
-	return KernelAuto, fmt.Errorf("tensor: unknown kernel %q (want %q, %q or %q)", s, KernelNameAuto, KernelNameNaive, KernelNameTiled)
 }
 
 // The dispatch table: measured naive/tiled crossover points for the auto

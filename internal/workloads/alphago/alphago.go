@@ -28,10 +28,6 @@ type Config struct {
 	Simulations int   // MCTS simulations per move; default 64
 	Moves       int   // moves to play per Run; default 4
 	Seed        int64 // default 1
-
-	// Engine selects the execution backend for engines the workload
-	// builds itself (self-play loops).
-	Engine ops.Config
 }
 
 func (c *Config) defaults() {
@@ -116,22 +112,19 @@ type node struct {
 
 // Workload is the MCTS + network instance.
 type Workload struct {
-	cfg       Config
-	newEngine func() *ops.Engine
-	release   func() // tears down the shared engine backend
-	g         *tensor.RNG
-	net       *nn.CNN    // shared trunk
-	pol       *nn.Linear // policy head over trunk features
-	val       *nn.Linear // value head
-	b         *board
+	cfg Config
+	g   *tensor.RNG
+	net *nn.CNN    // shared trunk
+	pol *nn.Linear // policy head over trunk features
+	val *nn.Linear // value head
+	b   *board
 }
 
 // New constructs the workload.
 func New(cfg Config) *Workload {
 	cfg.defaults()
 	g := tensor.NewRNG(cfg.Seed)
-	newEngine, release := cfg.Engine.Factory()
-	w := &Workload{cfg: cfg, newEngine: newEngine, release: release, g: g, b: newBoard(cfg.Board)}
+	w := &Workload{cfg: cfg, g: g, b: newBoard(cfg.Board)}
 	w.net = nn.NewCNN(g, "alphago.trunk", nn.CNNConfig{InChannels: 2, InSize: cfg.Board, Channels: []int{16}, Residual: true, OutDim: 64})
 	w.pol = nn.NewLinear(g, "alphago.policy", 64, cfg.Board*cfg.Board, true)
 	w.val = nn.NewLinear(g, "alphago.value", 64, 1, true)
@@ -140,9 +133,6 @@ func New(cfg Config) *Workload {
 
 // Name implements the workload identity.
 func (w *Workload) Name() string { return "AlphaGo" }
-
-// Close releases the workload's shared engine backend (worker pool).
-func (w *Workload) Close() { w.release() }
 
 // Category returns the taxonomy category of Table I.
 func (w *Workload) Category() string { return "Symbolic[Neuro]" }

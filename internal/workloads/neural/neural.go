@@ -21,10 +21,6 @@ type Config struct {
 	ImgSize int   // rendered panel resolution; default 32
 	Embed   int   // embedding width; default 128
 	Seed    int64 // default 1
-
-	// Engine selects the execution backend for engines the workload
-	// builds itself (training and accuracy loops).
-	Engine ops.Config
 }
 
 func (c *Config) defaults() {
@@ -44,34 +40,26 @@ func (c *Config) defaults() {
 
 // Baseline is the workload instance.
 type Baseline struct {
-	cfg       Config
-	newEngine func() *ops.Engine
-	release   func() // tears down the shared engine backend
-	g         *tensor.RNG
-	cnn       *nn.CNN
-	scorer    *nn.Sequential
+	cfg    Config
+	g      *tensor.RNG
+	cnn    *nn.CNN
+	scorer *nn.Sequential
 }
 
 // New constructs the baseline.
 func New(cfg Config) *Baseline {
 	cfg.defaults()
 	g := tensor.NewRNG(cfg.Seed)
-	newEngine, release := cfg.Engine.Factory()
 	return &Baseline{
-		cfg:       cfg,
-		newEngine: newEngine,
-		release:   release,
-		g:         g,
-		cnn:       nn.NewCNN(g, "baseline.enc", nn.CNNConfig{InChannels: 1, InSize: cfg.ImgSize, Channels: []int{8, 16, 32}, Residual: true, OutDim: cfg.Embed}),
-		scorer:    nn.NewMLP(g, "baseline.scorer", 2*cfg.Embed, cfg.Embed, 1),
+		cfg:    cfg,
+		g:      g,
+		cnn:    nn.NewCNN(g, "baseline.enc", nn.CNNConfig{InChannels: 1, InSize: cfg.ImgSize, Channels: []int{8, 16, 32}, Residual: true, OutDim: cfg.Embed}),
+		scorer: nn.NewMLP(g, "baseline.scorer", 2*cfg.Embed, cfg.Embed, 1),
 	}
 }
 
 // Name implements the workload identity.
 func (w *Baseline) Name() string { return "NeuralBaseline" }
-
-// Close releases the workload's shared engine backend (worker pool).
-func (w *Baseline) Close() { w.release() }
 
 // Category identifies the baseline.
 func (w *Baseline) Category() string { return "Neural (baseline)" }
@@ -153,7 +141,7 @@ func (w *Baseline) SolveAccuracy(n int) float64 {
 	correct := 0
 	for i := 0; i < n; i++ {
 		task := raven.Generate(raven.Config{M: w.cfg.M}, w.g)
-		e := w.newEngine()
+		e := ops.New()
 		if got, err := w.Solve(e, task); err == nil && got == task.AnswerIdx {
 			correct++
 		}

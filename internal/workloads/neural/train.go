@@ -2,6 +2,7 @@ package neural
 
 import (
 	"github.com/neurosym/nsbench/internal/autograd"
+	"github.com/neurosym/nsbench/internal/ops"
 	"github.com/neurosym/nsbench/internal/raven"
 	"github.com/neurosym/nsbench/internal/tensor"
 )
@@ -23,7 +24,7 @@ func (w *Baseline) TrainScorer(tasks, epochs int, lr float32) (first, last float
 	var samples []sample
 	for ti := 0; ti < tasks; ti++ {
 		task := raven.Generate(raven.Config{M: w.cfg.M}, w.g)
-		e := w.newEngine()
+		e := ops.New()
 		panels := append(append([]raven.Panel{}, task.Context...), task.Choices...)
 		imgs := make([]*tensor.Tensor, len(panels))
 		for i, p := range panels {

@@ -37,10 +37,6 @@ type Config struct {
 	// perception noise floor).
 	SparsityEps float64
 	Seed        int64 // task + weight seed; default 1
-
-	// Engine selects the execution backend for engines the workload
-	// builds itself (accuracy loops).
-	Engine ops.Config
 }
 
 func (c *Config) defaults() {
@@ -67,8 +63,6 @@ func (c *Config) defaults() {
 // NVSA is the workload instance.
 type NVSA struct {
 	cfg       Config
-	newEngine func() *ops.Engine
-	release   func() // tears down the shared engine backend
 	g         *tensor.RNG
 	cnn       *nn.CNN
 	space     *vsa.Space
@@ -85,15 +79,12 @@ type NVSA struct {
 func New(cfg Config) *NVSA {
 	cfg.defaults()
 	g := tensor.NewRNG(cfg.Seed)
-	newEngine, release := cfg.Engine.Factory()
 	w := &NVSA{
-		cfg:       cfg,
-		newEngine: newEngine,
-		release:   release,
-		g:         g,
-		cnn:       nn.NewCNN(g, "nvsa.frontend", nn.CNNConfig{InChannels: 1, InSize: cfg.ImgSize, Channels: []int{8, 16}, Residual: true, OutDim: cfg.Dim}),
-		space:     vsa.NewSpace(vsa.HRR, cfg.Dim, cfg.Seed+1),
-		attrs:     []raven.Attribute{raven.Number, raven.Type, raven.Size, raven.Color},
+		cfg:   cfg,
+		g:     g,
+		cnn:   nn.NewCNN(g, "nvsa.frontend", nn.CNNConfig{InChannels: 1, InSize: cfg.ImgSize, Channels: []int{8, 16}, Residual: true, OutDim: cfg.Dim}),
+		space: vsa.NewSpace(vsa.HRR, cfg.Dim, cfg.Seed+1),
+		attrs: []raven.Attribute{raven.Number, raven.Type, raven.Size, raven.Color},
 	}
 	w.codebooks = make(map[raven.Attribute]*vsa.Codebook, len(w.attrs))
 	combos := 1
@@ -111,9 +102,6 @@ func New(cfg Config) *NVSA {
 
 // Name implements the workload identity.
 func (w *NVSA) Name() string { return "NVSA" }
-
-// Close releases the workload's shared engine backend (worker pool).
-func (w *NVSA) Close() { w.release() }
 
 // Category returns the taxonomy category of Table III.
 func (w *NVSA) Category() string { return "Neuro|Symbolic" }
@@ -360,7 +348,7 @@ func (w *NVSA) SolveAccuracy(n int) float64 {
 	correct := 0
 	for i := 0; i < n; i++ {
 		task := raven.Generate(raven.Config{M: w.cfg.M}, w.g)
-		e := w.newEngine()
+		e := ops.New()
 		got, err := w.Solve(e, task)
 		if err == nil && got == task.AnswerIdx {
 			correct++

@@ -153,7 +153,6 @@ func TestCrossPhaseDependency(t *testing.T) {
 // Before the lifetimes were run-scoped, one Run allocated 20.2 MiB.
 func TestRunAllocationBound(t *testing.T) {
 	w := New(Config{})
-	defer w.Close()
 	pool := ops.Config{}.NewPool()
 	defer pool.Close()
 	run := func() {

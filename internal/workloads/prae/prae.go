@@ -26,10 +26,6 @@ type Config struct {
 	ImgSize int     // rendered panel resolution; default 32
 	Noise   float64 // perception label noise; default 0.01
 	Seed    int64   // default 1
-
-	// Engine selects the execution backend for engines the workload
-	// builds itself (accuracy loops).
-	Engine ops.Config
 }
 
 func (c *Config) defaults() {
@@ -49,34 +45,26 @@ func (c *Config) defaults() {
 
 // PrAE is the workload instance.
 type PrAE struct {
-	cfg       Config
-	newEngine func() *ops.Engine
-	release   func() // tears down the shared engine backend
-	g         *tensor.RNG
-	cnn       *nn.CNN
-	attrs     []raven.Attribute
+	cfg   Config
+	g     *tensor.RNG
+	cnn   *nn.CNN
+	attrs []raven.Attribute
 }
 
 // New constructs the workload.
 func New(cfg Config) *PrAE {
 	cfg.defaults()
 	g := tensor.NewRNG(cfg.Seed)
-	newEngine, release := cfg.Engine.Factory()
 	return &PrAE{
-		cfg:       cfg,
-		newEngine: newEngine,
-		release:   release,
-		g:         g,
-		cnn:       nn.NewCNN(g, "prae.perception", nn.CNNConfig{InChannels: 1, InSize: cfg.ImgSize, Channels: []int{8, 16}, OutDim: 64}),
-		attrs:     []raven.Attribute{raven.Number, raven.Type, raven.Size, raven.Color},
+		cfg:   cfg,
+		g:     g,
+		cnn:   nn.NewCNN(g, "prae.perception", nn.CNNConfig{InChannels: 1, InSize: cfg.ImgSize, Channels: []int{8, 16}, OutDim: 64}),
+		attrs: []raven.Attribute{raven.Number, raven.Type, raven.Size, raven.Color},
 	}
 }
 
 // Name implements the workload identity.
 func (w *PrAE) Name() string { return "PrAE" }
-
-// Close releases the workload's shared engine backend (worker pool).
-func (w *PrAE) Close() { w.release() }
 
 // Category returns the taxonomy category of Table III.
 func (w *PrAE) Category() string { return "Neuro|Symbolic" }
@@ -216,7 +204,7 @@ func (w *PrAE) SolveAccuracy(n int) float64 {
 	correct := 0
 	for i := 0; i < n; i++ {
 		task := raven.Generate(raven.Config{M: w.cfg.M}, w.g)
-		e := w.newEngine()
+		e := ops.New()
 		if got, err := w.Solve(e, task); err == nil && got == task.AnswerIdx {
 			correct++
 		}

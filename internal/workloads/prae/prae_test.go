@@ -99,7 +99,6 @@ func TestCrossPhaseDependency(t *testing.T) {
 // run recycled its outputs, the next Run on the pool reuses them.
 func TestRunAllocationBound(t *testing.T) {
 	w := New(Config{})
-	defer w.Close()
 	e := ops.New()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.GC()

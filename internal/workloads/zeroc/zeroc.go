@@ -26,10 +26,6 @@ type Config struct {
 	ImgSize  int   // grid resolution; default 32
 	Ensemble int   // energy-model ensemble size; default 4
 	Seed     int64 // default 1
-
-	// Engine selects the execution backend for engines the workload
-	// builds itself (classification loops).
-	Engine ops.Config
 }
 
 func (c *Config) defaults() {
@@ -47,8 +43,6 @@ func (c *Config) defaults() {
 // ZeroC is the workload instance.
 type ZeroC struct {
 	cfg       Config
-	newEngine func() *ops.Engine
-	release   func() // tears down the shared engine backend
 	g         *tensor.RNG
 	ebms      []*nn.CNN        // energy-based model ensemble (one per constituent model)
 	templates []*tensor.Tensor // canonical concept masks for grounding search
@@ -58,8 +52,7 @@ type ZeroC struct {
 func New(cfg Config) *ZeroC {
 	cfg.defaults()
 	g := tensor.NewRNG(cfg.Seed)
-	newEngine, release := cfg.Engine.Factory()
-	w := &ZeroC{cfg: cfg, newEngine: newEngine, release: release, g: g}
+	w := &ZeroC{cfg: cfg, g: g}
 	for i := 0; i < cfg.Ensemble; i++ {
 		w.ebms = append(w.ebms, nn.NewCNN(g, fmt.Sprintf("zeroc.ebm%d", i),
 			nn.CNNConfig{InChannels: 1, InSize: cfg.ImgSize, Channels: []int{8, 16}, Residual: true, OutDim: 1}))
@@ -74,9 +67,6 @@ func New(cfg Config) *ZeroC {
 
 // Name implements the workload identity.
 func (w *ZeroC) Name() string { return "ZeroC" }
-
-// Close releases the workload's shared engine backend (worker pool).
-func (w *ZeroC) Close() { w.release() }
 
 // Category returns the taxonomy category of Table III.
 func (w *ZeroC) Category() string { return "Neuro[Symbolic]" }
@@ -261,7 +251,7 @@ func (w *ZeroC) Accuracy(n int) float64 {
 	correct := 0
 	for i := 0; i < n; i++ {
 		inst := datasets.GenConceptGrid(w.cfg.ImgSize, names[i%len(names)], w.g)
-		e := w.newEngine()
+		e := ops.New()
 		if got, err := w.Classify(e, inst); err == nil && got == inst.Concept {
 			correct++
 		}
