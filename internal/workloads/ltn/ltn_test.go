@@ -27,17 +27,17 @@ func TestQueryAccuracy(t *testing.T) {
 	}
 }
 
+// TestPhaseSplitBalanced reports the host's measured symbolic share of a
+// default run. The paper puts LTN at roughly half neural, half symbolic;
+// the wall-clock share moves with CPU contention, so this test only logs
+// it, and TestProjectedPhaseSplitBalanced gates the claim.
 func TestPhaseSplitBalanced(t *testing.T) {
-	// The paper reports LTN at roughly half neural, half symbolic.
 	w := New(Config{})
 	e := ops.New()
 	if err := w.Run(e); err != nil {
 		t.Fatal(err)
 	}
-	share := e.Trace().PhaseShare(trace.Symbolic)
-	if share < 0.2 || share > 0.85 {
-		t.Fatalf("symbolic share = %v, want balanced", share)
-	}
+	t.Logf("host symbolic share = %.3f (the projected sibling's band: 0.2–0.85)", e.Trace().PhaseShare(trace.Symbolic))
 }
 
 // TestProjectedPhaseSplitBalanced is the deterministic sibling of
@@ -59,16 +59,17 @@ func TestProjectedPhaseSplitBalanced(t *testing.T) {
 	}
 }
 
+// TestNeuralDominatedByMatMul reports the host's measured MatMul share of
+// the neural phase (Fig. 3a). The wall-clock share moves with CPU
+// contention, so this test only logs it, and
+// TestNeuralFLOPsDominatedByMatMul gates the claim.
 func TestNeuralDominatedByMatMul(t *testing.T) {
 	w := New(Config{})
 	e := ops.New()
 	if err := w.Run(e); err != nil {
 		t.Fatal(err)
 	}
-	sh := e.Trace().CategoryShare(trace.Neural)
-	if sh[trace.MatMul] < 0.3 {
-		t.Fatalf("neural MatMul share = %v, want dominant (Fig. 3a)", sh[trace.MatMul])
-	}
+	t.Logf("host neural MatMul share = %.3f", e.Trace().CategoryShare(trace.Neural)[trace.MatMul])
 }
 
 // TestNeuralFLOPsDominatedByMatMul is the deterministic sibling of

@@ -30,17 +30,18 @@ func TestClassifyEachConcept(t *testing.T) {
 	}
 }
 
+// TestNeuralDominates reports the host's measured neural share of a
+// default run. The paper puts ZeroC at 73.2% neural, the most
+// neural-heavy workload, because of its energy-based model ensemble. The
+// wall-clock share moves with CPU contention, so this test only logs it,
+// and TestNeuralFLOPsDominate gates the claim.
 func TestNeuralDominates(t *testing.T) {
-	// Paper: ZeroC is the most neural-heavy workload (73.2% neural), due
-	// to the energy-based model ensemble.
 	w := New(Config{})
 	e := ops.New()
 	if err := w.Run(e); err != nil {
 		t.Fatal(err)
 	}
-	if share := e.Trace().PhaseShare(trace.Neural); share < 0.5 {
-		t.Fatalf("neural share = %v, want > 0.5", share)
-	}
+	t.Logf("host neural share = %.3f (paper: 0.732)", e.Trace().PhaseShare(trace.Neural))
 }
 
 // TestNeuralFLOPsDominate is the deterministic sibling of
