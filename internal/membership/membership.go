@@ -131,7 +131,8 @@ func NewRegistry(cfg Config, onJoin func(node string), onLeave func(node, reason
 }
 
 // NormalizeNode canonicalizes an announced replica URL: scheme+host only,
-// lowercased scheme/host, trailing slash stripped. Announcements and the
+// lowercased scheme/host, trailing slash stripped, host escaped as a URL
+// carries it. Announcements and the
 // router's own -replicas flag must agree on one spelling per replica or
 // the ring would hold duplicate nodes.
 func NormalizeNode(raw string) (string, error) {
@@ -152,7 +153,11 @@ func NormalizeNode(raw string) (string, error) {
 	if u.Path != "" && u.Path != "/" {
 		return "", fmt.Errorf("membership: node URL %q must not carry a path", raw)
 	}
-	return strings.ToLower(u.Scheme) + "://" + strings.ToLower(u.Host), nil
+	// Re-escape the decoded host: an IPv6 zone ("[fe80::1%25en0]") or a
+	// non-ASCII name must come out in the form it was parsed from, or the
+	// result would not normalize to itself.
+	canon := url.URL{Scheme: strings.ToLower(u.Scheme), Host: strings.ToLower(u.Host)}
+	return canon.String(), nil
 }
 
 // SeedStatic registers the router's statically configured replicas as
