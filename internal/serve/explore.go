@@ -71,10 +71,9 @@ func (s *Server) workloadTrace(key string, req Request, runID string) (*trace.Tr
 	return e.tr, e.err
 }
 
-// exploreMetrics groups the ns_explore_* instruments.
+// exploreMetrics groups the ns_explore_* instruments the /v1/stats view
+// does not carry; the sweep and point counters live in stats.
 type exploreMetrics struct {
-	sweeps       *metrics.Counter   // ns_explore_sweeps_total
-	points       *metrics.Counter   // ns_explore_points_total
 	shardsInFly  *metrics.Gauge     // ns_explore_shards_inflight
 	pointsPerSec *metrics.Gauge     // ns_explore_points_per_sec (last sweep)
 	frontSize    *metrics.Histogram // ns_explore_front_size
@@ -83,8 +82,6 @@ type exploreMetrics struct {
 // newExploreMetrics registers the sweep instruments in reg.
 func newExploreMetrics(reg *metrics.Registry) exploreMetrics {
 	return exploreMetrics{
-		sweeps: reg.Counter("ns_explore_sweeps_total", "Design-space sweeps completed."),
-		points: reg.Counter("ns_explore_points_total", "Design-space grid points evaluated."),
 		shardsInFly: reg.Gauge("ns_explore_shards_inflight",
 			"Sweep shards streaming right now."),
 		pointsPerSec: reg.Gauge("ns_explore_points_per_sec",
@@ -191,7 +188,6 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 
 	sweepStart := time.Now()
 	sum, err := engine.Sweep(r.Context(), req.ShardIndex, shardCount, func(p dse.PointResult) error {
-		s.xm.points.Inc()
 		s.st.pointsEvaluated.Inc()
 		return writeChunk(dse.Chunk{Type: "point", Point: &p})
 	})
@@ -209,7 +205,6 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	sum.Workload = canon.Workload
 	sum.Device = canon.Device
-	s.xm.sweeps.Inc()
 	s.st.sweepsRun.Inc()
 	s.xm.pointsPerSec.Set(sum.PointsPerSec)
 	s.xm.frontSize.Observe(float64(sum.FrontSize))

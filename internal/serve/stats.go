@@ -40,8 +40,8 @@ type stats struct {
 	coalesceFlushes *metrics.CounterVec
 
 	// Design-space exploration (/v1/explore): sweeps completed and grid
-	// points evaluated. These mirror the ns_explore_* registry metrics but
-	// live under the nsserve_ namespace for the /v1/stats JSON view.
+	// points evaluated, exported as ns_explore_sweeps_total and
+	// ns_explore_points_total.
 	sweepsRun       *metrics.Counter
 	pointsEvaluated *metrics.Counter
 
@@ -73,8 +73,8 @@ func newStats(reg *metrics.Registry) stats {
 			[]float64{1, 2, 4, 8, 16, 32}),
 		coalesceFlushes: reg.CounterVec("nsserve_coalesce_flushes_total",
 			"Batch group flushes by outcome (window expired, group full, drain on close).", "outcome"),
-		sweepsRun:       reg.Counter("nsserve_sweeps_total", "Design-space sweeps completed by /v1/explore."),
-		pointsEvaluated: reg.Counter("nsserve_sweep_points_total", "Design-space grid points evaluated by /v1/explore."),
+		sweepsRun:       reg.Counter("ns_explore_sweeps_total", "Design-space sweeps completed."),
+		pointsEvaluated: reg.Counter("ns_explore_points_total", "Design-space grid points evaluated."),
 		cacheFills:      reg.Counter("nsserve_cache_fills_total", "Reports installed by the router's replication fan-fill."),
 	}
 }
