@@ -132,9 +132,9 @@ func NewRegistry(cfg Config, onJoin func(node string), onLeave func(node, reason
 
 // NormalizeNode canonicalizes an announced replica URL: scheme+host only,
 // lowercased scheme/host, trailing slash stripped, host escaped as a URL
-// carries it. Announcements and the
-// router's own -replicas flag must agree on one spelling per replica or
-// the ring would hold duplicate nodes.
+// carries it. Announcements and the router's own -replicas flag must
+// agree on one spelling per replica or the ring would hold duplicate
+// nodes.
 func NormalizeNode(raw string) (string, error) {
 	s := strings.TrimSpace(raw)
 	if s == "" {
