@@ -38,6 +38,23 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// A Config's engine factory is its pool: every engine the pool hands out
+// shares one backend of the configured worker count.
+func TestConfigFactorySharesBackend(t *testing.T) {
+	pool := Config{Backend: BackendParallel, Workers: 2}.NewPool()
+	e1, e2 := pool.Engine(), pool.Engine()
+	if e1.Backend() != e2.Backend() {
+		t.Fatal("pool engines do not share one backend")
+	}
+	if e1.Backend().Workers() != 2 {
+		t.Fatalf("workers = %d, want 2", e1.Backend().Workers())
+	}
+	pool.Close()
+	pool.Close() // idempotent
+	// Engines survive Close by degrading to inline dispatch.
+	e1.Backend().For(4, 1, func(lo, hi int) {})
+}
+
 func TestPoolEngineAndClose(t *testing.T) {
 	pool := Config{Backend: BackendParallel, Workers: 2}.NewPool()
 	e1, e2 := pool.Engine(), pool.Engine()
@@ -47,13 +64,8 @@ func TestPoolEngineAndClose(t *testing.T) {
 	if e1.Trace() == e2.Trace() {
 		t.Fatal("pool engines must record into private traces")
 	}
-	if e1.Backend().Workers() != 2 {
-		t.Fatalf("workers = %d, want 2", e1.Backend().Workers())
-	}
 	pool.Close()
 	pool.Close() // idempotent
-	// Engines survive Close by degrading to inline dispatch.
-	e1.Backend().For(4, 1, func(lo, hi int) {})
 }
 
 func TestParallelEngineMatchesSerial(t *testing.T) {
