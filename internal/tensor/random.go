@@ -7,14 +7,29 @@ import (
 
 // RNG is a seeded random source for deterministic tensor initialization.
 // All nsbench randomness flows through explicitly seeded RNGs so that every
-// experiment is reproducible.
+// experiment is reproducible. It draws exactly the stream of
+// rand.New(rand.NewSource(seed)), from a source whose state Clone can copy.
 type RNG struct {
-	r *rand.Rand
+	src *lfSource
+	r   *rand.Rand
 }
 
 // NewRNG returns a deterministic generator for the given seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	src := new(lfSource)
+	src.Seed(seed)
+	return &RNG{src: src, r: rand.New(src)}
+}
+
+// Clone returns an independent generator in g's current state: it draws
+// the stream g would draw next, and drawing from either leaves the other
+// unchanged. A shared model hands each run a clone of its generator, so
+// every run sees the stream a freshly built model would. Clone copies the
+// source, which is all the state every draw method reads; only
+// (*rand.Rand).Read, which no caller uses, buffers bytes beside it.
+func (g *RNG) Clone() *RNG {
+	src := *g.src
+	return &RNG{src: &src, r: rand.New(&src)}
 }
 
 // Rand returns the underlying *rand.Rand for ad-hoc draws.
