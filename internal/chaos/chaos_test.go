@@ -33,8 +33,8 @@ var registerOnce sync.Once
 
 func fastWorkloads() []string {
 	registerOnce.Do(func() {
-		core.RegisterWorkload("chaosfast-a", func() core.Workload { return &chaosWorkload{name: "chaosfast-a"} })
-		core.RegisterWorkload("chaosfast-b", func() core.Workload { return &chaosWorkload{name: "chaosfast-b"} })
+		core.RegisterWorkload("chaosfast-a", "Test", func() core.Workload { return &chaosWorkload{name: "chaosfast-a"} })
+		core.RegisterWorkload("chaosfast-b", "Test", func() core.Workload { return &chaosWorkload{name: "chaosfast-b"} })
 	})
 	return []string{"chaosfast-a", "chaosfast-b"}
 }

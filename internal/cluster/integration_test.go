@@ -34,8 +34,8 @@ var registerClusterWorkloads sync.Once
 
 func testWorkloads() []string {
 	registerClusterWorkloads.Do(func() {
-		core.RegisterWorkload("clusterfast-a", func() core.Workload { return &clusterWorkload{name: "clusterfast-a"} })
-		core.RegisterWorkload("clusterfast-b", func() core.Workload { return &clusterWorkload{name: "clusterfast-b"} })
+		core.RegisterWorkload("clusterfast-a", "Test", func() core.Workload { return &clusterWorkload{name: "clusterfast-a"} })
+		core.RegisterWorkload("clusterfast-b", "Test", func() core.Workload { return &clusterWorkload{name: "clusterfast-b"} })
 	})
 	return []string{"clusterfast-a", "clusterfast-b"}
 }

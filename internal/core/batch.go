@@ -37,8 +37,8 @@ type ItemOptions struct {
 // CharacterizeBatch executes one batched inference of n items and derives
 // a per-item report for each. Native BatchWorkloads run one batched
 // engine pass whose trace is split uniformly; everything else goes
-// through the loop-per-item adapter (BuildBatchWorkload), which runs a
-// fresh instance per item on the shared engine inside an "item[i]" span
+// through the loop-per-item adapter (BuildBatchWorkload), which runs the
+// instance once per item on the shared engine inside an "item[i]" span
 // and splits the trace at the recorded item boundaries. items, when
 // present, must have length n and selects each item's analysis device —
 // the serving coalescer batches requests for different devices together,
@@ -65,10 +65,8 @@ func CharacterizeBatch(w Workload, n int, opts Options, items ...ItemOptions) ([
 		}
 	default:
 		// A plain workload outside the registry: loop it on the shared
-		// engine, reusing the caller's instance (items see the instance's
-		// state stream, like n successive Characterize calls would).
-		a := &loopBatch{name: w.Name(), category: w.Category(), build: func() Workload { return w }}
-		parts, err = a.runSplit(e, n)
+		// engine, like n successive Characterize calls.
+		parts, err = (&loopBatch{w}).runSplit(e, n)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: batch of %d × %s: %w", n, w.Name(), err)
@@ -90,35 +88,26 @@ func CharacterizeBatch(w Workload, n int, opts Options, items ...ItemOptions) ([
 	return reports, nil
 }
 
-// BuildBatchWorkload constructs a registered workload ready for batched
-// execution: the workload itself when it implements BatchWorkload
-// natively, or the loop-per-item adapter otherwise — so every registered
-// workload is batchable.
+// BuildBatchWorkload returns a registered workload ready for batched
+// execution: its shared model itself when it implements BatchWorkload
+// natively, or the loop-per-item adapter around it otherwise — so every
+// registered workload is batchable.
 func BuildBatchWorkload(name string) (BatchWorkload, error) {
-	b, ok := registry[name]
-	if !ok {
-		_, err := BuildWorkload(name) // canonical unknown-workload error
+	w, err := BuildWorkload(name)
+	if err != nil {
 		return nil, err
 	}
-	w := b()
 	if bw, ok := w.(BatchWorkload); ok {
 		return bw, nil
 	}
-	return &loopBatch{name: w.Name(), category: w.Category(), build: b}, nil
+	return &loopBatch{w}, nil
 }
 
-// loopBatch adapts any workload to BatchWorkload by running one instance
-// per item sequentially on the shared engine, recording each item's
-// event/param/span boundaries for exact trace splitting.
-type loopBatch struct {
-	name, category string
-	build          Builder
-}
-
-func (a *loopBatch) Name() string     { return a.name }
-func (a *loopBatch) Category() string { return a.category }
-
-func (a *loopBatch) Run(e *ops.Engine) error { return a.build().Run(e) }
+// loopBatch adapts any workload to BatchWorkload by running it once per
+// item sequentially on the shared engine, recording each item's
+// event/param/span boundaries for exact trace splitting. A Run writes
+// nothing in its instance, so every item reports what a solo run does.
+type loopBatch struct{ Workload }
 
 func (a *loopBatch) RunBatch(e *ops.Engine, n int) error {
 	_, err := a.runItems(e, n)
@@ -132,12 +121,11 @@ func (a *loopBatch) runItems(e *ops.Engine, n int) ([]itemBounds, error) {
 	tr := e.Trace()
 	bounds := make([]itemBounds, 0, n)
 	for i := 0; i < n; i++ {
-		w := a.build()
 		// Each item must start from the state its solo run would see on a
 		// fresh engine.
 		e.ResetRunState()
 		e.Begin(fmt.Sprintf("item[%d]", i))
-		err := w.Run(e)
+		err := a.Run(e)
 		e.End()
 		if err != nil {
 			return nil, fmt.Errorf("item %d: %w", i, err)

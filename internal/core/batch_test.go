@@ -147,8 +147,7 @@ func TestAdapterPathOnNativeWorkloads(t *testing.T) {
 			if _, ok := w.(BatchWorkload); !ok {
 				t.Skip("adapter is the default path; covered by the main property test")
 			}
-			builder := registry[name]
-			adapter := &loopBatch{name: w.Name(), category: w.Category(), build: builder}
+			adapter := &loopBatch{w}
 
 			sw, err := BuildWorkload(name)
 			if err != nil {

@@ -11,6 +11,8 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/neurosym/nsbench/internal/backend"
@@ -169,7 +171,8 @@ func (o *Options) engine() *ops.Engine {
 }
 
 // CloseWorkload does nothing: workloads hold models, not execution
-// backends, so there is nothing to release. It stays because the
+// backends, so there is nothing to release, and a registered model's
+// lifetime is its registry pool's, not the caller's. It stays because the
 // end-to-end benchmark module (e2ebench), whose source is held fixed,
 // calls it.
 func CloseWorkload(Workload) {}
@@ -286,35 +289,90 @@ func Analyze(name, category string, tr *trace.Trace, opts Options) *Report {
 	return r
 }
 
-// Builder constructs a fresh workload instance (workloads carry per-run
-// RNG state, so benchmarks build new instances per configuration).
+// Builder constructs a fresh workload instance.
 type Builder func() Workload
 
-// registry maps workload names to builders, in registration order.
+// entry is one registered workload: its category, recorded at
+// registration so listing the registry builds nothing, and its shared
+// model.
+type entry struct {
+	category string
+	build    Builder
+	// model holds the one shared instance. Run and RunBatch never write
+	// their instance, so concurrent runs share it; the pool is its only
+	// holder between uses, so the GC drops it after two cycles in which
+	// nothing asked for it (sync.Pool's primary and victim caches).
+	model sync.Pool
+	// builds counts constructions: one per process while the model stays
+	// in use, more after the GC drops it or when two Ps miss at once.
+	builds atomic.Int64
+}
+
+// shared returns the entry's model, building it on a miss and putting it
+// straight back, so the next caller reuses it.
+func (en *entry) shared() Workload {
+	w, _ := en.model.Get().(Workload)
+	if w == nil {
+		en.builds.Add(1)
+		w = en.build()
+	}
+	en.model.Put(w)
+	return w
+}
+
+// registry maps workload names to entries, in registration order.
 var (
-	registry      = map[string]Builder{}
+	registry      = map[string]*entry{}
 	registryOrder []string
 )
 
-// RegisterWorkload adds a builder under a name; duplicate names panic.
-func RegisterWorkload(name string, b Builder) {
+// RegisterWorkload adds a builder under a name, with the category the
+// built workload reports; duplicate names panic.
+func RegisterWorkload(name, category string, b Builder) {
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("core: duplicate workload %q", name))
 	}
-	registry[name] = b
+	registry[name] = &entry{category: category, build: b}
 	registryOrder = append(registryOrder, name)
 }
 
 // WorkloadNames lists registered workloads in registration order.
 func WorkloadNames() []string { return append([]string(nil), registryOrder...) }
 
-// BuildWorkload constructs a registered workload.
+// WorkloadInfo is a registered workload's identity.
+type WorkloadInfo struct {
+	Name     string `json:"name"`
+	Category string `json:"category"`
+}
+
+// Workloads lists the registered workloads' identities in registration
+// order, from what registration recorded: it builds nothing.
+func Workloads() []WorkloadInfo {
+	out := make([]WorkloadInfo, len(registryOrder))
+	for i, name := range registryOrder {
+		out[i] = WorkloadInfo{Name: name, Category: registry[name].category}
+	}
+	return out
+}
+
+// WorkloadBuilds reports how many times the named workload's model has
+// been constructed in this process.
+func WorkloadBuilds(name string) int64 {
+	if en, ok := registry[name]; ok {
+		return en.builds.Load()
+	}
+	return 0
+}
+
+// BuildWorkload returns the registered workload's shared, read-only
+// model, constructing it only when no live copy is cached. Every Run of
+// it reports what a freshly built instance's first Run would.
 func BuildWorkload(name string) (Workload, error) {
-	b, ok := registry[name]
+	en, ok := registry[name]
 	if !ok {
 		known := append([]string(nil), registryOrder...)
 		sort.Strings(known)
 		return nil, fmt.Errorf("core: unknown workload %q (known: %v)", name, known)
 	}
-	return b(), nil
+	return en.shared(), nil
 }

@@ -61,7 +61,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	RegisterWorkload("LNN", nil)
+	RegisterWorkload("LNN", "", nil)
 }
 
 func TestCharacterizeLNN(t *testing.T) {

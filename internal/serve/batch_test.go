@@ -44,7 +44,7 @@ var registerBatchOnce sync.Once
 
 func registerBatchWorkload() {
 	registerBatchOnce.Do(func() {
-		core.RegisterWorkload("testbatch", func() core.Workload { return &batchTestWorkload{dim: 160} })
+		core.RegisterWorkload("testbatch", "Test", func() core.Workload { return &batchTestWorkload{dim: 160} })
 	})
 }
 

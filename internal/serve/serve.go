@@ -239,10 +239,6 @@ type Server struct {
 	pending map[string]*batchGroup
 	wg      sync.WaitGroup // characterization workers
 
-	workloadsOnce sync.Once
-	workloadsJSON []byte
-	workloadsErr  error
-
 	// Design-space exploration (/v1/explore): the trace cache behind
 	// trace-once/project-many, a semaphore bounding concurrent sweeps, and
 	// the ns_explore_* instruments.
@@ -383,33 +379,17 @@ func (s *Server) Close() {
 }
 
 // handleWorkloads lists the registered workloads with their taxonomy
-// categories. The list is built once: workload construction is heavyweight
-// (codebooks, weights), and the registry is fixed at init time.
+// categories, as recorded at registration: it builds no model.
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	if !frontdoor.AllowMethods(w, r, http.MethodGet) {
 		return
 	}
-	s.workloadsOnce.Do(func() {
-		type entry struct {
-			Name     string `json:"name"`
-			Category string `json:"category"`
-		}
-		var list []entry
-		for _, name := range core.WorkloadNames() {
-			wl, err := core.BuildWorkload(name)
-			if err != nil {
-				s.workloadsErr = err
-				return
-			}
-			list = append(list, entry{Name: wl.Name(), Category: wl.Category()})
-		}
-		s.workloadsJSON, s.workloadsErr = json.Marshal(list)
-	})
-	if s.workloadsErr != nil {
-		http.Error(w, s.workloadsErr.Error(), http.StatusInternalServerError)
+	b, err := json.Marshal(core.Workloads())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, s.workloadsJSON)
+	writeJSON(w, b)
 }
 
 // handleStats reports the operational counters.

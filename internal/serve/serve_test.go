@@ -86,8 +86,8 @@ var registerOnce sync.Once
 
 func registerTestWorkloads() {
 	registerOnce.Do(func() {
-		core.RegisterWorkload("testfast", func() core.Workload { return &fakeWorkload{name: "testfast"} })
-		core.RegisterWorkload("testgate", func() core.Workload { return &fakeWorkload{name: "testgate", gated: true} })
+		core.RegisterWorkload("testfast", "Test", func() core.Workload { return &fakeWorkload{name: "testfast"} })
+		core.RegisterWorkload("testgate", "Test", func() core.Workload { return &fakeWorkload{name: "testgate", gated: true} })
 	})
 }
 
@@ -381,6 +381,48 @@ func TestCloseTearsDownWorkerPool(t *testing.T) {
 			t.Fatalf("goroutines after Close: %d, want <= %d (worker pool leaked)", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestWorkloadsListingBuildsNothing pins /v1/workloads to the registry's
+// recorded identities: the body is byte-identical to listing every built
+// workload's Name and Category, and serving it constructs no model.
+func TestWorkloadsListingBuildsNothing(t *testing.T) {
+	s := newTestServer(t, Config{})
+	builds := func() (n int64) {
+		for _, name := range core.WorkloadNames() {
+			n += core.WorkloadBuilds(name)
+		}
+		return n
+	}
+	before := builds()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/workloads", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("workloads: %d %s", rec.Code, rec.Body)
+	}
+	if after := builds(); after != before {
+		t.Fatalf("listing the workloads built %d models", after-before)
+	}
+
+	type entry struct {
+		Name     string `json:"name"`
+		Category string `json:"category"`
+	}
+	var list []entry
+	for _, name := range core.WorkloadNames() {
+		wl, err := core.BuildWorkload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		list = append(list, entry{Name: wl.Name(), Category: wl.Category()})
+	}
+	want, err := json.Marshal(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("workloads body:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -117,14 +117,13 @@ type Workload struct {
 	net *nn.CNN    // shared trunk
 	pol *nn.Linear // policy head over trunk features
 	val *nn.Linear // value head
-	b   *board
 }
 
 // New constructs the workload.
 func New(cfg Config) *Workload {
 	cfg.defaults()
 	g := tensor.NewRNG(cfg.Seed)
-	w := &Workload{cfg: cfg, g: g, b: newBoard(cfg.Board)}
+	w := &Workload{cfg: cfg, g: g}
 	w.net = nn.NewCNN(g, "alphago.trunk", nn.CNNConfig{InChannels: 2, InSize: cfg.Board, Channels: []int{16}, Residual: true, OutDim: 64})
 	w.pol = nn.NewLinear(g, "alphago.policy", 64, cfg.Board*cfg.Board, true)
 	w.val = nn.NewLinear(g, "alphago.value", 64, 1, true)
@@ -134,8 +133,11 @@ func New(cfg Config) *Workload {
 // Name implements the workload identity.
 func (w *Workload) Name() string { return "AlphaGo" }
 
-// Category returns the taxonomy category of Table I.
-func (w *Workload) Category() string { return "Symbolic[Neuro]" }
+// Category is the workload's taxonomy category (Table I).
+const Category = "Symbolic[Neuro]"
+
+// Category returns the taxonomy category.
+func (w *Workload) Category() string { return Category }
 
 // Register records the model's persistent parameters.
 func (w *Workload) Register(e *ops.Engine) {
@@ -155,19 +157,19 @@ func (w *Workload) Run(e *ops.Engine) error { return w.RunBatch(e, 1) }
 // game) is exactly that of a solo run.
 func (w *Workload) RunBatch(e *ops.Engine, n int) error {
 	w.Register(e)
-	w.b = newBoard(w.cfg.Board)
+	b := newBoard(w.cfg.Board)
 	player := int8(1)
 	for mv := 0; mv < w.cfg.Moves; mv++ {
-		move, err := w.searchBatch(e, w.b, player, n)
+		move, err := w.searchBatch(e, b, player, n)
 		if err != nil {
 			return err
 		}
 		if move < 0 {
 			return nil // game over
 		}
-		w.b.cells[move] = player
+		b.cells[move] = player
 		player = -player
-		if w.b.winner(w.cfg.Connect) != 0 {
+		if b.winner(w.cfg.Connect) != 0 {
 			return nil
 		}
 	}

@@ -117,8 +117,11 @@ func New(cfg Config) *Workload {
 // Name implements the workload identity.
 func (w *Workload) Name() string { return "GNN+attention" }
 
-// Category returns the taxonomy category of Table I.
-func (w *Workload) Category() string { return "Neuro_Symbolic" }
+// Category is the workload's taxonomy category (Table I).
+const Category = "Neuro_Symbolic"
+
+// Category returns the taxonomy category.
+func (w *Workload) Category() string { return Category }
 
 // Register records the model's persistent parameters.
 func (w *Workload) Register(e *ops.Engine) {

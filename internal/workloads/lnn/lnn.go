@@ -63,7 +63,8 @@ type predicate struct {
 	l, u  *tensor.Tensor
 }
 
-// LNN is the workload instance.
+// LNN is the workload instance: a read-only model (knowledge base and
+// compiled rules) that concurrent runs share.
 type LNN struct {
 	cfg   Config
 	g     *tensor.RNG
@@ -71,10 +72,6 @@ type LNN struct {
 	rules []hornRule
 	n     int
 	index map[string]int // constant → domain index
-	preds map[string]*predicate
-	// predOrder keeps predicate keys in first-seen order so grounding emits
-	// events deterministically (map iteration order is randomized).
-	predOrder []string
 }
 
 // New constructs the workload: it generates the knowledge base and
@@ -143,8 +140,11 @@ func compileHorn(f logic.Formula) (hornRule, error) {
 // Name implements the workload identity.
 func (w *LNN) Name() string { return "LNN" }
 
-// Category returns the taxonomy category of Table III.
-func (w *LNN) Category() string { return "Neuro:Symbolic→Neuro" }
+// Category is the workload's taxonomy category (Table III).
+const Category = "Neuro:Symbolic→Neuro"
+
+// Category returns the taxonomy category.
+func (w *LNN) Category() string { return Category }
 
 // Run grounds the knowledge base and performs omnidirectional inference to
 // a fixpoint, then answers the KB's queries.
@@ -153,12 +153,24 @@ func (w *LNN) Run(e *ops.Engine) error {
 	return err
 }
 
+// inference is one run's state: the grounding tables it builds and
+// updates, over the shared model.
+type inference struct {
+	*LNN
+	preds map[string]*predicate
+	// predOrder keeps predicate keys in first-seen order so grounding emits
+	// events deterministically (map iteration order is randomized).
+	predOrder []string
+}
+
 // Infer runs inference and returns the query results (true under Alpha).
 func (w *LNN) Infer(e *ops.Engine) (map[string]bool, error) {
+	return (&inference{LNN: w, preds: make(map[string]*predicate)}).infer(e)
+}
+
+func (w *inference) infer(e *ops.Engine) (map[string]bool, error) {
 	// ---- Symbolic: grounding construction --------------------------------
 	e.SetPhase(trace.Symbolic)
-	w.preds = make(map[string]*predicate)
-	w.predOrder = w.predOrder[:0]
 	e.InStage("grounding", func() {
 		w.ground(e)
 	})
@@ -226,7 +238,7 @@ func (w *LNN) Infer(e *ops.Engine) (map[string]bool, error) {
 }
 
 // ground initializes predicate bound tensors from the fact base.
-func (w *LNN) ground(e *ops.Engine) {
+func (w *inference) ground(e *ops.Engine) {
 	// Collect predicates from rules and facts.
 	addPred := func(name string, arity int) {
 		key := fmt.Sprintf("%s/%d", name, arity)
@@ -271,7 +283,7 @@ func (w *LNN) ground(e *ops.Engine) {
 	}
 }
 
-func (w *LNN) pred(name string, arity int) *predicate {
+func (w *inference) pred(name string, arity int) *predicate {
 	return w.preds[fmt.Sprintf("%s/%d", name, arity)]
 }
 
@@ -286,7 +298,7 @@ func (w *LNN) groundIndex(a *logic.Atom) int {
 // expandBody gathers each body atom's truth column into the rule's
 // grounding space (the cross-product of the rule's one or two variables),
 // producing aligned vectors for the neural conjunction.
-func (w *LNN) expandBody(e *ops.Engine, r *hornRule) []*tensor.Tensor {
+func (w *inference) expandBody(e *ops.Engine, r *hornRule) []*tensor.Tensor {
 	n := w.n
 	gsize := n
 	if len(r.vars) == 2 {
@@ -333,7 +345,7 @@ func (w *LNN) expandBody(e *ops.Engine, r *hornRule) []*tensor.Tensor {
 // variable c it gathers the R and S columns (symbolic, irregular), expands
 // them over (x,y), conjoins them with the Łukasiewicz t-norm and folds the
 // evidence into the head (neural). Returns the total bound change.
-func (w *LNN) fireJoinRule(e *ops.Engine, r *hornRule) float32 {
+func (w *inference) fireJoinRule(e *ops.Engine, r *hornRule) float32 {
 	n := w.n
 	if len(r.body) != 2 || len(r.body[0].Args) != 2 || len(r.body[1].Args) != 2 {
 		return 0
@@ -387,7 +399,7 @@ func (w *LNN) fireJoinRule(e *ops.Engine, r *hornRule) float32 {
 // expanded body columns), the downward modus-ponens update of the head, and
 // the bidirectional writeback. It returns the total bound change and the
 // per-grounding change tensor (for agenda scheduling).
-func (w *LNN) fireRule(e *ops.Engine, r *hornRule, body []*tensor.Tensor) (float32, *tensor.Tensor) {
+func (w *inference) fireRule(e *ops.Engine, r *hornRule, body []*tensor.Tensor) (float32, *tensor.Tensor) {
 	if len(body) == 0 {
 		return 0, nil
 	}

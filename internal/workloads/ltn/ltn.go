@@ -116,8 +116,11 @@ func (w *LTN) train() {
 // Name implements the workload identity.
 func (w *LTN) Name() string { return "LTN" }
 
-// Category returns the taxonomy category of Table III.
-func (w *LTN) Category() string { return "Neuro_Symbolic" }
+// Category is the workload's taxonomy category (Table III).
+const Category = "Neuro_Symbolic"
+
+// Category returns the taxonomy category.
+func (w *LTN) Category() string { return Category }
 
 // Register records the model's persistent parameters.
 func (w *LTN) Register(e *ops.Engine) {

@@ -38,9 +38,12 @@ func (c *Config) defaults() {
 	}
 }
 
-// Baseline is the workload instance.
+// Baseline is the workload instance: a model that runs only read, so
+// concurrent runs share it.
 type Baseline struct {
-	cfg    Config
+	cfg Config
+	// g is the generator in its post-construction state (or after
+	// TrainScorer). Runs draw their tasks from a clone.
 	g      *tensor.RNG
 	cnn    *nn.CNN
 	scorer *nn.Sequential
@@ -61,8 +64,11 @@ func New(cfg Config) *Baseline {
 // Name implements the workload identity.
 func (w *Baseline) Name() string { return "NeuralBaseline" }
 
+// Category labels the baseline, which sits outside the taxonomy.
+const Category = "Neural (baseline)"
+
 // Category identifies the baseline.
-func (w *Baseline) Category() string { return "Neural (baseline)" }
+func (w *Baseline) Category() string { return Category }
 
 // Register records the model's persistent parameters.
 func (w *Baseline) Register(e *ops.Engine) {
@@ -77,7 +83,7 @@ func (w *Baseline) Run(e *ops.Engine) error { return w.RunBatch(e, 1) }
 // engine pass: the CNN embeds all n×panels images as one batch, and the
 // scorer ranks all n candidate rows at once.
 func (w *Baseline) RunBatch(e *ops.Engine, n int) error {
-	task := raven.Generate(raven.Config{M: w.cfg.M}, w.g)
+	task := raven.Generate(raven.Config{M: w.cfg.M}, w.g.Clone())
 	_, err := w.SolveBatch(e, task, n)
 	return err
 }
@@ -138,9 +144,10 @@ func (w *Baseline) setScorerParams(w1, b1, w2, b2 *tensor.Tensor) {
 // SolveAccuracy runs n fresh tasks and returns the fraction correct
 // (expected near chance for untrained weights).
 func (w *Baseline) SolveAccuracy(n int) float64 {
+	g := w.g.Clone()
 	correct := 0
 	for i := 0; i < n; i++ {
-		task := raven.Generate(raven.Config{M: w.cfg.M}, w.g)
+		task := raven.Generate(raven.Config{M: w.cfg.M}, g)
 		e := ops.New()
 		if got, err := w.Solve(e, task); err == nil && got == task.AnswerIdx {
 			correct++

@@ -13,7 +13,9 @@ import (
 // a pure pattern matcher without rule abduction improves only modestly and
 // stays far below the neuro-symbolic solvers.
 //
-// Returns the first and last epoch's mean training loss.
+// Returns the first and last epoch's mean training loss. Training writes
+// the model (its generator and scorer weights), so train an instance of
+// your own, never the registry's shared one.
 func (w *Baseline) TrainScorer(tasks, epochs int, lr float32) (first, last float32) {
 	// Pre-compute embeddings for a fixed training set (the CNN is frozen;
 	// only the scorer trains).

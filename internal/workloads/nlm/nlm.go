@@ -71,8 +71,11 @@ func New(cfg Config) *NLM {
 // Name implements the workload identity.
 func (w *NLM) Name() string { return "NLM" }
 
-// Category returns the taxonomy category of Table III.
-func (w *NLM) Category() string { return "Neuro[Symbolic]" }
+// Category is the workload's taxonomy category (Table III).
+const Category = "Neuro[Symbolic]"
+
+// Category returns the taxonomy category.
+func (w *NLM) Category() string { return Category }
 
 // Register records the model's persistent parameters.
 func (w *NLM) Register(e *ops.Engine) {

@@ -63,9 +63,12 @@ func (c *Config) defaults() {
 	}
 }
 
-// Workload is the NSVQA instance.
+// Workload is the NSVQA instance: a read-only model that concurrent runs
+// share.
 type Workload struct {
 	cfg Config
+	// g is the generator in its post-construction state. Runs draw their
+	// scenes and questions from a clone, never from g itself.
 	g   *tensor.RNG
 	cnn *nn.CNN
 }
@@ -84,23 +87,30 @@ func New(cfg Config) *Workload {
 // Name implements the workload identity.
 func (w *Workload) Name() string { return "NSVQA" }
 
-// Category returns the taxonomy category of Table I.
-func (w *Workload) Category() string { return "Neuro|Symbolic" }
+// Category is the workload's taxonomy category (Table I).
+const Category = "Neuro|Symbolic"
+
+// Category returns the taxonomy category.
+func (w *Workload) Category() string { return Category }
 
 // Register records the model's persistent parameters.
 func (w *Workload) Register(e *ops.Engine) { w.cnn.Register(e) }
 
-// GenScene renders a random scene.
-func (w *Workload) GenScene() Scene {
+// GenScene renders the random scene a Run parses: the first draw from a
+// clone of the model's generator.
+func (w *Workload) GenScene() Scene { return w.genScene(w.g.Clone()) }
+
+// genScene renders a random scene drawn from g.
+func (w *Workload) genScene(g *tensor.RNG) Scene {
 	s := Scene{Image: tensor.New(1, 3, w.cfg.ImgSize, w.cfg.ImgSize)}
 	size := w.cfg.ImgSize
 	for i := 0; i < w.cfg.Objects; i++ {
 		o := Object{
-			Color: Colors[w.g.Intn(len(Colors))],
-			Shape: Shapes[w.g.Intn(len(Shapes))],
-			Size:  Sizes[w.g.Intn(len(Sizes))],
-			X:     w.g.Intn(size - 8),
-			Y:     w.g.Intn(size - 8),
+			Color: Colors[g.Intn(len(Colors))],
+			Shape: Shapes[g.Intn(len(Shapes))],
+			Size:  Sizes[g.Intn(len(Sizes))],
+			X:     g.Intn(size - 8),
+			Y:     g.Intn(size - 8),
 		}
 		s.Objects = append(s.Objects, o)
 		// Rasterize: an 8×8 patch whose channel intensities encode color.
@@ -157,11 +167,11 @@ func (p Program) String() string {
 	return out
 }
 
-// GenQuestion samples a program with its ground-truth answer.
-func (w *Workload) GenQuestion(s Scene) (Program, string) {
-	switch w.g.Intn(3) {
+// genQuestion samples a program with its ground-truth answer from g.
+func (w *Workload) genQuestion(g *tensor.RNG, s Scene) (Program, string) {
+	switch g.Intn(3) {
 	case 0: // how many <color> objects?
-		c := Colors[w.g.Intn(len(Colors))]
+		c := Colors[g.Intn(len(Colors))]
 		p := Program{Steps: []Step{{Op: "filter_color", Arg: c}, {Op: "count"}}}
 		n := 0
 		for _, o := range s.Objects {
@@ -171,8 +181,8 @@ func (w *Workload) GenQuestion(s Scene) (Program, string) {
 		}
 		return p, fmt.Sprint(n)
 	case 1: // is there a <size> <shape>?
-		sz := Sizes[w.g.Intn(len(Sizes))]
-		sh := Shapes[w.g.Intn(len(Shapes))]
+		sz := Sizes[g.Intn(len(Sizes))]
+		sh := Shapes[g.Intn(len(Shapes))]
 		p := Program{Steps: []Step{{Op: "filter_size", Arg: sz}, {Op: "filter_shape", Arg: sh}, {Op: "exist"}}}
 		ans := "no"
 		for _, o := range s.Objects {
@@ -182,8 +192,8 @@ func (w *Workload) GenQuestion(s Scene) (Program, string) {
 		}
 		return p, ans
 	default: // equal_integer(count(color a), count(color b))
-		a := Colors[w.g.Intn(len(Colors))]
-		b := Colors[w.g.Intn(len(Colors))]
+		a := Colors[g.Intn(len(Colors))]
+		b := Colors[g.Intn(len(Colors))]
 		sub := Program{Steps: []Step{{Op: "filter_color", Arg: b}, {Op: "count"}}}
 		p := Program{Steps: []Step{
 			{Op: "filter_color", Arg: a}, {Op: "count"},
@@ -208,7 +218,8 @@ func (w *Workload) GenQuestion(s Scene) (Program, string) {
 // Run parses one scene and answers cfg.Questions generated questions.
 func (w *Workload) Run(e *ops.Engine) error {
 	w.Register(e)
-	scene := w.GenScene()
+	g := w.g.Clone()
+	scene := w.genScene(g)
 
 	// ---- Neural: scene parsing ---------------------------------------------
 	e.SetPhase(trace.Neural)
@@ -224,7 +235,7 @@ func (w *Workload) Run(e *ops.Engine) error {
 		e.Logic("SceneParse", int64(len(scene.Objects)*8), int64(len(scene.Objects))*64, []*tensor.Tensor{host}, func() []*tensor.Tensor { return nil })
 	})
 	for q := 0; q < w.cfg.Questions; q++ {
-		prog, want := w.GenQuestion(scene)
+		prog, want := w.genQuestion(g, scene)
 		got := w.Execute(e, scene, prog)
 		if got != want {
 			return fmt.Errorf("nsvqa: program %s answered %q, want %q", prog, got, want)

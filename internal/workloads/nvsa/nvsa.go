@@ -60,9 +60,12 @@ func (c *Config) defaults() {
 	}
 }
 
-// NVSA is the workload instance.
+// NVSA is the workload instance: a read-only model that concurrent runs
+// share.
 type NVSA struct {
-	cfg       Config
+	cfg Config
+	// g is the generator in its post-construction state. Runs draw their
+	// tasks and perception noise from a clone, never from g itself.
 	g         *tensor.RNG
 	cnn       *nn.CNN
 	space     *vsa.Space
@@ -103,8 +106,11 @@ func New(cfg Config) *NVSA {
 // Name implements the workload identity.
 func (w *NVSA) Name() string { return "NVSA" }
 
-// Category returns the taxonomy category of Table III.
-func (w *NVSA) Category() string { return "Neuro|Symbolic" }
+// Category is the workload's taxonomy category (Table III).
+const Category = "Neuro|Symbolic"
+
+// Category returns the taxonomy category.
+func (w *NVSA) Category() string { return Category }
 
 // Register records the model's persistent parameters.
 func (w *NVSA) Register(e *ops.Engine) {
@@ -123,26 +129,27 @@ func (w *NVSA) Run(e *ops.Engine) error { return w.RunBatch(e, 1) }
 // RunBatch generates one RPM task and solves it for n batch replicas in a
 // single engine pass.
 func (w *NVSA) RunBatch(e *ops.Engine, n int) error {
-	task := raven.Generate(raven.Config{M: w.cfg.M}, w.g)
-	_, err := w.SolveBatch(e, task, n)
+	g := w.g.Clone()
+	task := raven.Generate(raven.Config{M: w.cfg.M}, g)
+	_, err := w.solveBatch(e, task, n, g)
 	return err
 }
 
 // Solve runs the full pipeline on a task and returns the chosen candidate
-// index.
+// index, drawing perception noise from a clone of the model's generator.
 func (w *NVSA) Solve(e *ops.Engine, task raven.Task) (int, error) {
-	return w.SolveBatch(e, task, 1)
+	return w.solveBatch(e, task, 1, w.g.Clone())
 }
 
-// SolveBatch solves the task for n batch replicas in one pass. The neural
-// frontend is materialized: the CNN and codebook projection run over all
-// n×panels images as one batch, so their events record n× the solo cost
-// by size. The symbolic backend operates on solo-shaped per-panel PMFs
+// solveBatch solves the task for n batch replicas in one pass, drawing
+// perception noise from g. The neural frontend is materialized: the CNN
+// and codebook projection run over all n×panels images as one batch, so
+// their events record n× the solo cost by size. The symbolic backend operates on solo-shaped per-panel PMFs
 // and hypervectors, so it runs once under replica amplification — the
 // actual saving batching buys, since the paper's symbolic kernels are the
 // ones too small to fill the hardware — with every recorded event scaled
 // to n× for exact per-item trace splitting.
-func (w *NVSA) SolveBatch(e *ops.Engine, task raven.Task, n int) (int, error) {
+func (w *NVSA) solveBatch(e *ops.Engine, task raven.Task, n int, g *tensor.RNG) (int, error) {
 	w.Register(e)
 	panels := append(append([]raven.Panel{}, task.Context...), task.Choices...)
 
@@ -189,7 +196,7 @@ func (w *NVSA) SolveBatch(e *ops.Engine, task raven.Task, n int) (int, error) {
 	e.Logic("PerceptionReadout", int64(len(panels)*30), int64(len(panels)*30*4), []*tensor.Tensor{hostQ}, func() []*tensor.Tensor {
 		var outs []*tensor.Tensor
 		for i, p := range panels {
-			pmfs[i] = raven.PerceivePMF(p, w.cfg.Noise, w.g)
+			pmfs[i] = raven.PerceivePMF(p, w.cfg.Noise, g)
 			for _, a := range w.attrs {
 				outs = append(outs, pmfs[i][a])
 			}
@@ -342,14 +349,16 @@ func (w *NVSA) SolveBatch(e *ops.Engine, task raven.Task, n int) (int, error) {
 	return chosen, nil
 }
 
-// SolveAccuracy runs n fresh tasks and returns the fraction answered
-// correctly; each task uses its own engine so traces stay per-inference.
+// SolveAccuracy runs n fresh tasks, drawn with their noise from one clone
+// of the model's generator, and returns the fraction answered correctly;
+// each task uses its own engine so traces stay per-inference.
 func (w *NVSA) SolveAccuracy(n int) float64 {
+	g := w.g.Clone()
 	correct := 0
 	for i := 0; i < n; i++ {
-		task := raven.Generate(raven.Config{M: w.cfg.M}, w.g)
+		task := raven.Generate(raven.Config{M: w.cfg.M}, g)
 		e := ops.New()
-		got, err := w.Solve(e, task)
+		got, err := w.solveBatch(e, task, 1, g)
 		if err == nil && got == task.AnswerIdx {
 			correct++
 		}

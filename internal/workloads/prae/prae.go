@@ -43,9 +43,12 @@ func (c *Config) defaults() {
 	}
 }
 
-// PrAE is the workload instance.
+// PrAE is the workload instance: a read-only model that concurrent runs
+// share.
 type PrAE struct {
-	cfg   Config
+	cfg Config
+	// g is the generator in its post-construction state. Runs draw their
+	// tasks and perception noise from a clone, never from g itself.
 	g     *tensor.RNG
 	cnn   *nn.CNN
 	attrs []raven.Attribute
@@ -66,21 +69,31 @@ func New(cfg Config) *PrAE {
 // Name implements the workload identity.
 func (w *PrAE) Name() string { return "PrAE" }
 
-// Category returns the taxonomy category of Table III.
-func (w *PrAE) Category() string { return "Neuro|Symbolic" }
+// Category is the workload's taxonomy category (Table III).
+const Category = "Neuro|Symbolic"
+
+// Category returns the taxonomy category.
+func (w *PrAE) Category() string { return Category }
 
 // Register records the model's persistent parameters.
 func (w *PrAE) Register(e *ops.Engine) { w.cnn.Register(e) }
 
 // Run generates one RPM task and solves it end-to-end.
 func (w *PrAE) Run(e *ops.Engine) error {
-	task := raven.Generate(raven.Config{M: w.cfg.M}, w.g)
-	_, err := w.Solve(e, task)
+	g := w.g.Clone()
+	task := raven.Generate(raven.Config{M: w.cfg.M}, g)
+	_, err := w.solve(e, task, g)
 	return err
 }
 
-// Solve runs the pipeline and returns the chosen candidate index.
+// Solve runs the pipeline and returns the chosen candidate index, drawing
+// perception noise from a clone of the model's generator.
 func (w *PrAE) Solve(e *ops.Engine, task raven.Task) (int, error) {
+	return w.solve(e, task, w.g.Clone())
+}
+
+// solve runs the pipeline with perception noise drawn from g.
+func (w *PrAE) solve(e *ops.Engine, task raven.Task, g *tensor.RNG) (int, error) {
 	w.Register(e)
 	panels := append(append([]raven.Panel{}, task.Context...), task.Choices...)
 
@@ -105,7 +118,7 @@ func (w *PrAE) Solve(e *ops.Engine, task raven.Task) (int, error) {
 	e.Logic("PerceptionReadout", int64(len(panels)*30), int64(len(panels)*30*4), []*tensor.Tensor{hostF}, func() []*tensor.Tensor {
 		var outs []*tensor.Tensor
 		for i, p := range panels {
-			pmfs[i] = raven.PerceivePMF(p, w.cfg.Noise, w.g)
+			pmfs[i] = raven.PerceivePMF(p, w.cfg.Noise, g)
 			for _, a := range w.attrs {
 				outs = append(outs, pmfs[i][a])
 			}
@@ -199,13 +212,15 @@ func scene(e *ops.Engine, pos *tensor.Tensor, pmf map[raven.Attribute]*tensor.Te
 	return joint
 }
 
-// SolveAccuracy runs n fresh tasks and returns the fraction answered correctly.
+// SolveAccuracy runs n fresh tasks, drawn with their noise from one clone
+// of the model's generator, and returns the fraction answered correctly.
 func (w *PrAE) SolveAccuracy(n int) float64 {
+	g := w.g.Clone()
 	correct := 0
 	for i := 0; i < n; i++ {
-		task := raven.Generate(raven.Config{M: w.cfg.M}, w.g)
+		task := raven.Generate(raven.Config{M: w.cfg.M}, g)
 		e := ops.New()
-		if got, err := w.Solve(e, task); err == nil && got == task.AnswerIdx {
+		if got, err := w.solve(e, task, g); err == nil && got == task.AnswerIdx {
 			correct++
 		}
 	}

@@ -38,9 +38,12 @@ func (c *Config) defaults() {
 	}
 }
 
-// VSAIT is the workload instance.
+// VSAIT is the workload instance: a read-only model that concurrent runs
+// share.
 type VSAIT struct {
-	cfg       Config
+	cfg Config
+	// g is the generator in its post-construction state. Runs draw their
+	// image pairs from a clone, never from g itself.
 	g         *tensor.RNG
 	generator []*nn.ConvBlock // translation network (shape preserving)
 	outConv   *nn.Conv2d
@@ -74,8 +77,11 @@ func New(cfg Config) *VSAIT {
 // Name implements the workload identity.
 func (w *VSAIT) Name() string { return "VSAIT" }
 
-// Category returns the taxonomy category of Table III.
-func (w *VSAIT) Category() string { return "Neuro|Symbolic" }
+// Category is the workload's taxonomy category (Table III).
+const Category = "Neuro|Symbolic"
+
+// Category returns the taxonomy category.
+func (w *VSAIT) Category() string { return Category }
 
 // Register records the model's persistent parameters.
 func (w *VSAIT) Register(e *ops.Engine) {
@@ -103,7 +109,7 @@ func (w *VSAIT) Run(e *ops.Engine) error {
 // consistency loss.
 func (w *VSAIT) Translate(e *ops.Engine) (float32, error) {
 	w.Register(e)
-	pair := datasets.GenImagePair(w.cfg.ImgSize, 5, w.g)
+	pair := datasets.GenImagePair(w.cfg.ImgSize, 5, w.g.Clone())
 
 	// ---- Neural: generator + feature extraction ---------------------------
 	e.SetPhase(trace.Neural)

@@ -40,9 +40,12 @@ func (c *Config) defaults() {
 	}
 }
 
-// ZeroC is the workload instance.
+// ZeroC is the workload instance: a read-only model that concurrent runs
+// share.
 type ZeroC struct {
-	cfg       Config
+	cfg Config
+	// g is the generator in its post-construction state. Runs draw their
+	// concept grids from a clone, never from g itself.
 	g         *tensor.RNG
 	ebms      []*nn.CNN        // energy-based model ensemble (one per constituent model)
 	templates []*tensor.Tensor // canonical concept masks for grounding search
@@ -68,8 +71,11 @@ func New(cfg Config) *ZeroC {
 // Name implements the workload identity.
 func (w *ZeroC) Name() string { return "ZeroC" }
 
-// Category returns the taxonomy category of Table III.
-func (w *ZeroC) Category() string { return "Neuro[Symbolic]" }
+// Category is the workload's taxonomy category (Table III).
+const Category = "Neuro[Symbolic]"
+
+// Category returns the taxonomy category.
+func (w *ZeroC) Category() string { return Category }
 
 // Register records the model's persistent parameters.
 func (w *ZeroC) Register(e *ops.Engine) {
@@ -81,7 +87,8 @@ func (w *ZeroC) Register(e *ops.Engine) {
 // Run classifies one generated concept grid.
 func (w *ZeroC) Run(e *ops.Engine) error {
 	names := datasets.ConceptNames()
-	inst := datasets.GenConceptGrid(w.cfg.ImgSize, names[w.g.Intn(len(names))], w.g)
+	g := w.g.Clone()
+	inst := datasets.GenConceptGrid(w.cfg.ImgSize, names[g.Intn(len(names))], g)
 	_, err := w.Classify(e, inst)
 	return err
 }
@@ -245,12 +252,14 @@ func (w *ZeroC) matchConcept(e *ops.Engine, lines []line) string {
 }
 
 // Accuracy classifies n generated grids and returns the fraction correct —
-// the zero-shot recognition capability of the symbolic backend.
+// the zero-shot recognition capability of the symbolic backend. The grids
+// come from one clone of the model's generator.
 func (w *ZeroC) Accuracy(n int) float64 {
 	names := datasets.ConceptNames()
+	g := w.g.Clone()
 	correct := 0
 	for i := 0; i < n; i++ {
-		inst := datasets.GenConceptGrid(w.cfg.ImgSize, names[i%len(names)], w.g)
+		inst := datasets.GenConceptGrid(w.cfg.ImgSize, names[i%len(names)], g)
 		e := ops.New()
 		if got, err := w.Classify(e, inst); err == nil && got == inst.Concept {
 			correct++
