@@ -132,7 +132,10 @@ func NewRegistry(cfg Config, onJoin func(node string), onLeave func(node, reason
 
 // NormalizeNode canonicalizes an announced replica URL: scheme+host only,
 // lowercased scheme/host, trailing slash stripped, host escaped as a URL
-// carries it. Announcements and the router's own -replicas flag must
+// carries it. An IPv6 zone keeps its case: it names an interface, and
+// interface names can be case-sensitive. A URL carrying anything beyond
+// an origin (a path, userinfo, a query or a fragment) is rejected rather
+// than trimmed. Announcements and the router's own -replicas flag must
 // agree on one spelling per replica or the ring would hold duplicate
 // nodes.
 func NormalizeNode(raw string) (string, error) {
@@ -153,10 +156,20 @@ func NormalizeNode(raw string) (string, error) {
 	if u.Path != "" && u.Path != "/" {
 		return "", fmt.Errorf("membership: node URL %q must not carry a path", raw)
 	}
+	if u.User != nil {
+		return "", fmt.Errorf("membership: node URL %q must not carry userinfo", raw)
+	}
+	if u.RawQuery != "" || u.ForceQuery || strings.Contains(s, "#") {
+		return "", fmt.Errorf("membership: node URL %q must not carry a query or fragment", raw)
+	}
+	host := strings.ToLower(u.Host)
+	if addr, zone, ok := strings.Cut(u.Host, "%"); ok && strings.HasPrefix(addr, "[") {
+		host = strings.ToLower(addr) + "%" + zone
+	}
 	// Re-escape the decoded host: an IPv6 zone ("[fe80::1%25en0]") or a
 	// non-ASCII name must come out in the form it was parsed from, or the
 	// result would not normalize to itself.
-	canon := url.URL{Scheme: strings.ToLower(u.Scheme), Host: strings.ToLower(u.Host)}
+	canon := url.URL{Scheme: strings.ToLower(u.Scheme), Host: host}
 	return canon.String(), nil
 }
 
