@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"regexp"
 	"strconv"
 	"strings"
@@ -117,4 +119,182 @@ func TestHistogramCumulativeInvariant(t *testing.T) {
 	if n, _ := strconv.Atoi(count); n != 100 {
 		t.Fatalf("count = %s, want 100", count)
 	}
+}
+
+// FuzzWriteProm round-trips fuzzed help text and label values through the
+// exposition format: a small scraper-side parser must recover every help
+// text, label value and sample value WriteProm was given, exactly. The
+// seeds cover the escaped bytes (backslash, newline, double quote),
+// non-UTF-8 bytes and the special float values.
+func FuzzWriteProm(f *testing.F) {
+	f.Add("plain help", "a", "b", 1.5, uint64(3), 0.25)
+	f.Add("", "", "", 0.0, uint64(0), 0.0)
+	f.Add(`back\slash`, `a\b`, `\`, math.Inf(1), uint64(math.MaxUint64), math.Inf(-1))
+	f.Add("two\nlines\n", "x\ny", "\n", math.Inf(-1), uint64(1), math.Inf(1))
+	f.Add(`say "hi"`, `"quoted"`, `a"b,c="d"}`, math.NaN(), uint64(7), math.NaN())
+	f.Add("bad \xff\xfe utf8", "\xc3\x28", "\x80", math.Copysign(0, -1), uint64(42), math.Copysign(0, -1))
+	f.Add(`\n is not a newline`, `\"`, `\\n`, 1e308, uint64(1<<63), -1e-308)
+	f.Fuzz(func(t *testing.T, help, v1, v2 string, gauge float64, count uint64, obs float64) {
+		r := NewRegistry()
+		r.GaugeVec("fz_gauge", help, "a", "b").With(v1, v2).Set(gauge)
+		r.CounterVec("fz_total", help, "a").With(v1).Add(count)
+		bounds := []float64{0.5, 1}
+		h := r.HistogramVec("fz_seconds", help, bounds, "b").With(v2)
+		h.Observe(obs)
+		var buf bytes.Buffer
+		if err := r.WriteProm(&buf); err != nil {
+			t.Fatal(err)
+		}
+		helps, samples, err := parseProm(buf.String())
+		if err != nil {
+			t.Fatalf("%v in:\n%s", err, buf.String())
+		}
+
+		for _, fam := range []string{"fz_gauge", "fz_total", "fz_seconds"} {
+			got, ok := helps[fam]
+			if ok != (help != "") || got != help {
+				t.Fatalf("%s help = %q (present %v), want %q", fam, got, ok, help)
+			}
+		}
+		le := func(b float64) string { return strconv.FormatFloat(b, 'g', -1, 64) }
+		want := []promSample{
+			{name: "fz_gauge", labels: [][2]string{{"a", v1}, {"b", v2}}, value: gauge},
+			{name: "fz_total", labels: [][2]string{{"a", v1}}, value: float64(count)},
+		}
+		for _, b := range bounds {
+			want = append(want, promSample{name: "fz_seconds_bucket", labels: [][2]string{{"b", v2}, {"le", le(b)}}, value: float64(h.CountAtOrBelow(b))})
+		}
+		want = append(want,
+			promSample{name: "fz_seconds_bucket", labels: [][2]string{{"b", v2}, {"le", "+Inf"}}, value: 1},
+			promSample{name: "fz_seconds_sum", labels: [][2]string{{"b", v2}}, value: 0 + obs},
+			promSample{name: "fz_seconds_count", labels: [][2]string{{"b", v2}}, value: 1},
+		)
+		if len(samples) != len(want) {
+			t.Fatalf("parsed %d samples, want %d:\n%s", len(samples), len(want), buf.String())
+		}
+		for i, w := range want {
+			g := samples[i]
+			if g.name != w.name || fmt.Sprint(g.labels) != fmt.Sprint(w.labels) || !sameFloat(g.value, w.value) {
+				t.Fatalf("sample %d = %s%q %v, want %s%q %v", i, g.name, g.labels, g.value, w.name, w.labels, w.value)
+			}
+		}
+		if samples[1].raw != strconv.FormatUint(count, 10) {
+			t.Fatalf("counter value %q, want %d exactly", samples[1].raw, count)
+		}
+	})
+}
+
+// sameFloat is bit equality, with every NaN equal to every other (the
+// text format has one NaN).
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// promSample is one parsed sample line: its name, its labels in order,
+// and its value (raw is the value's text).
+type promSample struct {
+	name   string
+	labels [][2]string
+	value  float64
+	raw    string
+}
+
+// parseProm is a minimal scraper for the exposition format WriteProm
+// writes: it returns each family's unescaped help text and every sample
+// with its unescaped label values.
+func parseProm(out string) (map[string]string, []promSample, error) {
+	helps := map[string]string{}
+	var samples []promSample
+	if !strings.HasSuffix(out, "\n") {
+		return nil, nil, fmt.Errorf("output does not end in a newline")
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, text, _ := strings.Cut(rest, " ")
+			h, n, err := unescapeProm(text, false)
+			if err != nil || n != len(text) {
+				return nil, nil, fmt.Errorf("help line %q: bad escape", line)
+			}
+			helps[name] = h
+			continue
+		}
+		if strings.HasPrefix(line, "# TYPE ") {
+			continue
+		}
+		var s promSample
+		end := strings.IndexAny(line, "{ ")
+		if end < 0 {
+			return nil, nil, fmt.Errorf("sample line %q has no value", line)
+		}
+		s.name, line = line[:end], line[end:]
+		if strings.HasPrefix(line, "{") {
+			line = line[1:]
+			for {
+				name, rest, ok := strings.Cut(line, `="`)
+				if !ok {
+					return nil, nil, fmt.Errorf("label in %q has no value", line)
+				}
+				v, n, err := unescapeProm(rest, true)
+				if err != nil || n == len(rest) {
+					return nil, nil, fmt.Errorf("label %s: unterminated or bad value", name)
+				}
+				s.labels = append(s.labels, [2]string{name, v})
+				line = rest[n+1:] // past the closing quote
+				if strings.HasPrefix(line, ",") {
+					line = line[1:]
+					continue
+				}
+				if !strings.HasPrefix(line, "}") {
+					return nil, nil, fmt.Errorf("label list not closed before %q", line)
+				}
+				line = line[1:]
+				break
+			}
+		}
+		raw, ok := strings.CutPrefix(line, " ")
+		if !ok {
+			return nil, nil, fmt.Errorf("no space before the value in %q", line)
+		}
+		v, err := strconv.ParseFloat(raw, 64)
+		if err != nil {
+			return nil, nil, err
+		}
+		s.value, s.raw = v, raw
+		samples = append(samples, s)
+	}
+	return helps, samples, nil
+}
+
+// unescapeProm undoes WriteProm's escapes in s up to the first unescaped
+// double quote when quoted (a label value), or through the end otherwise
+// (a help text). It returns the text and how many bytes of s it consumed.
+func unescapeProm(s string, quoted bool) (string, int, error) {
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' && quoted:
+			return b.String(), i, nil
+		case c == '\\':
+			if i+1 == len(s) {
+				return "", 0, fmt.Errorf("trailing backslash")
+			}
+			i++
+			switch s[i] {
+			case '\\':
+				b.WriteByte('\\')
+			case 'n':
+				b.WriteByte('\n')
+			case '"':
+				if !quoted {
+					return "", 0, fmt.Errorf(`\" outside a label value`)
+				}
+				b.WriteByte('"')
+			default:
+				return "", 0, fmt.Errorf("unknown escape \\%c", s[i])
+			}
+		default:
+			b.WriteByte(c)
+		}
+	}
+	return b.String(), len(s), nil
 }
