@@ -2,7 +2,9 @@ package alphago
 
 import (
 	"testing"
+	"time"
 
+	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/ops"
 	"github.com/neurosym/nsbench/internal/trace"
 )
@@ -83,10 +85,43 @@ func TestRunRecordsBothPhases(t *testing.T) {
 			t.Fatalf("stage %q missing; have %v", want, stages)
 		}
 	}
-	// Symbolic[Neuro]: "Others" (tree ops) must dominate the symbolic mix.
-	sh := tr.CategoryShare(trace.Symbolic)
-	if sh[trace.Other] < 0.5 {
-		t.Fatalf("symbolic Others share = %v, want dominant", sh[trace.Other])
+	// The claim that "Others" (tree ops) dominate the symbolic mix is
+	// gated on the projection in TestProjectedSymbolicOthersDominate; the
+	// host share moves with CPU contention, so it is only reported.
+	t.Logf("host symbolic Others share = %.3f", tr.CategoryShare(trace.Symbolic)[trace.Other])
+}
+
+// TestProjectedSymbolicOthersDominate is the deterministic sibling of
+// TestRunRecordsBothPhases's category claim: Symbolic[Neuro] spends its
+// symbolic phase in "Others" (the MCTS tree operations). Projected onto
+// the Jetson TX2 model, whose times depend only on each event's recorded
+// shape and cost, Others must carry most of the symbolic time (all of it
+// at this configuration).
+func TestProjectedSymbolicOthersDominate(t *testing.T) {
+	w := New(Config{Board: 5, Connect: 4, Simulations: 16, Moves: 2})
+	e := ops.New()
+	if err := w.Run(e); err != nil {
+		t.Fatal(err)
+	}
+	var others, total time.Duration
+	events, otherEvents := 0, 0
+	for i := range e.Trace().Events {
+		ev := &e.Trace().Events[i]
+		if ev.Phase != trace.Symbolic {
+			continue
+		}
+		dt := hwsim.JetsonTX2.EventTime(ev)
+		total += dt
+		events++
+		if ev.Category == trace.Other {
+			others += dt
+			otherEvents++
+		}
+	}
+	share := float64(others) / float64(total)
+	t.Logf("TX2-projected symbolic Others share = %.3f (%d of %d symbolic events)", share, otherEvents, events)
+	if events == 0 || share <= 0.5 {
+		t.Fatalf("TX2-projected symbolic Others share = %.3f, want dominant", share)
 	}
 }
 

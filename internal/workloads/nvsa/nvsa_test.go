@@ -30,10 +30,10 @@ func TestRunProducesBothPhases(t *testing.T) {
 	if tr.PhaseDuration(trace.Neural) == 0 || tr.PhaseDuration(trace.Symbolic) == 0 {
 		t.Fatal("both phases must record time")
 	}
-	// Symbolic must dominate (the paper's 92.1% observation).
-	if share := tr.PhaseShare(trace.Symbolic); share < 0.5 {
-		t.Fatalf("symbolic share = %v, want > 0.5", share)
-	}
+	// Symbolic dominance (the paper's 92.1% observation) is gated on the
+	// projection in TestProjectedSymbolicShare; the host share moves with
+	// CPU contention, so it is only reported.
+	t.Logf("host symbolic share = %.3f", tr.PhaseShare(trace.Symbolic))
 }
 
 // TestProjectedSymbolicShare is the deterministic sibling of
