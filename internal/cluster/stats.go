@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"reflect"
 	"sort"
 	"sync"
 
@@ -63,8 +65,10 @@ func (rt *Router) aggregate(r *http.Request) ClusterStats {
 			case up.code != http.StatusOK:
 				ns.Err = "status " + http.StatusText(up.code)
 			default:
-				if err := json.Unmarshal(up.body, &ns.Stats); err != nil {
+				if snap, err := decodeSnapshot(up.body); err != nil {
 					ns.Err = "bad stats payload: " + err.Error()
+				} else {
+					ns.Stats = snap
 				}
 			}
 			out.Nodes[i] = ns
@@ -91,6 +95,23 @@ func (rt *Router) aggregate(r *http.Request) ClusterStats {
 		}
 	}
 	return out
+}
+
+// decodeSnapshot parses one replica's /v1/stats body. Every field counts
+// or averages something, so a negative value marks a corrupt payload and
+// is refused like one that does not parse.
+func decodeSnapshot(b []byte) (serve.Snapshot, error) {
+	var s serve.Snapshot
+	if err := json.Unmarshal(b, &s); err != nil {
+		return serve.Snapshot{}, err
+	}
+	v := reflect.ValueOf(s)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); (f.CanInt() && f.Int() < 0) || (f.CanFloat() && f.Float() < 0) {
+			return serve.Snapshot{}, fmt.Errorf("negative %s", v.Type().Field(i).Tag.Get("json"))
+		}
+	}
+	return s, nil
 }
 
 // handleStats serves the aggregated cluster counters.

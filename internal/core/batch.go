@@ -30,8 +30,7 @@ type BatchWorkload interface {
 // ItemOptions carries the per-item analysis knobs of one batch member.
 // Zero fields fall back to the batch-level Options.
 type ItemOptions struct {
-	Device         hwsim.Device
-	ProjectDevices []hwsim.Device
+	Device hwsim.Device
 }
 
 // CharacterizeBatch executes one batched inference of n items and derives
@@ -75,13 +74,8 @@ func CharacterizeBatch(w Workload, n int, opts Options, items ...ItemOptions) ([
 	reports := make([]*Report, n)
 	for i, p := range parts {
 		iopts := opts
-		if len(items) == n {
-			if items[i].Device.Name != "" {
-				iopts.Device = items[i].Device
-			}
-			if items[i].ProjectDevices != nil {
-				iopts.ProjectDevices = items[i].ProjectDevices
-			}
+		if len(items) == n && items[i].Device.Name != "" {
+			iopts.Device = items[i].Device
 		}
 		reports[i] = Analyze(w.Name(), w.Category(), p, iopts)
 	}

@@ -67,7 +67,7 @@ type Report struct {
 	// Per-stage statistics incl. sparsity (Fig. 5).
 	Stages []trace.StageStats
 
-	// Device projections (Fig. 2b).
+	// Device projections (Fig. 2b), one per hwsim.EdgeDevices entry.
 	Projections []hwsim.Projection
 }
 
@@ -102,9 +102,6 @@ type Options struct {
 	// Device is the roofline/projection reference; zero value means
 	// RTX 2080 Ti (the paper's discrete GPU).
 	Device hwsim.Device
-	// ProjectDevices lists devices for Fig. 2b projections; nil means
-	// TX2, Xavier NX, RTX 2080 Ti.
-	ProjectDevices []hwsim.Device
 	// Pool supplies the run's engine and so its execution backend. The
 	// pool's owner (a binary, a server, a test) closes it; Characterize
 	// only borrows engines. Nil borrows from one package-level serial
@@ -120,9 +117,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.Device.Name == "" {
 		o.Device = hwsim.RTX2080Ti
-	}
-	if o.ProjectDevices == nil {
-		o.ProjectDevices = hwsim.EdgeDevices()
 	}
 }
 
@@ -283,7 +277,7 @@ func Analyze(name, category string, tr *trace.Trace, opts Options) *Report {
 
 	r.Stages = tr.ByStage()
 
-	for _, d := range opts.ProjectDevices {
+	for _, d := range hwsim.EdgeDevices() {
 		r.Projections = append(r.Projections, d.ProjectTrace(tr))
 	}
 	return r

@@ -313,11 +313,11 @@ func TestFig2cProjectedScaling(t *testing.T) {
 	var total [2]float64
 	for i, m := range []int{2, 3} {
 		w := nvsa.New(nvsa.Config{M: m})
-		r, err := Characterize(w, Options{ProjectDevices: []hwsim.Device{hwsim.JetsonTX2}})
+		tr, err := Execute(w, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		total[i] = float64(r.Projections[0].Total)
+		total[i] = float64(hwsim.JetsonTX2.ProjectTrace(tr).Total)
 	}
 	scale := total[1] / total[0]
 	t.Logf("TX2-projected 3x3/2x2 scale = %.3f", scale)

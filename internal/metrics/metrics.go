@@ -28,7 +28,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -154,16 +154,17 @@ func (f *family) get(values []string) *child {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := strings.Join(values, "\xff")
+	var buf [128]byte
+	key := appendKey(buf[:0], values)
 	f.mu.RLock()
-	c, ok := f.children[key]
+	c, ok := f.children[string(key)] // a lookup converts without allocating
 	f.mu.RUnlock()
 	if ok {
 		return c
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if c, ok := f.children[key]; ok {
+	if c, ok := f.children[string(key)]; ok {
 		return c
 	}
 	c = &child{values: append([]string(nil), values...)}
@@ -175,9 +176,21 @@ func (f *family) get(values []string) *child {
 	case KindHistogram:
 		c.hist = newHistogram(f.bounds)
 	}
-	f.children[key] = c
+	f.children[string(key)] = c
 	f.order = append(f.order, c)
 	return c
+}
+
+// appendKey appends the children-map key of a label tuple to dst: each
+// value prefixed by its length, so that no two distinct tuples share a
+// key (with a plain separator, ("a\xff", "b") and ("a", "\xffb") would).
+func appendKey(dst []byte, values []string) []byte {
+	for _, v := range values {
+		dst = strconv.AppendInt(dst, int64(len(v)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, v...)
+	}
+	return dst
 }
 
 // Counter registers (or retrieves) an unlabeled monotonic counter.
@@ -326,11 +339,12 @@ func newHistogram(bounds []float64) *Histogram {
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	// First index with bounds[i] >= v; len(bounds) selects the overflow
-	// bucket. Hand-rolled to keep the hot path free of closure calls.
+	// bucket, which is also where a NaN lands: it is at or below no bound.
+	// Hand-rolled to keep the hot path free of closure calls.
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if v > h.bounds[mid] {
+		if !(v <= h.bounds[mid]) {
 			lo = mid + 1
 		} else {
 			hi = mid

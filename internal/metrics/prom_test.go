@@ -124,19 +124,26 @@ func TestHistogramCumulativeInvariant(t *testing.T) {
 // FuzzWriteProm round-trips fuzzed help text and label values through the
 // exposition format: a small scraper-side parser must recover every help
 // text, label value and sample value WriteProm was given, exactly. The
+// gauge gets a second label tuple (w1, w2), which must be its own series
+// unless it equals (v1, v2), and the histogram's buckets must count the
+// observation exactly where obs <= le holds (a NaN only in +Inf). The
 // seeds cover the escaped bytes (backslash, newline, double quote),
-// non-UTF-8 bytes and the special float values.
+// non-UTF-8 bytes, the special float values, and two tuples whose values
+// joined by a separator byte would coincide.
 func FuzzWriteProm(f *testing.F) {
-	f.Add("plain help", "a", "b", 1.5, uint64(3), 0.25)
-	f.Add("", "", "", 0.0, uint64(0), 0.0)
-	f.Add(`back\slash`, `a\b`, `\`, math.Inf(1), uint64(math.MaxUint64), math.Inf(-1))
-	f.Add("two\nlines\n", "x\ny", "\n", math.Inf(-1), uint64(1), math.Inf(1))
-	f.Add(`say "hi"`, `"quoted"`, `a"b,c="d"}`, math.NaN(), uint64(7), math.NaN())
-	f.Add("bad \xff\xfe utf8", "\xc3\x28", "\x80", math.Copysign(0, -1), uint64(42), math.Copysign(0, -1))
-	f.Add(`\n is not a newline`, `\"`, `\\n`, 1e308, uint64(1<<63), -1e-308)
-	f.Fuzz(func(t *testing.T, help, v1, v2 string, gauge float64, count uint64, obs float64) {
+	f.Add("plain help", "a", "b", "a", "b", 1.5, uint64(3), 0.25)
+	f.Add("", "", "", "x", "", 0.0, uint64(0), 0.0)
+	f.Add(`back\slash`, `a\b`, `\`, `a`, `b\`, math.Inf(1), uint64(math.MaxUint64), math.Inf(-1))
+	f.Add("two\nlines\n", "x\ny", "\n", "x", "y\n\n", math.Inf(-1), uint64(1), math.Inf(1))
+	f.Add(`say "hi"`, `"quoted"`, `a"b,c="d"}`, `"quoted"`, `a"b`, math.NaN(), uint64(7), math.NaN())
+	f.Add("bad \xff\xfe utf8", "\xc3\x28", "\x80", "\xc3", "\x28\x80", math.Copysign(0, -1), uint64(42), math.Copysign(0, -1))
+	f.Add(`\n is not a newline`, `\"`, `\\n`, `\`, `"\\n`, 1e308, uint64(1<<63), -1e-308)
+	f.Add("separator", "a\xff", "b", "a", "\xffb", 2.0, uint64(5), 0.75)
+	f.Fuzz(func(t *testing.T, help, v1, v2, w1, w2 string, gauge float64, count uint64, obs float64) {
 		r := NewRegistry()
-		r.GaugeVec("fz_gauge", help, "a", "b").With(v1, v2).Set(gauge)
+		gv := r.GaugeVec("fz_gauge", help, "a", "b")
+		gv.With(v1, v2).Set(gauge)
+		gv.With(w1, w2).Add(1)
 		r.CounterVec("fz_total", help, "a").With(v1).Add(count)
 		bounds := []float64{0.5, 1}
 		h := r.HistogramVec("fz_seconds", help, bounds, "b").With(v2)
@@ -157,12 +164,21 @@ func FuzzWriteProm(f *testing.F) {
 			}
 		}
 		le := func(b float64) string { return strconv.FormatFloat(b, 'g', -1, 64) }
-		want := []promSample{
-			{name: "fz_gauge", labels: [][2]string{{"a", v1}, {"b", v2}}, value: gauge},
-			{name: "fz_total", labels: [][2]string{{"a", v1}}, value: float64(count)},
+		want := []promSample{{name: "fz_gauge", labels: [][2]string{{"a", v1}, {"b", v2}}, value: gauge + 1}}
+		if v1 != w1 || v2 != w2 {
+			want = []promSample{
+				{name: "fz_gauge", labels: [][2]string{{"a", v1}, {"b", v2}}, value: gauge},
+				{name: "fz_gauge", labels: [][2]string{{"a", w1}, {"b", w2}}, value: 1},
+			}
 		}
+		counter := len(want)
+		want = append(want, promSample{name: "fz_total", labels: [][2]string{{"a", v1}}, value: float64(count)})
 		for _, b := range bounds {
-			want = append(want, promSample{name: "fz_seconds_bucket", labels: [][2]string{{"b", v2}, {"le", le(b)}}, value: float64(h.CountAtOrBelow(b))})
+			in := 0.0
+			if obs <= b {
+				in = 1
+			}
+			want = append(want, promSample{name: "fz_seconds_bucket", labels: [][2]string{{"b", v2}, {"le", le(b)}}, value: in})
 		}
 		want = append(want,
 			promSample{name: "fz_seconds_bucket", labels: [][2]string{{"b", v2}, {"le", "+Inf"}}, value: 1},
@@ -178,8 +194,8 @@ func FuzzWriteProm(f *testing.F) {
 				t.Fatalf("sample %d = %s%q %v, want %s%q %v", i, g.name, g.labels, g.value, w.name, w.labels, w.value)
 			}
 		}
-		if samples[1].raw != strconv.FormatUint(count, 10) {
-			t.Fatalf("counter value %q, want %d exactly", samples[1].raw, count)
+		if samples[counter].raw != strconv.FormatUint(count, 10) {
+			t.Fatalf("counter value %q, want %d exactly", samples[counter].raw, count)
 		}
 	})
 }

@@ -134,8 +134,6 @@ func (s *Server) runBatch(fs []*flight) {
 		if lead := live[0]; !lead.enqueuedAt.IsZero() {
 			s.recordServeSpanAt(lead.id, "batch.window", lead.enqueuedAt, dequeued)
 		}
-		s.st.batches.Inc()
-		s.st.batchItems.Add(uint64(len(live)))
 		s.st.occupancy.Observe(float64(len(live)))
 	}
 	if len(live) == 1 {

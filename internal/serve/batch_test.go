@@ -80,11 +80,11 @@ func TestCoalescerFlushOnFull(t *testing.T) {
 			t.Fatalf("request %d (%s): status %d", i, devs[i].Name, code)
 		}
 	}
-	if got := s.st.batches.Value(); got != 1 {
+	if got := s.st.occupancy.Count(); got != 1 {
 		t.Fatalf("batches = %d, want 1 (one coalesced pass)", got)
 	}
-	if got := s.st.batchItems.Value(); got != 3 {
-		t.Fatalf("batch items = %d, want 3", got)
+	if got := s.st.occupancy.Sum(); got != 3 {
+		t.Fatalf("batch items = %v, want 3", got)
 	}
 	if got := s.st.coalesceFlushes.With("full").Value(); got != 1 {
 		t.Fatalf("full flushes = %d, want 1", got)
@@ -173,11 +173,11 @@ func TestCoalescerMixedWorkloadsGroupSeparately(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if got := s.st.batches.Value(); got != 2 {
+	if got := s.st.occupancy.Count(); got != 2 {
 		t.Fatalf("batches = %d, want 2 (one per workload)", got)
 	}
-	if got := s.st.batchItems.Value(); got != 4 {
-		t.Fatalf("batch items = %d, want 4", got)
+	if got := s.st.occupancy.Sum(); got != 4 {
+		t.Fatalf("batch items = %v, want 4", got)
 	}
 }
 
@@ -213,11 +213,13 @@ func TestCoalescerSoak(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				// Clients share the (workload, device) schedule: roughly
-				// in-lockstep clients hit what the leader cached moments
-				// ago, drifted clients miss — the sustained hit/miss mix.
+				// At each step the clients of one workload spread over
+				// every device, so in-lockstep misses coalesce instead of
+				// deduplicating onto one key. Clients c and c+8 share a
+				// key: one often hits what the other cached moments ago,
+				// drifted clients miss — the sustained hit/miss mix.
 				wl := workloads[(c+i)%len(workloads)]
-				dev := devs[i%len(devs)].Name
+				dev := devs[(c/2+i)%len(devs)].Name
 				if code := postDevice(h, wl, dev); code != http.StatusOK {
 					bad.Add(1)
 				}

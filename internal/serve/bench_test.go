@@ -28,8 +28,8 @@ func BenchmarkServeCacheHit(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if s.st.runs.Value() != 1 {
-		b.Fatalf("cache-hit benchmark executed %d runs, want 1", s.st.runs.Value())
+	if s.st.runSeconds.Count() != 1 {
+		b.Fatalf("cache-hit benchmark executed %d runs, want 1", s.st.runSeconds.Count())
 	}
 }
 
@@ -52,7 +52,9 @@ func BenchmarkServeMiss(b *testing.B) {
 // benchServeConcurrent drives b.N cache-missing characterize requests
 // through cfg with the given client concurrency, cycling the analysis
 // device so concurrent requests carry distinct cache keys (identical keys
-// would measure singleflight, not the execution path under test).
+// would measure singleflight, not the execution path under test). It
+// reports the mean coalesced pass size (occupancy, 0 unbatched) and the
+// engine passes run per request (passes/req).
 func benchServeConcurrent(b *testing.B, cfg Config, clients int) {
 	resetCtl(false)
 	registerBatchWorkload()
@@ -82,6 +84,10 @@ func benchServeConcurrent(b *testing.B, cfg Config, clients int) {
 		}()
 	}
 	wg.Wait()
+	b.StopTimer()
+	snap := s.st.snapshot()
+	b.ReportMetric(snap.AvgOccupancy, "occupancy")
+	b.ReportMetric(float64(snap.Runs)/float64(b.N), "passes/req")
 }
 
 // BenchmarkServeBatch compares cache-miss serving throughput with and

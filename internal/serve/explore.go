@@ -10,7 +10,6 @@ import (
 	"github.com/neurosym/nsbench/internal/dse"
 	"github.com/neurosym/nsbench/internal/frontdoor"
 	"github.com/neurosym/nsbench/internal/hwsim"
-	"github.com/neurosym/nsbench/internal/metrics"
 	"github.com/neurosym/nsbench/internal/trace"
 )
 
@@ -69,26 +68,6 @@ func (s *Server) workloadTrace(key string, req Request, runID string) (*trace.Tr
 	}
 	close(e.done)
 	return e.tr, e.err
-}
-
-// exploreMetrics groups the ns_explore_* instruments the /v1/stats view
-// does not carry; the sweep and point counters live in stats.
-type exploreMetrics struct {
-	shardsInFly  *metrics.Gauge     // ns_explore_shards_inflight
-	pointsPerSec *metrics.Gauge     // ns_explore_points_per_sec (last sweep)
-	frontSize    *metrics.Histogram // ns_explore_front_size
-}
-
-// newExploreMetrics registers the sweep instruments in reg.
-func newExploreMetrics(reg *metrics.Registry) exploreMetrics {
-	return exploreMetrics{
-		shardsInFly: reg.Gauge("ns_explore_shards_inflight",
-			"Sweep shards streaming right now."),
-		pointsPerSec: reg.Gauge("ns_explore_points_per_sec",
-			"Evaluation throughput of the most recently completed sweep."),
-		frontSize: reg.Histogram("ns_explore_front_size",
-			"Pareto front size per completed sweep.", []float64{1, 2, 4, 8, 16, 32, 64}),
-	}
 }
 
 // handleExplore streams one design-space sweep as NDJSON: a meta chunk,
@@ -150,8 +129,8 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "explore concurrency limit reached", http.StatusTooManyRequests)
 		return
 	}
-	s.xm.shardsInFly.Inc()
-	defer s.xm.shardsInFly.Dec()
+	s.st.shardsInFly.Inc()
+	defer s.st.shardsInFly.Dec()
 
 	id := frontdoor.RequestID(r)
 	tr, err := s.workloadTrace(key, canon, id)
@@ -206,8 +185,8 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	sum.Workload = canon.Workload
 	sum.Device = canon.Device
 	s.st.sweepsRun.Inc()
-	s.xm.pointsPerSec.Set(sum.PointsPerSec)
-	s.xm.frontSize.Observe(float64(sum.FrontSize))
+	s.st.pointsPerSec.Set(sum.PointsPerSec)
+	s.st.frontSize.Observe(float64(sum.FrontSize))
 	s.recordExploreSpan(id, canon, req.ShardIndex, shardCount, sum.Evaluated, time.Since(sweepStart))
 	writeChunk(dse.Chunk{Type: "summary", Summary: sum})
 }

@@ -4,9 +4,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/ops"
 )
 
@@ -93,7 +97,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"nsserve_cache_entries 1",
 		"nsserve_queue_depth 0",
 		"nsserve_inflight_runs 0",
-		"nsserve_runs_total 1",
 		"nsserve_run_seconds_count 1",
 		"ns_backend_workers 2",
 		"ns_pool_splits_total",
@@ -129,6 +132,62 @@ func TestStatsMatchesMetrics(t *testing.T) {
 	}
 	if got := int64(s.st.requests.Value()); got != snap.Requests {
 		t.Fatalf("registry requests %d != snapshot %d", got, snap.Requests)
+	}
+}
+
+// TestStatsReadsHistograms: /v1/stats derives runs, batches_run and
+// avg_occupancy from the histograms /metrics exposes, not from counters
+// of their own, so the two views agree exactly.
+func TestStatsReadsHistograms(t *testing.T) {
+	resetCtl(false)
+	registerBatchWorkload()
+	s := newTestServer(t, Config{BatchWindow: 20 * time.Millisecond, BatchMax: 3})
+	h := s.Handler()
+	devs := hwsim.AllDevices()
+	var wg sync.WaitGroup
+	for _, d := range devs[:3] {
+		wg.Add(1)
+		go func(dev string) {
+			defer wg.Done()
+			postDevice(h, "testbatch", dev)
+		}(d.Name)
+	}
+	wg.Wait()
+	postDevice(h, "testbatch", devs[3].Name)
+
+	var snap Snapshot
+	if err := json.Unmarshal(get(h, "/v1/stats").Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	scrape := get(h, "/metrics").Body.String()
+	for _, gone := range []string{"nsserve_runs_total", "nsserve_batches_total", "nsserve_batch_items_total"} {
+		if strings.Contains(scrape, gone) {
+			t.Errorf("/metrics still exposes %s", gone)
+		}
+	}
+	sample := func(name string) float64 {
+		for _, line := range strings.Split(scrape, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("/metrics has no %s sample", name)
+		return 0
+	}
+	runs := sample("nsserve_run_seconds_count")
+	batches, items := sample("nsserve_batch_occupancy_count"), sample("nsserve_batch_occupancy_sum")
+	if snap.Runs == 0 || float64(snap.Runs) != runs {
+		t.Errorf("runs = %d, nsserve_run_seconds_count = %v", snap.Runs, runs)
+	}
+	if snap.BatchesRun == 0 || float64(snap.BatchesRun) != batches {
+		t.Errorf("batches_run = %d, nsserve_batch_occupancy_count = %v", snap.BatchesRun, batches)
+	}
+	if snap.AvgOccupancy != items/batches {
+		t.Errorf("avg_occupancy = %v, nsserve_batch_occupancy _sum/_count = %v", snap.AvgOccupancy, items/batches)
 	}
 }
 

@@ -22,7 +22,7 @@
 // request/latency histogram, cache/queue/pool gauge, per-operator timing,
 // and Go runtime sample lives in one metrics.Registry, scraped at
 // /metrics (Prometheus text format). /v1/stats remains the legacy JSON
-// view over the same counters. /healthz answers liveness probes
+// view over the same instruments. /healthz answers liveness probes
 // (process up) and /readyz answers readiness probes (not draining) —
 // the split lets a draining replica be ejected from a load balancer or
 // the cluster router (internal/cluster) before its listener closes.
@@ -240,12 +240,10 @@ type Server struct {
 	wg      sync.WaitGroup // characterization workers
 
 	// Design-space exploration (/v1/explore): the trace cache behind
-	// trace-once/project-many, a semaphore bounding concurrent sweeps, and
-	// the ns_explore_* instruments.
+	// trace-once/project-many and a semaphore bounding concurrent sweeps.
 	traceMu    sync.Mutex
 	traces     map[string]*traceEntry
 	exploreSem chan struct{}
-	xm         exploreMetrics
 
 	reg  *metrics.Registry
 	st   stats
@@ -287,24 +285,19 @@ func New(cfg Config) (*Server, error) {
 		queue:      make(chan []*flight, cfg.QueueDepth),
 		pending:    make(map[string]*batchGroup),
 		reg:        reg,
-		st:         newStats(reg),
 		logger:     cfg.Logger,
 		traces:     make(map[string]*traceEntry),
 		exploreSem: make(chan struct{}, cfg.ExploreConcurrency),
 	}
-	s.xm = newExploreMetrics(reg)
+	s.st = newStats(reg, func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.cache.Len()
+	}, func() int { return len(s.queue) })
 	if cfg.RecorderSize > 0 {
 		s.recorder = trace.NewRecorder(cfg.RecorderSize)
 	}
 	s.cache.onEvict = func(string) { s.st.evictions.Inc() }
-	reg.GaugeFunc("nsserve_queue_depth", "Characterizations waiting in the admission queue.",
-		func() float64 { return float64(len(s.queue)) })
-	reg.GaugeFunc("nsserve_cache_entries", "Reports currently held by the LRU cache.",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.cache.Len())
-		})
 	ops.RegisterPoolMetrics(reg, s.pool)
 	s.door = frontdoor.New(reg, cfg.Logger, frontdoor.Tier{
 		MetricPrefix:     "nsserve",
@@ -397,12 +390,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !frontdoor.AllowMethods(w, r, http.MethodGet) {
 		return
 	}
-	snap := s.st.snapshot()
-	s.mu.Lock()
-	snap.CacheSize = s.cache.Len()
-	snap.QueueDepth = len(s.queue)
-	s.mu.Unlock()
-	b, err := json.Marshal(snap)
+	b, err := json.Marshal(s.st.snapshot())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -588,7 +576,7 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 // time anyway.
 func (s *Server) retryAfterHint() string {
 	mean := time.Second
-	if runs := s.st.runs.Value(); runs > 0 {
+	if runs := s.st.runSeconds.Count(); runs > 0 {
 		mean = time.Duration(s.st.runNanos.Value() / runs)
 	}
 	est := time.Duration(float64(mean) * float64(len(s.queue)+1) / float64(s.cfg.Concurrency))

@@ -226,7 +226,7 @@ func TestSingleflightDeduplicates(t *testing.T) {
 	if runs := testCtl.runs.Load(); runs != 1 {
 		t.Fatalf("%d concurrent identical requests ran the workload %d times, want exactly 1", n, runs)
 	}
-	if got := s.st.runs.Value(); got != 1 {
+	if got := s.st.runSeconds.Count(); got != 1 {
 		t.Fatalf("server executed %d runs, want 1", got)
 	}
 }
@@ -303,7 +303,7 @@ func TestAbandonedQueuedWorkIsDropped(t *testing.T) {
 		t.Fatalf("canceled request: %d, want %d", rec.Code, statusClientClosed)
 	}
 	waitFor(t, "queued work dropped", func() bool { return s.st.abandoned.Value() == 1 })
-	if runs := s.st.runs.Value(); runs != 1 {
+	if runs := s.st.runSeconds.Count(); runs != 1 {
 		t.Fatalf("server executed %d runs, want 1 (abandoned work must not run)", runs)
 	}
 }
@@ -345,7 +345,7 @@ func TestCloseDrainsInFlightWork(t *testing.T) {
 			t.Fatalf("request %d after drain: %d %s", i, rec.Code, rec.Body)
 		}
 	}
-	if runs := s.st.runs.Value(); runs != 2 {
+	if runs := s.st.runSeconds.Count(); runs != 2 {
 		t.Fatalf("drained runs = %d, want 2", runs)
 	}
 	// New (uncached) work after shutdown is refused, not queued. Cached

@@ -1,15 +1,16 @@
 package serve
 
 import (
+	"reflect"
 	"time"
 
 	"github.com/neurosym/nsbench/internal/metrics"
 )
 
-// stats is a thin view over the server's metrics registry: one shared set
-// of counters backs both the legacy /v1/stats JSON (this struct renders
-// it) and the Prometheus /metrics exposition. Handlers and workers update
-// the counters lock-free.
+// stats holds the server's instruments, one per fact, all registered in
+// the server's metrics registry: /metrics exposes them and /v1/stats
+// (snapshot) reads the same ones. Handlers and workers update them
+// lock-free.
 type stats struct {
 	requests   *metrics.Counter // characterize requests received
 	cacheHits  *metrics.Counter // served straight from the LRU
@@ -20,30 +21,32 @@ type stats struct {
 	timeouts   *metrics.Counter // waiters that gave up (deadline/cancel)
 	abandoned  *metrics.Counter // queued runs dropped: every waiter had left
 	failures   *metrics.Counter // characterizations that returned an error
-	runs       *metrics.Counter // characterizations actually executed
-	runNanos   *metrics.Counter // total wall time spent executing runs
 
-	// runSeconds is the latency distribution of the runs counted above —
-	// the histogram form /metrics scrapes for quantiles.
+	// runSeconds is the latency distribution of executed characterizations;
+	// its count is the run count. runNanos is their exact total wall time
+	// (the histogram's float sum in seconds is not exact nanoseconds).
 	runSeconds *metrics.Histogram
+	runNanos   *metrics.Counter
 	// inflight gauges the characterizations executing right now.
 	inflight *metrics.Gauge
+	// cacheLen and queueLen back the nsserve_cache_entries and
+	// nsserve_queue_depth gauges.
+	cacheLen, queueLen func() int
 
-	// Coalescing (Config.BatchWindow > 0): batches counts engine passes
-	// dispatched through the coalescer (including singletons — occupancy 1
-	// means the window bought nothing), batchItems the requests those
-	// passes served, occupancy their size distribution, and
-	// coalesceFlushes why each group left its window (window, full, drain).
-	batches         *metrics.Counter
-	batchItems      *metrics.Counter
+	// Coalescing (Config.BatchWindow > 0): occupancy is the size of every
+	// engine pass dispatched through the coalescer (including singletons —
+	// occupancy 1 means the window bought nothing), so its count is the
+	// passes and its sum the requests they served; coalesceFlushes counts
+	// why each group left its window (window, full, drain).
 	occupancy       *metrics.Histogram
 	coalesceFlushes *metrics.CounterVec
 
-	// Design-space exploration (/v1/explore): sweeps completed and grid
-	// points evaluated, exported as ns_explore_sweeps_total and
-	// ns_explore_points_total.
+	// Design-space exploration (/v1/explore).
 	sweepsRun       *metrics.Counter
 	pointsEvaluated *metrics.Counter
+	shardsInFly     *metrics.Gauge     // sweep shards streaming right now
+	pointsPerSec    *metrics.Gauge     // throughput of the last completed sweep
+	frontSize       *metrics.Histogram // Pareto front size per completed sweep
 
 	// cacheFills counts reports installed by POST /v1/cache/fill — cache
 	// entries this replica holds without ever computing them (the router's
@@ -51,8 +54,13 @@ type stats struct {
 	cacheFills *metrics.Counter
 }
 
-// newStats registers the serving counters in reg.
-func newStats(reg *metrics.Registry) stats {
+// newStats registers the serving instruments in reg; cacheLen and
+// queueLen are read at scrape and snapshot time.
+func newStats(reg *metrics.Registry, cacheLen, queueLen func() int) stats {
+	reg.GaugeFunc("nsserve_queue_depth", "Characterizations waiting in the admission queue.",
+		func() float64 { return float64(queueLen()) })
+	reg.GaugeFunc("nsserve_cache_entries", "Reports currently held by the LRU cache.",
+		func() float64 { return float64(cacheLen()) })
 	return stats{
 		requests:   reg.Counter("nsserve_requests_total", "Characterize requests received."),
 		cacheHits:  reg.Counter("nsserve_cache_hits_total", "Requests served straight from the report cache."),
@@ -63,30 +71,32 @@ func newStats(reg *metrics.Registry) stats {
 		timeouts:   reg.Counter("nsserve_timeouts_total", "Waiters that gave up on a run (deadline or disconnect)."),
 		abandoned:  reg.Counter("nsserve_abandoned_total", "Queued runs dropped because every waiter had left."),
 		failures:   reg.Counter("nsserve_failures_total", "Characterizations that returned an error."),
-		runs:       reg.Counter("nsserve_runs_total", "Characterizations actually executed."),
 		runNanos:   reg.Counter("nsserve_run_nanos_total", "Total wall time spent executing characterizations, in nanoseconds."),
 		runSeconds: reg.Histogram("nsserve_run_seconds", "Characterization execution latency.", metrics.LatencyBuckets()),
 		inflight:   reg.Gauge("nsserve_inflight_runs", "Characterizations executing right now."),
-		batches:    reg.Counter("nsserve_batches_total", "Engine passes dispatched through the request coalescer."),
-		batchItems: reg.Counter("nsserve_batch_items_total", "Requests served by coalesced engine passes."),
+		cacheLen:   cacheLen,
+		queueLen:   queueLen,
 		occupancy: reg.Histogram("nsserve_batch_occupancy", "Requests per coalesced engine pass.",
 			[]float64{1, 2, 4, 8, 16, 32}),
 		coalesceFlushes: reg.CounterVec("nsserve_coalesce_flushes_total",
 			"Batch group flushes by outcome (window expired, group full, drain on close).", "outcome"),
 		sweepsRun:       reg.Counter("ns_explore_sweeps_total", "Design-space sweeps completed."),
 		pointsEvaluated: reg.Counter("ns_explore_points_total", "Design-space grid points evaluated."),
-		cacheFills:      reg.Counter("nsserve_cache_fills_total", "Reports installed by the router's replication fan-fill."),
+		shardsInFly:     reg.Gauge("ns_explore_shards_inflight", "Sweep shards streaming right now."),
+		pointsPerSec: reg.Gauge("ns_explore_points_per_sec",
+			"Evaluation throughput of the most recently completed sweep."),
+		frontSize: reg.Histogram("ns_explore_front_size",
+			"Pareto front size per completed sweep.", []float64{1, 2, 4, 8, 16, 32, 64}),
+		cacheFills: reg.Counter("nsserve_cache_fills_total", "Reports installed by the router's replication fan-fill."),
 	}
 }
 
 // recordRun accounts one executed characterization. Nanos is added
-// *before* the run counter so the (runs, runNanos) pair keeps the
-// invariant snapshot relies on: every run visible in the counter already
-// has its duration in the total.
+// *before* the run is observed, so every run the histogram counts
+// already has its duration in the total (see snapshot).
 func (s *stats) recordRun(d time.Duration) {
 	s.runNanos.Add(uint64(d.Nanoseconds()))
 	s.runSeconds.ObserveSeconds(d.Nanoseconds())
-	s.runs.Inc()
 }
 
 // Snapshot is the exported /v1/stats form.
@@ -123,48 +133,41 @@ type Snapshot struct {
 	CacheFills int64 `json:"cache_fills"`
 }
 
-// Add accumulates o into s, as a routing tier totals its replicas:
-// counters and gauges sum, and the two means are recomputed from the
-// sums — AvgRunNanos as RunNanos/Runs and AvgOccupancy as the
-// batch-weighted mean — since a mean of means would weight an idle
-// replica equally with a busy one.
+// Add accumulates o into s, as a routing tier totals its replicas: every
+// integer field (counters and gauges) sums, and the two means are
+// recomputed — AvgRunNanos as RunNanos/Runs and AvgOccupancy as the
+// batch-weighted mean of the two — since a mean of means would weight an
+// idle replica equally with a busy one.
 func (s *Snapshot) Add(o Snapshot) {
-	items := s.AvgOccupancy*float64(s.BatchesRun) + o.AvgOccupancy*float64(o.BatchesRun)
-	s.Requests += o.Requests
-	s.CacheHits += o.CacheHits
-	s.CacheMiss += o.CacheMiss
-	s.DedupJoins += o.DedupJoins
-	s.Rejected += o.Rejected
-	s.Timeouts += o.Timeouts
-	s.Abandoned += o.Abandoned
-	s.Failures += o.Failures
-	s.Runs += o.Runs
-	s.RunNanos += o.RunNanos
-	s.CacheSize += o.CacheSize
-	s.QueueDepth += o.QueueDepth
-	s.BatchesRun += o.BatchesRun
-	s.SweepsRun += o.SweepsRun
-	s.PointsEvaluated += o.PointsEvaluated
-	s.CacheFills += o.CacheFills
-	s.AvgRunNanos, s.AvgOccupancy = 0, 0
+	sBatches, oBatches := s.BatchesRun, o.BatchesRun
+	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
+	for i := 0; i < sv.NumField(); i++ {
+		if f := sv.Field(i); f.CanInt() {
+			f.SetInt(f.Int() + ov.Field(i).Int())
+		}
+	}
+	s.AvgRunNanos = 0
 	if s.Runs > 0 {
 		s.AvgRunNanos = s.RunNanos / s.Runs
 	}
-	if s.BatchesRun > 0 {
-		s.AvgOccupancy = items / float64(s.BatchesRun)
+	// Weighting each mean by its share of the passes, rather than dividing
+	// a summed item count, keeps the result between the two means: no
+	// overflow to an infinity that JSON cannot encode.
+	sMean := s.AvgOccupancy
+	s.AvgOccupancy = 0
+	if n := float64(s.BatchesRun); s.BatchesRun > 0 {
+		s.AvgOccupancy = sMean*(float64(sBatches)/n) + o.AvgOccupancy*(float64(oBatches)/n)
 	}
 }
 
-// snapshot reads every counter once. Counters are read individually, so a
-// snapshot taken under load is approximate — fine for monitoring — with
-// one deliberate ordering: Runs is read *before* RunNanos while writers
-// update nanos before runs (recordRun), so the nanos total always covers
-// at least the runs counted and AvgRunNanos can only over-approximate
-// (by the runs that completed between the two loads), never report an
-// impossibly low average from a torn read.
+// snapshot reads every instrument once. Instruments are read
+// individually, so a snapshot taken under load is approximate — fine for
+// monitoring — with one deliberate ordering: Runs is read *before*
+// RunNanos while writers add the nanos before they observe the run
+// (recordRun), so AvgRunNanos can only over-approximate, never report an
+// impossibly low average from a torn read. Occupancy observations are
+// small integers, so the histogram's float sum is exact.
 func (s *stats) snapshot() Snapshot {
-	runs := int64(s.runs.Value())
-	nanos := int64(s.runNanos.Value())
 	out := Snapshot{
 		Requests:   int64(s.requests.Value()),
 		CacheHits:  int64(s.cacheHits.Value()),
@@ -174,18 +177,21 @@ func (s *stats) snapshot() Snapshot {
 		Timeouts:   int64(s.timeouts.Value()),
 		Abandoned:  int64(s.abandoned.Value()),
 		Failures:   int64(s.failures.Value()),
-		Runs:       runs,
-		RunNanos:   nanos,
+		Runs:       int64(s.runSeconds.Count()),
+		RunNanos:   int64(s.runNanos.Value()),
+		CacheSize:  s.cacheLen(),
+		QueueDepth: s.queueLen(),
+		BatchesRun: int64(s.occupancy.Count()),
+
+		SweepsRun:       int64(s.sweepsRun.Value()),
+		PointsEvaluated: int64(s.pointsEvaluated.Value()),
+		CacheFills:      int64(s.cacheFills.Value()),
 	}
 	if out.Runs > 0 {
 		out.AvgRunNanos = out.RunNanos / out.Runs
 	}
-	out.BatchesRun = int64(s.batches.Value())
 	if out.BatchesRun > 0 {
-		out.AvgOccupancy = float64(s.batchItems.Value()) / float64(out.BatchesRun)
+		out.AvgOccupancy = s.occupancy.Sum() / float64(out.BatchesRun)
 	}
-	out.SweepsRun = int64(s.sweepsRun.Value())
-	out.PointsEvaluated = int64(s.pointsEvaluated.Value())
-	out.CacheFills = int64(s.cacheFills.Value())
 	return out
 }
