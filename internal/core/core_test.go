@@ -9,6 +9,7 @@ import (
 
 	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/ops"
+	"github.com/neurosym/nsbench/internal/roofline"
 	"github.com/neurosym/nsbench/internal/trace"
 	"github.com/neurosym/nsbench/internal/workloads/nvsa"
 )
@@ -324,6 +325,44 @@ func TestFig2cProjectedScaling(t *testing.T) {
 	if scale < 1.2 {
 		t.Fatalf("TX2-projected 3x3/2x2 scale = %v (%v / %v), want > 1.2", scale, total[1], total[0])
 	}
+}
+
+// TestFig3cBoundClass is Fig. 3c's claim over deterministic quantities:
+// on the RTX 2080 Ti roofline, every registered workload's neural GEMM
+// class sits in the compute-bound region and its symbolic element-wise
+// class in the memory-bound region. Placement reads modelled FLOPs and
+// the cache model's DRAM bytes, never wall-clock time.
+func TestFig3cBoundClass(t *testing.T) {
+	var gemm, eltwise int
+	for _, name := range WorkloadNames() {
+		w, err := BuildWorkload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := Execute(w, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r := Analyze(name, w.Category(), tr, Options{Device: hwsim.RTX2080Ti})
+		for _, p := range r.Roofline {
+			switch {
+			case strings.HasSuffix(p.Name, "/neural/gemm"):
+				gemm++
+				if p.Bound != roofline.ComputeBound {
+					t.Errorf("%s: AI %.3g is %v, want compute-bound", p.Name, p.AI, p.Bound)
+				}
+			case strings.HasSuffix(p.Name, "/symbolic/eltwise"):
+				eltwise++
+				if p.Bound != roofline.MemoryBound {
+					t.Errorf("%s: AI %.3g is %v, want memory-bound", p.Name, p.AI, p.Bound)
+				}
+			}
+		}
+	}
+	if gemm == 0 || eltwise == 0 {
+		t.Fatalf("suite placed %d neural GEMM and %d symbolic element-wise points, want both", gemm, eltwise)
+	}
+	t.Logf("%d neural GEMM points compute-bound, %d symbolic element-wise points memory-bound", gemm, eltwise)
 }
 
 // TestNVSAGoldenReport pins the deterministic part of the default NVSA
