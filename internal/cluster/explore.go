@@ -108,7 +108,8 @@ func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			summaries[shard], errs[shard] = rt.streamShard(r.Context(), key, canon, req.Space, shard, shards, id, out)
+			span := shardSpan{index: shard, count: shards, gridSize: grid.Size()}
+			summaries[shard], errs[shard] = rt.streamShard(r.Context(), key, canon, req.Space, span, id, out)
 		}(i)
 	}
 	wg.Wait()
@@ -249,7 +250,8 @@ func (sw *streamWriter) writeLocked(line []byte) error {
 // on the next ring node; already-forwarded points are suppressed by the
 // writer's index dedupe, and the engine's determinism makes the retried
 // points byte-identical to the originals.
-func (rt *Router) streamShard(ctx context.Context, key string, canon serve.Request, space dse.Space, shard, shards int, id string, out *streamWriter) (*dse.Summary, error) {
+func (rt *Router) streamShard(ctx context.Context, key string, canon serve.Request, space dse.Space, span shardSpan, id string, out *streamWriter) (*dse.Summary, error) {
+	shard := span.index
 	shardKey := key + "\x00explore-shard-" + strconv.Itoa(shard)
 	nodes := rt.ring.GetN(shardKey, rt.cfg.MaxAttempts)
 	if len(nodes) == 0 {
@@ -260,7 +262,7 @@ func (rt *Router) streamShard(ctx context.Context, key string, canon serve.Reque
 		Device:     canon.Device,
 		Space:      space,
 		ShardIndex: shard,
-		ShardCount: shards,
+		ShardCount: span.count,
 	})
 	if err != nil {
 		return nil, err
@@ -275,7 +277,7 @@ func (rt *Router) streamShard(ctx context.Context, key string, canon serve.Reque
 				return nil, ctx.Err()
 			}
 		}
-		sum, err := rt.streamShardFrom(ctx, node, body, id, out)
+		sum, err := rt.streamShardFrom(ctx, node, body, span, id, out)
 		if err == nil {
 			rt.exploreShards.Inc()
 			return sum, nil
@@ -291,6 +293,53 @@ func (rt *Router) streamShard(ctx context.Context, key string, canon serve.Reque
 	return nil, lastErr
 }
 
+// shardSpan is one shard of a sweep: the grid indices congruent to index
+// mod count, below gridSize.
+type shardSpan struct {
+	index, count, gridSize int
+}
+
+// owns reports whether grid index i belongs to the shard.
+func (s shardSpan) owns(i int) bool {
+	return i >= 0 && i < s.gridSize && i%s.count == s.index
+}
+
+// size is the number of grid indices the shard owns.
+func (s shardSpan) size() int {
+	return (s.gridSize - s.index + s.count - 1) / s.count
+}
+
+// check refuses a chunk that no replica sweeping the shard could send: a
+// point outside the shard, or a summary whose counts do not fit in it or
+// whose front holds such a point. Without it, an index the writer does not
+// dedupe would reach the client and a negative or oversized count would
+// reach the merged summary.
+func (s shardSpan) check(c *dse.Chunk) error {
+	switch c.Type {
+	case "point":
+		if c.Point == nil {
+			return errors.New("point chunk without point")
+		}
+		if !s.owns(c.Point.Index) {
+			return fmt.Errorf("point index %d outside shard %d/%d of %d", c.Point.Index, s.index, s.count, s.gridSize)
+		}
+	case "summary":
+		if c.Summary == nil {
+			return nil // reported as a stream without a summary
+		}
+		if n := c.Summary.Evaluated; n < 0 || n > s.size() || c.Summary.Failed < 0 || c.Summary.Failed > n {
+			return fmt.Errorf("summary counts %d evaluated, %d failed outside shard %d/%d of %d",
+				n, c.Summary.Failed, s.index, s.count, s.gridSize)
+		}
+		for _, p := range c.Summary.Front {
+			if !s.owns(p.Index) {
+				return fmt.Errorf("front index %d outside shard %d/%d of %d", p.Index, s.index, s.count, s.gridSize)
+			}
+		}
+	}
+	return nil
+}
+
 // errShardStatus wraps a non-200 upstream answer so streamShard can fail
 // over on it.
 type errShardStatus struct {
@@ -301,8 +350,9 @@ type errShardStatus struct {
 func (e *errShardStatus) Error() string { return fmt.Sprintf("status %d: %s", e.code, e.body) }
 
 // streamShardFrom runs one shard attempt against one replica, forwarding
-// its point lines and returning its summary.
-func (rt *Router) streamShardFrom(ctx context.Context, node string, body []byte, id string, out *streamWriter) (*dse.Summary, error) {
+// its point lines and returning its summary. A line that is not a chunk,
+// or a chunk span refuses, fails the attempt as a bad chunk.
+func (rt *Router) streamShardFrom(ctx context.Context, node string, body []byte, span shardSpan, id string, out *streamWriter) (*dse.Summary, error) {
 	// No per-attempt timeout: a large shard legitimately streams for a
 	// while, and a wedged upstream is caught by the request context (client
 	// disconnect) or the scan loop erroring out.
@@ -342,7 +392,11 @@ func (rt *Router) streamShardFrom(ctx context.Context, node string, body []byte,
 	for sc.Scan() {
 		line := sc.Bytes()
 		var c dse.Chunk
-		if err := json.Unmarshal(line, &c); err != nil {
+		err := json.Unmarshal(line, &c)
+		if err == nil {
+			err = span.check(&c)
+		}
+		if err != nil {
 			rt.health.ReportFailure(node)
 			return nil, fmt.Errorf("%s: bad chunk %.80q: %w", node, line, err)
 		}
@@ -351,9 +405,6 @@ func (rt *Router) streamShardFrom(ctx context.Context, node string, body []byte,
 			// The shard's own meta is router-internal; the client already
 			// got the sweep-level one.
 		case "point":
-			if c.Point == nil {
-				return nil, fmt.Errorf("%s: point chunk without point", node)
-			}
 			if err := out.writeLine(append([]byte(nil), line...), c.Point.Index); err != nil {
 				return nil, err
 			}

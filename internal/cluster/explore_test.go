@@ -4,10 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/neurosym/nsbench/internal/dse"
 	"github.com/neurosym/nsbench/internal/serve"
@@ -239,4 +244,132 @@ func TestExploreRouterPassesReplicaRefusal(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); strings.Contains(ct, "ndjson") {
 		t.Fatalf("a refused sweep must not be labelled a stream, Content-Type %q", ct)
 	}
+}
+
+// FuzzShardStream feeds arbitrary bytes to the router as one shard's
+// NDJSON explore stream. Two stub replicas answer a 4-point sweep: shard 0
+// with a fixed valid stream (points 0 and 2), shard 1 with the fuzzed
+// body. The router's answer must stay a well-formed sweep: meta first,
+// summary last, points between. Every point index is in the grid and
+// streamed once; an even index carries shard 0's line byte for byte, an
+// odd one a line of the fuzzed body. The summary never counts more points
+// than the grid holds, nor a negative or impossible failure count, and
+// its front holds only grid indices.
+func FuzzShardStream(f *testing.F) {
+	const gridSize = 4
+	point := func(i int) string {
+		b, err := json.Marshal(dse.Chunk{Type: "point", Point: &dse.PointResult{Index: i, LatencyNs: int64(100 - i), Cost: float64(i)}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(b)
+	}
+	summary := func(evaluated, failed int, front ...int) string {
+		s := &dse.Summary{Evaluated: evaluated, Failed: failed, FrontSize: len(front)}
+		for _, i := range front {
+			s.Front = append(s.Front, dse.PointResult{Index: i, LatencyNs: int64(100 - i), Cost: float64(i)})
+		}
+		b, err := json.Marshal(dse.Chunk{Type: "summary", Summary: s})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(b)
+	}
+	meta := `{"type":"meta","meta":{"grid_size":4}}`
+	fixed := strings.Join([]string{meta, point(0), point(2), summary(2, 0, 0, 2)}, "\n") + "\n"
+	f.Add([]byte(strings.Join([]string{meta, point(1), point(3), summary(2, 0, 1, 3)}, "\n")))
+	f.Add([]byte(strings.Join([]string{meta, point(1), point(1), point(3), summary(2, 1, 3)}, "\n")))
+	f.Add([]byte(strings.Join([]string{point(-1), point(3), summary(2, 0)}, "\n")))
+	f.Add([]byte(strings.Join([]string{point(4), summary(1, 0)}, "\n")))
+	f.Add([]byte(strings.Join([]string{`{"type":"point","point":{"index":2,"latency_ns":7}}`, summary(1, 0)}, "\n")))
+	f.Add([]byte(summary(-5, -1)))
+	f.Add([]byte(summary(2, 3)))
+	f.Add([]byte(summary(9223372036854775807, 0)))
+	f.Add([]byte(summary(1, 0, 2)))
+	f.Add([]byte(`{"type":"point"}`))
+	f.Add([]byte(`{"type":"summary"}`))
+	f.Add([]byte(`{"type":"other"}`))
+	f.Add([]byte(`not json`))
+	f.Add([]byte(``))
+
+	testWorkloads()
+	var body atomic.Pointer[[]byte]
+	mux := http.NewServeMux()
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {})
+	mux.HandleFunc("/v1/explore", func(w http.ResponseWriter, r *http.Request) {
+		var req serve.ExploreRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if req.ShardIndex == 0 {
+			io.WriteString(w, fixed)
+			return
+		}
+		w.Write(*body.Load())
+	})
+	var urls []string
+	for range 2 {
+		srv := httptest.NewServer(mux)
+		f.Cleanup(srv.Close)
+		urls = append(urls, srv.URL)
+	}
+	// One attempt per shard and no ejection: every input meets the same
+	// two-shard cluster.
+	rt, err := New(Config{Replicas: urls, MaxAttempts: 1, Health: HealthConfig{Interval: time.Hour, EjectAfter: math.MaxInt}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(rt.Close)
+	h := rt.Handler()
+	fixedLines := strings.Split(strings.TrimSpace(fixed), "\n")
+	sweep := `{"workload":"clusterfast-a","space":{"peak_gflops":{"values":[1000,2000]},"mem_bw_gbs":{"values":[100,600]}}}`
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		body.Store(&b)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/explore", strings.NewReader(sweep)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+		var chunks []dse.Chunk
+		for _, line := range lines {
+			var c dse.Chunk
+			if err := json.Unmarshal([]byte(line), &c); err != nil {
+				t.Fatalf("router line %.120q is not a chunk: %v", line, err)
+			}
+			chunks = append(chunks, c)
+		}
+		if len(chunks) < 2 || chunks[0].Type != "meta" || chunks[len(chunks)-1].Type != "summary" {
+			t.Fatalf("stream does not run meta … summary:\n%s", rec.Body)
+		}
+		seen := make(map[int]bool)
+		for i, c := range chunks[1 : len(chunks)-1] {
+			line := lines[i+1]
+			if c.Type != "point" || c.Point == nil {
+				t.Fatalf("line %.120q between meta and summary is not a point", line)
+			}
+			idx := c.Point.Index
+			if idx < 0 || idx >= gridSize || seen[idx] {
+				t.Fatalf("point index %d out of the grid or repeated:\n%s", idx, rec.Body)
+			}
+			seen[idx] = true
+			if idx%2 == 0 && line != fixedLines[1+idx/2] {
+				t.Fatalf("shard 0's point %d forwarded as %.120q", idx, line)
+			}
+			if idx%2 == 1 && !slices.Contains(strings.Split(string(b), "\n"), line) {
+				t.Fatalf("odd point %.120q is not a line of the shard's stream", line)
+			}
+		}
+		sum := chunks[len(chunks)-1].Summary
+		if sum == nil || sum.Evaluated < 2 || sum.Evaluated > gridSize || sum.Failed < 0 || sum.Failed > sum.Evaluated {
+			t.Fatalf("summary counts out of range: %+v", sum)
+		}
+		for _, p := range sum.Front {
+			if p.Index < 0 || p.Index >= gridSize {
+				t.Fatalf("front index %d out of the grid", p.Index)
+			}
+		}
+	})
 }

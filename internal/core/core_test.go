@@ -25,7 +25,7 @@ func TestRegistryComplete(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BuildWorkload(%s): %v", n, err)
 		}
-		if n != "NeuralBaseline" && w.Name() != n {
+		if w.Name() != n {
 			t.Fatalf("workload %s reports name %s", n, w.Name())
 		}
 	}

@@ -34,10 +34,11 @@ type signature struct {
 	flops  int64 // totals, for roofline attainment
 	bytes  int64
 
-	// Per-class aggregates size the representative cache streams.
-	classFlops [5]int64
-	classBytes [5]int64
-	classCount [5]int64
+	// Per-(phase, class) aggregates size the representative cache streams,
+	// as core.Analyze groups events for hwsim.KernelStats.
+	classFlops [2][5]int64
+	classBytes [2][5]int64
+	classCount [2][5]int64
 }
 
 // buildSignature compresses tr. Identical cost rows are merged in first-
@@ -59,7 +60,7 @@ func buildSignature(tr *trace.Trace) signature {
 		k := key{
 			class: class,
 			phase: e.Phase,
-			h2d:   e.Kernel == "memcpy_h2d" || e.Kernel == "memcpy_d2h",
+			h2d:   hwsim.IsHostCopy(e.Kernel),
 			flops: e.FLOPs,
 			bytes: e.Bytes,
 		}
@@ -74,9 +75,9 @@ func buildSignature(tr *trace.Trace) signature {
 		}
 		sig.flops += e.FLOPs
 		sig.bytes += e.Bytes
-		sig.classFlops[class] += e.FLOPs
-		sig.classBytes[class] += e.Bytes
-		sig.classCount[class]++
+		sig.classFlops[e.Phase][class] += e.FLOPs
+		sig.classBytes[e.Phase][class] += e.Bytes
+		sig.classCount[e.Phase][class]++
 	}
 	return sig
 }
@@ -88,21 +89,12 @@ type geomKey struct {
 	l1KB, l2KB, ways, lineBytes int
 }
 
-// cacheProfile holds the simulated per-class L1/L2 hit rates for one
-// geometry.
+// cacheProfile holds the simulated L1/L2 hit rates of each (phase, class)
+// for one geometry.
 type cacheProfile struct {
-	l1Hit [5]float64
-	l2Hit [5]float64
+	l1Hit [2][5]float64
+	l2Hit [2][5]float64
 }
-
-// profileStreams is the stream model sweeps score geometries with: the
-// same kernel-class → stream mapping as hwsim.KernelStats, with three
-// differences (ROADMAP item 3) — a 1<<16 access budget instead of 1<<21
-// (sweeps simulate one stream set per *geometry*, not per point, so the
-// budget bounds sweep setup cost); an element-wise working set of the mean
-// event's bytes/3 instead of the class's total bytes/(reads+1)/2; and no
-// unary in-place element-wise variant.
-var profileStreams = hwsim.StreamModel{Budget: 1 << 16, MeanEltwiseSet: true}
 
 // Engine evaluates grid points against one cached trace. Safe for
 // concurrent use: the signature is immutable after construction and the
@@ -141,20 +133,24 @@ func (e *Engine) profile(k geomKey) *cacheProfile {
 	return p
 }
 
-// simulate runs each present class's representative stream on geometry k.
-// The streams are simulated uncached: the engine's own per-geometry memo
-// is all a sweep repeats.
+// simulate runs each present (phase, class)'s representative stream on
+// geometry k: at a device's own geometry, exactly the streams
+// hwsim.KernelStats simulates for that device's report. They run
+// uncached: the process-wide stream memo is sized for reports, a sweep's
+// geometries are the client's to choose, and the engine's per-geometry
+// memo is all a sweep repeats.
 func (e *Engine) simulate(k geomKey) *cacheProfile {
 	p := &cacheProfile{}
 	g := hwsim.CacheGeometry{L1Bytes: k.l1KB * 1024, L1Ways: k.ways, L2Bytes: k.l2KB * 1024, L2Ways: 16, LineBytes: k.lineBytes}
-	for class := hwsim.ClassGEMM; class <= hwsim.ClassOther; class++ {
-		ci := int(class)
-		if e.sig.classCount[ci] == 0 {
-			continue
+	for ph := range e.sig.classCount {
+		for c, n := range e.sig.classCount[ph] {
+			if n == 0 {
+				continue
+			}
+			st := g.Stream(hwsim.KernelClass(c), "", n, e.sig.classFlops[ph][c], e.sig.classBytes[ph][c]).Simulate()
+			p.l1Hit[ph][c] = st.L1HitRate
+			p.l2Hit[ph][c] = st.L2HitRate
 		}
-		st := profileStreams.Spec(g, class, "", e.sig.classCount[ci], e.sig.classFlops[ci], e.sig.classBytes[ci]).Simulate()
-		p.l1Hit[ci] = st.L1HitRate
-		p.l2Hit[ci] = st.L2HitRate
 	}
 	return p
 }
@@ -211,7 +207,8 @@ func (e *Engine) Evaluate(index int) PointResult {
 	launch := dev.LaunchUs * 1e-6
 	for i := range e.sig.events {
 		ev := &e.sig.events[i]
-		t := (e.eventSeconds(ev, dev, prof) + launch) * float64(ev.count)
+		h1, h2 := prof.l1Hit[ev.phase][ev.class], prof.l2Hit[ev.phase][ev.class]
+		t := (dev.KernelSeconds(ev.class, ev.h2d, ev.flops, ev.bytes, h1, h2) + launch) * float64(ev.count)
 		totalSec += t
 		phase[ev.phase] += t
 	}
@@ -232,11 +229,13 @@ func (e *Engine) Evaluate(index int) PointResult {
 		}
 	}
 	var wBytes, wL1, wL2 float64
-	for c := 0; c < 5; c++ {
-		b := float64(e.sig.classBytes[c])
-		wBytes += b
-		wL1 += b * prof.l1Hit[c]
-		wL2 += b * prof.l2Hit[c]
+	for ph := range e.sig.classBytes {
+		for c, n := range e.sig.classBytes[ph] {
+			b := float64(n)
+			wBytes += b
+			wL1 += b * prof.l1Hit[ph][c]
+			wL2 += b * prof.l2Hit[ph][c]
+		}
 	}
 	if wBytes > 0 {
 		res.L1HitPct = 100 * wL1 / wBytes
@@ -245,43 +244,6 @@ func (e *Engine) Evaluate(index int) PointResult {
 	res.EnergyJ = totalSec * dev.TDPWatts
 	res.Cost = areaCost(dev)
 	return res
-}
-
-// eventSeconds is the cache-aware projected kernel time of one signature
-// row on dev: the roofline max of compute time and hierarchical memory
-// time. Memory time refines hwsim.Device.EventTime's flat-DRAM model with
-// the simulated hit rates of the point's cache geometry — bytes served by
-// L1/L2 move at on-chip bandwidth, only the simulated miss traffic pays
-// DRAM — which is what makes cache-capacity knobs actually trade against
-// bandwidth knobs in the projected latency.
-func (e *Engine) eventSeconds(ev *sigEvent, dev hwsim.Device, prof *cacheProfile) float64 {
-	var effC, effM float64
-	switch ev.class {
-	case hwsim.ClassGather:
-		effC, effM = dev.EffGEMM, dev.EffGather
-	case hwsim.ClassOther:
-		effC, effM = dev.EffOther, dev.EffGather
-	default: // GEMM, eltwise, copy
-		effC, effM = dev.EffGEMM, dev.EffEltwise
-	}
-	if ev.h2d && dev.H2DGBs > 0 {
-		return float64(ev.bytes) / (dev.H2DGBs * 1e9)
-	}
-	var tCompute float64
-	if ev.flops > 0 {
-		tCompute = float64(ev.flops) / (dev.PeakFP32GFLOPs * effC * 1e9)
-	}
-	var tMemory float64
-	if ev.bytes > 0 {
-		ci := int(ev.class)
-		h1 := prof.l1Hit[ci]
-		h2 := prof.l2Hit[ci]
-		secPerByte := h1/(dev.L1BWGBs*1e9) +
-			(1-h1)*h2/(dev.L2BWGBs*1e9) +
-			(1-h1)*(1-h2)/(dev.MemBWGBs*effM*1e9)
-		tMemory = float64(ev.bytes) * secPerByte
-	}
-	return math.Max(tCompute, tMemory)
 }
 
 // Summary closes a sweep (or a shard of one): counts, throughput, and the

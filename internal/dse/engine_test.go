@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/neurosym/nsbench/internal/core"
 	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/trace"
 )
@@ -372,8 +373,9 @@ func (c *refLRU) hitRate() float64 {
 // non-power-of-two line (96 B) alongside 64 and 128 B, across two
 // associativities. Every point must score, and each geometry's simulated
 // element-wise hit rates must equal the reference LRU's on the same
-// stream: EltwiseStream's two chained two-input passes, re-emitted here
-// address by address.
+// stream: EltwiseStream's two chained two-input passes over the class's
+// aggregate working set (total bytes/3/2), re-emitted here address by
+// address. At most 196,608 accesses, it ends before the access budget.
 func TestEvaluateLineBytesAxis(t *testing.T) {
 	g, err := Resolve(hwsim.RTX2080Ti, Space{
 		LineBytes: Axis{Values: []float64{64, 96, 128}},
@@ -395,7 +397,7 @@ func TestEvaluateLineBytesAxis(t *testing.T) {
 	if len(e.profiles) != 6 {
 		t.Fatalf("%d cache profiles, want 6", len(e.profiles))
 	}
-	ci := int(hwsim.ClassEltwise)
+	ph, ci := trace.Symbolic, int(hwsim.ClassEltwise)
 	for k, p := range e.profiles {
 		l1 := newRefLRU(k.l1KB*1024, k.ways, k.lineBytes)
 		l2 := newRefLRU(k.l2KB*1024, 16, k.lineBytes)
@@ -404,9 +406,7 @@ func TestEvaluateLineBytesAxis(t *testing.T) {
 				l2.access(addr)
 			}
 		}
-		ws := uint64(e.sig.classBytes[ci] / e.sig.classCount[ci] / 3)
-		emitted := 0
-	stream:
+		ws := uint64(e.sig.classBytes[ph][ci] / 3 / 2)
 		for pass := 0; pass < 2; pass++ {
 			for off := uint64(0); off < ws; off += uint64(k.lineBytes) {
 				for r := 0; r < 2; r++ {
@@ -415,19 +415,72 @@ func TestEvaluateLineBytesAxis(t *testing.T) {
 						src = uint64(16+r) << 40
 					}
 					access(src + off)
-					if emitted++; emitted >= profileStreams.Budget {
-						break stream
-					}
 				}
 				access(uint64(pass+1)<<40 + off)
-				if emitted++; emitted >= profileStreams.Budget {
-					break stream
-				}
 			}
 		}
-		if p.l1Hit[ci] != l1.hitRate() || p.l2Hit[ci] != l2.hitRate() {
+		if p.l1Hit[ph][ci] != l1.hitRate() || p.l2Hit[ph][ci] != l2.hitRate() {
 			t.Errorf("geometry %+v: hit rates L1 %v L2 %v, reference L1 %v L2 %v",
-				k, p.l1Hit[ci], p.l2Hit[ci], l1.hitRate(), l2.hitRate())
+				k, p.l1Hit[ph][ci], p.l2Hit[ph][ci], l1.hitRate(), l2.hitRate())
+		}
+	}
+}
+
+// TestSweepAtDeviceGeometryMatchesReport pins one cache model for reports
+// and sweeps: for NVSA, PrAE and VSAIT on each modelled device, a
+// one-point sweep at the device's own knobs scores every (phase, class)
+// with exactly the L1/L2 hit rates hwsim.KernelStats gives that
+// (phase, class)'s events, as core.Analyze groups them (Analyze places the
+// GEMM and element-wise classes; the others are held to the same rule).
+func TestSweepAtDeviceGeometryMatchesReport(t *testing.T) {
+	labels := [5]string{
+		hwsim.ClassGEMM:    "sgemm_nn",
+		hwsim.ClassEltwise: "vectorized_elem",
+		hwsim.ClassGather:  "gather",
+		hwsim.ClassCopy:    "memcpy",
+		hwsim.ClassOther:   "other",
+	}
+	for _, name := range []string{"NVSA", "PrAE", "VSAIT"} {
+		w, err := core.BuildWorkload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := core.Execute(w, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, d := range hwsim.AllDevices() {
+			g, err := Resolve(d, Space{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := NewEngine(g, tr)
+			sum, err := e.Sweep(context.Background(), 0, 1, nil)
+			if err != nil || sum.Evaluated != 1 || sum.Failed != 0 {
+				t.Fatalf("%s on %s: one-point sweep %+v, %v", name, d.Name, sum, err)
+			}
+			p := e.profiles[geomKey{d.L1KB, d.L2KB, 4, d.LineBytes}]
+			if p == nil || len(e.profiles) != 1 {
+				t.Fatalf("%s on %s: profiles %v miss the device's geometry", name, d.Name, e.profiles)
+			}
+			for _, ph := range trace.Phases() {
+				for c, label := range labels {
+					var evs []trace.Event
+					for _, ev := range tr.Events {
+						if ev.Phase == ph && hwsim.ClassifyKernel(ev.Kernel) == hwsim.KernelClass(c) {
+							evs = append(evs, ev)
+						}
+					}
+					if len(evs) == 0 {
+						continue
+					}
+					ks := d.KernelStats(label, evs)
+					if l1, l2 := 100*p.l1Hit[ph][c], 100*p.l2Hit[ph][c]; l1 != ks.L1HitRatePct || l2 != ks.L2HitRatePct {
+						t.Errorf("%s on %s, %v %v: sweep L1 %v%% L2 %v%%, report L1 %v%% L2 %v%%",
+							name, d.Name, ph, hwsim.KernelClass(c), l1, l2, ks.L1HitRatePct, ks.L2HitRatePct)
+					}
+				}
+			}
 		}
 	}
 }

@@ -61,7 +61,7 @@ func (d Device) KernelStream(kernel string, events []trace.Event) StreamSpec {
 		flops += events[i].FLOPs
 		bytes += events[i].Bytes
 	}
-	return kernelStatsModel.Spec(d.Geometry(), ClassifyKernel(kernel), kernel, int64(len(events)), flops, bytes)
+	return d.Geometry().Stream(ClassifyKernel(kernel), kernel, int64(len(events)), flops, bytes)
 }
 
 // kernelStats is KernelStats with the stream simulation sim.
@@ -87,7 +87,7 @@ func (d Device) kernelStats(kernel string, events []trace.Event, sim func(Stream
 	}
 
 	// Simulate the cache behaviour of a representative stream.
-	st := sim(kernelStatsModel.Spec(d.Geometry(), ks.Class, kernel, int64(len(events)), flops, bytes))
+	st := sim(d.Geometry().Stream(ks.Class, kernel, int64(len(events)), flops, bytes))
 	ks.L1HitRatePct = 100 * st.L1HitRate
 	ks.L2HitRatePct = 100 * st.L2HitRate
 

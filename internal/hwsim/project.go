@@ -1,50 +1,62 @@
 package hwsim
 
 import (
+	"math"
 	"time"
 
 	"github.com/neurosym/nsbench/internal/trace"
 )
 
 // EventTime estimates the execution time of one trace event on the device:
-// the roofline-limited maximum of compute time and memory time under the
-// kernel class's efficiency factors, plus the launch overhead, plus
-// interconnect time for host↔device copies.
+// KernelSeconds with no cache hits (every byte moves at DRAM bandwidth),
+// plus the launch overhead.
 func (d Device) EventTime(e *trace.Event) time.Duration {
-	class := ClassifyKernel(e.Kernel)
-	var effC, effM float64
-	switch class {
-	case ClassGEMM:
-		effC, effM = d.EffGEMM, d.EffEltwise
-	case ClassEltwise:
-		effC, effM = d.EffGEMM, d.EffEltwise
-	case ClassGather:
-		effC, effM = d.EffGEMM, d.EffGather
-	case ClassCopy:
-		effC, effM = d.EffGEMM, d.EffEltwise
-	default:
-		effC, effM = d.EffOther, d.EffGather
-	}
-	var tCompute, tMemory float64 // seconds
-	if e.FLOPs > 0 {
-		tCompute = float64(e.FLOPs) / (d.PeakFP32GFLOPs * effC * 1e9)
-	}
-	if e.Bytes > 0 {
-		tMemory = float64(e.Bytes) / (d.MemBWGBs * effM * 1e9)
-	}
-	t := tCompute
-	if tMemory > t {
-		t = tMemory
-	}
-	// Host↔device transfers cross the interconnect instead of DRAM
-	// (unified-memory devices have H2DGBs == 0 and keep the DRAM time).
-	if (e.Kernel == "memcpy_h2d" || e.Kernel == "memcpy_d2h") && d.H2DGBs > 0 {
-		t = float64(e.Bytes) / (d.H2DGBs * 1e9)
-	}
+	t := d.KernelSeconds(ClassifyKernel(e.Kernel), IsHostCopy(e.Kernel), e.FLOPs, e.Bytes, 0, 0)
 	// Symbolic "Others" ops on throughput devices pay control-flow
 	// serialization already captured by EffOther; all kernels pay launch.
 	t += d.LaunchUs * 1e-6
 	return time.Duration(t * float64(time.Second))
+}
+
+// IsHostCopy reports whether a kernel label is a host↔device transfer.
+func IsHostCopy(kernel string) bool {
+	return kernel == "memcpy_h2d" || kernel == "memcpy_d2h"
+}
+
+// KernelSeconds is the projected time of one kernel of class on the
+// device, launch excluded: the roofline-limited maximum of compute time
+// and memory time under the class's efficiency factors. Of its bytes, a
+// fraction l1Hit moves at L1 bandwidth, (1-l1Hit)·l2Hit at L2 bandwidth
+// and the rest at DRAM bandwidth; with both rates zero the memory time is
+// exactly bytes/(MemBWGBs·effM·1e9). A host↔device copy (hostCopy) crosses
+// the interconnect instead (unified-memory devices have H2DGBs == 0 and
+// keep the DRAM time).
+func (d Device) KernelSeconds(class KernelClass, hostCopy bool, flops, bytes int64, l1Hit, l2Hit float64) float64 {
+	if hostCopy && d.H2DGBs > 0 {
+		return float64(bytes) / (d.H2DGBs * 1e9)
+	}
+	effC, effM := d.EffGEMM, d.EffEltwise
+	switch class {
+	case ClassGather:
+		effM = d.EffGather
+	case ClassOther:
+		effC, effM = d.EffOther, d.EffGather
+	}
+	var tCompute, tMemory float64 // seconds
+	if flops > 0 {
+		tCompute = float64(flops) / (d.PeakFP32GFLOPs * effC * 1e9)
+	}
+	if bytes > 0 {
+		b := float64(bytes)
+		if l1Hit == 0 && l2Hit == 0 {
+			tMemory = b / (d.MemBWGBs * effM * 1e9)
+		} else {
+			tMemory = b*l1Hit/(d.L1BWGBs*1e9) +
+				b*(1-l1Hit)*l2Hit/(d.L2BWGBs*1e9) +
+				b*(1-l1Hit)*(1-l2Hit)/(d.MemBWGBs*effM*1e9)
+		}
+	}
+	return math.Max(tCompute, tMemory)
 }
 
 // Projection summarizes a trace projected onto one device.

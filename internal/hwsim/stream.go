@@ -21,22 +21,10 @@ func (d Device) Geometry() CacheGeometry {
 	return CacheGeometry{L1Bytes: d.L1KB * 1024, L1Ways: 4, L2Bytes: d.L2KB * 1024, L2Ways: 16, LineBytes: d.LineBytes}
 }
 
-// StreamModel holds the free parameters of the mapping from a kernel
-// class's events to its representative cache stream.
-type StreamModel struct {
-	// Budget caps each stream's accesses; hit rates converge before it.
-	Budget int
-	// MeanEltwiseSet sizes the element-wise working set from the mean
-	// event's traffic split over its operands, instead of half the class's
-	// aggregate traffic split over them.
-	MeanEltwiseSet bool
-	// UnaryInPlace runs unary element-wise kernels (relu_nn, elementwise,
-	// softmax, reduce, pool) as one read updated in place.
-	UnaryInPlace bool
-}
-
-// kernelStatsModel is the stream model behind KernelStats.
-var kernelStatsModel = StreamModel{Budget: 1 << 21, UnaryInPlace: true}
+// streamBudget caps each stream's accesses; hit rates converge before it.
+// At half of it VSAIT's symbolic GEMM hit rates on the Xeon model move,
+// and with them that report.
+const streamBudget = 1 << 21
 
 // streamKind selects the cachesim generator of a stream. Copies are
 // one-read, one-pass element-wise streams.
@@ -53,9 +41,8 @@ const (
 // and equal specs simulate to equal stats, which is what lets Stats
 // memoize by spec.
 type StreamSpec struct {
-	geom   CacheGeometry
-	kind   streamKind
-	budget int
+	geom CacheGeometry
+	kind streamKind
 
 	reads, passes int   // element-wise
 	inPlace       bool  // element-wise
@@ -65,14 +52,16 @@ type StreamSpec struct {
 	count         int   // gather: reads
 }
 
-// Spec maps n > 0 events of one kernel class, totalling flops and bytes,
+// Stream maps n > 0 events of one kernel class, totalling flops and bytes,
 // to the class's representative stream on geometry g: a register-blocked
 // GEMM cube sized from the mean FLOP count, two chained element-wise
 // passes over the class's working set, random gathers over a table sized
 // from the mean traffic, or (copies and scalar code) one streaming pass.
-// kernel matters only for the unary in-place variant.
-func (m StreamModel) Spec(g CacheGeometry, class KernelClass, kernel string, n, flops, bytes int64) StreamSpec {
-	s := StreamSpec{geom: g, budget: m.Budget}
+// kernel is the events' label, and matters only for element-wise streams:
+// a unary label updates its one operand in place, any other label (or ""
+// for a class aggregate) reads two.
+func (g CacheGeometry) Stream(class KernelClass, kernel string, n, flops, bytes int64) StreamSpec {
+	s := StreamSpec{geom: g}
 	line := int64(g.LineBytes)
 	avgBytes := bytes / n
 	switch class {
@@ -81,19 +70,14 @@ func (m StreamModel) Spec(g CacheGeometry, class KernelClass, kernel string, n, 
 		s.dim = max(int(math.Cbrt(float64(flops)/float64(n)/2)), 8)
 	case ClassEltwise:
 		s.kind, s.reads, s.passes = streamEltwise, 2, 2
-		if m.UnaryInPlace && unaryKernel(kernel) {
+		if unaryKernel(kernel) {
 			// The write hits the line its read just fetched.
 			s.reads, s.inPlace = 1, true
 		}
-		if m.MeanEltwiseSet {
-			s.set = avgBytes / int64(s.reads+1)
-		} else {
-			// Consecutive element-wise kernels touch distinct tensors, so
-			// the class's effective working set is its aggregate traffic;
-			// the two passes model producer→consumer reuse.
-			s.set = bytes / int64(s.reads+1) / 2
-		}
-		s.set = max(s.set, line)
+		// Consecutive element-wise kernels touch distinct tensors, so the
+		// class's effective working set is its aggregate traffic; the two
+		// passes model producer→consumer reuse.
+		s.set = max(bytes/int64(s.reads+1)/2, line)
 	case ClassGather:
 		s.kind = streamGather
 		s.table, s.count = avgBytes*4, max(int(avgBytes/line), 64)
@@ -124,11 +108,11 @@ func (s StreamSpec) Simulate() cachesim.Stats {
 	)
 	switch s.kind {
 	case streamGEMM:
-		cachesim.GEMMStream(h, s.dim, s.dim, s.dim, 4, s.budget)
+		cachesim.GEMMStream(h, s.dim, s.dim, s.dim, 4, streamBudget)
 	case streamEltwise:
-		cachesim.EltwiseStream(h, s.reads, s.passes, s.set, s.inPlace, s.budget)
+		cachesim.EltwiseStream(h, s.reads, s.passes, s.set, s.inPlace, streamBudget)
 	case streamGather:
-		cachesim.GatherStream(h, s.table, s.count, 1, s.budget)
+		cachesim.GatherStream(h, s.table, s.count, 1, streamBudget)
 	}
 	return h.Stats()
 }

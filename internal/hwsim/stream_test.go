@@ -3,6 +3,7 @@ package hwsim_test
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/neurosym/nsbench/internal/core"
 	"github.com/neurosym/nsbench/internal/hwsim"
@@ -16,13 +17,11 @@ type kernelCall struct {
 	events       []trace.Event
 }
 
-// suiteKernelCalls returns the KernelStats calls the suite makes on any
-// device: core.Analyze's, one per phase and GEMM/element-wise class of
-// every registered workload's default run, under Analyze's class labels,
-// and Tab4's four rows over NVSA's run.
-func suiteKernelCalls(t *testing.T) []kernelCall {
+// suiteTraces returns every registered workload's default run, in
+// registry order.
+func suiteTraces(t *testing.T) []*trace.Trace {
 	t.Helper()
-	var calls []kernelCall
+	var trs []*trace.Trace
 	for _, name := range core.WorkloadNames() {
 		w, err := core.BuildWorkload(name)
 		if err != nil {
@@ -32,7 +31,20 @@ func suiteKernelCalls(t *testing.T) []kernelCall {
 		if err := w.Run(e); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		tr := e.Trace()
+		trs = append(trs, e.Trace())
+	}
+	return trs
+}
+
+// suiteKernelCalls returns the KernelStats calls the suite makes on any
+// device: core.Analyze's, one per phase and GEMM/element-wise class of
+// every registered workload's default run, under Analyze's class labels,
+// and Tab4's four rows over NVSA's run.
+func suiteKernelCalls(t *testing.T) []kernelCall {
+	t.Helper()
+	var calls []kernelCall
+	for i, tr := range suiteTraces(t) {
+		name := core.WorkloadNames()[i]
 		for _, p := range trace.Phases() {
 			for _, c := range []struct {
 				class hwsim.KernelClass
@@ -145,10 +157,10 @@ func TestKernelStatsConcurrent(t *testing.T) {
 // specs: it must stay at the bound and keep answering correctly.
 func TestStreamMemoBounded(t *testing.T) {
 	hwsim.ResetStreamMemo()
-	m := hwsim.StreamModel{Budget: 16}
 	g := hwsim.CacheGeometry{L1Bytes: 1 << 10, L1Ways: 4, L2Bytes: 1 << 12, L2Ways: 4, LineBytes: 64}
 	for i := 1; i <= hwsim.StreamMemoCap+64; i++ {
-		s := m.Spec(g, hwsim.ClassEltwise, "", 1, 0, int64(i)*4096)
+		// A working set of i lines: distinct specs, each a short stream.
+		s := g.Stream(hwsim.ClassEltwise, "", 1, 0, int64(i)*6*64)
 		if got, want := s.Stats(), s.Simulate(); got != want {
 			t.Fatalf("spec %d: memoized %+v, simulated %+v", i, got, want)
 		}
@@ -156,4 +168,50 @@ func TestStreamMemoBounded(t *testing.T) {
 	if n := hwsim.StreamMemoLen(); n != hwsim.StreamMemoCap {
 		t.Fatalf("memo holds %d specs, want its bound %d", n, hwsim.StreamMemoCap)
 	}
+}
+
+// TestEventTimeIsZeroHitKernelSeconds pins EventTime, and so every
+// report's device projection, to the flat-DRAM closed form below: for
+// every event of the suite on every device the two agree bit for bit, and
+// both equal KernelSeconds at zero hit rates plus the launch overhead.
+func TestEventTimeIsZeroHitKernelSeconds(t *testing.T) {
+	flat := func(d hwsim.Device, e *trace.Event) time.Duration {
+		effC, effM := d.EffGEMM, d.EffEltwise
+		switch hwsim.ClassifyKernel(e.Kernel) {
+		case hwsim.ClassGather:
+			effM = d.EffGather
+		case hwsim.ClassOther:
+			effC, effM = d.EffOther, d.EffGather
+		}
+		var tCompute, tMemory float64
+		if e.FLOPs > 0 {
+			tCompute = float64(e.FLOPs) / (d.PeakFP32GFLOPs * effC * 1e9)
+		}
+		if e.Bytes > 0 {
+			tMemory = float64(e.Bytes) / (d.MemBWGBs * effM * 1e9)
+		}
+		t := max(tCompute, tMemory)
+		if (e.Kernel == "memcpy_h2d" || e.Kernel == "memcpy_d2h") && d.H2DGBs > 0 {
+			t = float64(e.Bytes) / (d.H2DGBs * 1e9)
+		}
+		return time.Duration((t + d.LaunchUs*1e-6) * float64(time.Second))
+	}
+	n := 0
+	for _, tr := range suiteTraces(t) {
+		for i := range tr.Events {
+			e := &tr.Events[i]
+			for _, d := range hwsim.AllDevices() {
+				got := d.EventTime(e)
+				ks := d.KernelSeconds(hwsim.ClassifyKernel(e.Kernel), hwsim.IsHostCopy(e.Kernel), e.FLOPs, e.Bytes, 0, 0)
+				if want := time.Duration((ks + d.LaunchUs*1e-6) * float64(time.Second)); got != want {
+					t.Fatalf("%s %s on %s: EventTime %v, zero-hit KernelSeconds %v", e.Name, e.Kernel, d.Name, got, want)
+				}
+				if want := flat(d, e); got != want {
+					t.Fatalf("%s %s on %s: EventTime %v, flat-DRAM model %v", e.Name, e.Kernel, d.Name, got, want)
+				}
+				n++
+			}
+		}
+	}
+	t.Logf("%d event×device projections checked", n)
 }

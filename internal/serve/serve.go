@@ -545,13 +545,13 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad fill body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	_, key, err := Canonicalize(fill.Request)
+	canon, key, err := Canonicalize(fill.Request)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(fill.Report) == 0 || !json.Valid(fill.Report) {
-		http.Error(w, "fill report is not valid JSON", http.StatusBadRequest)
+	if !reportFor(fill.Report, canon.Workload) {
+		http.Error(w, "fill report is not a JSON object named "+strconv.Quote(canon.Workload), http.StatusBadRequest)
 		return
 	}
 	s.mu.Lock()
@@ -564,6 +564,20 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.st.cacheFills.Inc()
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// reportFor reports whether report is a JSON object whose "name" is the
+// canonical workload, as every report of it is: a registered workload's
+// Name() is its registry name. Later hits serve a filled report's bytes
+// as they are, so a fill that fails this would answer for the wrong
+// workload, or with something that is no report at all.
+func reportFor(report json.RawMessage, workload string) bool {
+	var fields map[string]json.RawMessage
+	if json.Unmarshal(report, &fields) != nil {
+		return false
+	}
+	var name string
+	return json.Unmarshal(fields["name"], &name) == nil && name == workload
 }
 
 // retryAfterHint estimates, in whole seconds, when a rejected client has

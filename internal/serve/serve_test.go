@@ -566,6 +566,68 @@ func FuzzCanonicalize(f *testing.F) {
 	})
 }
 
+// FuzzCacheFill posts any body to /v1/cache/fill on an empty cache. The
+// replica installs it (204) exactly when the body's request canonicalizes
+// and its report is a JSON object whose "name" is the canonical workload;
+// a hit on that key then serves the report's bytes unchanged. Any other
+// body is refused with 400 and leaves the cache empty.
+func FuzzCacheFill(f *testing.F) {
+	for _, seed := range []string{
+		`{"request":{"workload":"LNN"},"report":{"name":"LNN","total_ns":1}}`,
+		`{"request":{"workload":"nvsa","device":"jetson tx2"},"report":{"name":"NVSA"}}`,
+		`{"request":{"workload":"NVSA"},"report":{"name":"LNN"}}`,
+		`{"request":{"workload":"NVSA"},"report":{"name":"nvsa"}}`,
+		`{"request":{"workload":"NVSA"},"report":{"NAME":"NVSA"}}`,
+		`{"request":{"workload":"NVSA"},"report":{"name":"LNN","name":"NVSA"}}`,
+		`{"request":{"workload":"NVSA"},"report":{"name":null}}`,
+		`{"request":{"workload":"NVSA"},"report":1}`,
+		`{"request":{"workload":"NVSA"},"report":["name","NVSA"]}`,
+		`{"request":{"workload":"NVSA"},"report":null}`,
+		`{"request":{"workload":"NVSA"}}`,
+		`{"request":{"workload":"GPT"},"report":{"name":"GPT"}}`,
+		`{"request":{"workload":"NVSA"},"report":{"name":"NVSA"}} trailing`,
+		`{"request":`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	s := newTestServer(f, Config{})
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s.mu.Lock()
+		s.cache = newLRU(s.cfg.CacheSize)
+		s.mu.Unlock()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cache/fill", bytes.NewReader(body)))
+
+		var fill FillRequest
+		var report map[string]any
+		want := http.StatusBadRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&fill) == nil && json.Unmarshal(fill.Report, &report) == nil {
+			if canon, _, err := Canonicalize(fill.Request); err == nil && report["name"] == canon.Workload {
+				want = http.StatusNoContent
+			}
+		}
+		if rec.Code != want {
+			t.Fatalf("fill %q: status %d, want %d (%s)", body, rec.Code, want, rec.Body)
+		}
+		if want != http.StatusNoContent {
+			if n := s.cache.Len(); n != 0 {
+				t.Fatalf("refused fill %q left %d cache entries", body, n)
+			}
+			return
+		}
+		req, err := json.Marshal(fill.Request)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit := post(h, string(req))
+		if hit.Code != http.StatusOK || hit.Header().Get("X-NSServe-Cache") != "hit" || !bytes.Equal(hit.Body.Bytes(), fill.Report) {
+			t.Fatalf("after fill %q: %d %q %q", body, hit.Code, hit.Header().Get("X-NSServe-Cache"), hit.Body)
+		}
+	})
+}
+
 func TestRetryAfterScalesWithLoad(t *testing.T) {
 	resetCtl(true)
 	s := newTestServer(t, Config{Concurrency: 1, QueueDepth: 8})
