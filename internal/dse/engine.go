@@ -133,12 +133,21 @@ func (e *Engine) profile(k geomKey) *cacheProfile {
 	return p
 }
 
+// sweepStreamCap bounds sweepStreams: 4,096 specs, under 1 MB, hold 512
+// geometries of NVSA's eight (phase, class) groups.
+const sweepStreamCap = 4096
+
+// sweepStreams memoizes the streams sweeps simulate, process-wide. It is
+// not the report memo (hwsim's StreamSpec.Stats): a sweep's geometries are
+// the client's to choose, and a wide sweep must not evict the streams
+// reports repeat. Engines fill their profiles from it, so a repeated
+// sweep, or another shard of one on the same replica, re-simulates no
+// geometry that is still held.
+var sweepStreams = hwsim.NewStreamMemo(sweepStreamCap)
+
 // simulate runs each present (phase, class)'s representative stream on
 // geometry k: at a device's own geometry, exactly the streams
-// hwsim.KernelStats simulates for that device's report. They run
-// uncached: the process-wide stream memo is sized for reports, a sweep's
-// geometries are the client's to choose, and the engine's per-geometry
-// memo is all a sweep repeats.
+// hwsim.KernelStats simulates for that device's report.
 func (e *Engine) simulate(k geomKey) *cacheProfile {
 	p := &cacheProfile{}
 	g := hwsim.CacheGeometry{L1Bytes: k.l1KB * 1024, L1Ways: k.ways, L2Bytes: k.l2KB * 1024, L2Ways: 16, LineBytes: k.lineBytes}
@@ -147,7 +156,7 @@ func (e *Engine) simulate(k geomKey) *cacheProfile {
 			if n == 0 {
 				continue
 			}
-			st := g.Stream(hwsim.KernelClass(c), "", n, e.sig.classFlops[ph][c], e.sig.classBytes[ph][c]).Simulate()
+			st := sweepStreams.Stats(g.Stream(hwsim.KernelClass(c), "", n, e.sig.classFlops[ph][c], e.sig.classBytes[ph][c]))
 			p.l1Hit[ph][c] = st.L1HitRate
 			p.l2Hit[ph][c] = st.L2HitRate
 		}

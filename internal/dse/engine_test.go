@@ -179,6 +179,42 @@ func TestProfileMemoization(t *testing.T) {
 	}
 }
 
+// TestSweepStreamsShared pins the process-wide sweep memo: a sweep leaves
+// exactly its geometries' streams in it, and a second engine over the
+// same trace, as a repeated request builds, scores the same points
+// without adding a spec.
+func TestSweepStreamsShared(t *testing.T) {
+	defer func(m *hwsim.StreamMemo) { sweepStreams = m }(sweepStreams)
+	sweepStreams = hwsim.NewStreamMemo(sweepStreamCap)
+	space := Space{L1KB: Axis{Values: []float64{32, 64}}, LineBytes: Axis{Values: []float64{64, 128}}}
+	a := testEngine(t, space)
+	want := make(map[hwsim.StreamSpec]bool)
+	for i := 0; i < a.Grid().Size(); i++ {
+		a.Evaluate(i)
+		k := a.Grid().Knobs(i)
+		g := hwsim.CacheGeometry{L1Bytes: k.L1KB * 1024, L1Ways: k.Ways, L2Bytes: k.L2KB * 1024, L2Ways: 16, LineBytes: k.LineBytes}
+		for ph := range a.sig.classCount {
+			for c, n := range a.sig.classCount[ph] {
+				if n > 0 {
+					want[g.Stream(hwsim.KernelClass(c), "", n, a.sig.classFlops[ph][c], a.sig.classBytes[ph][c])] = true
+				}
+			}
+		}
+	}
+	if n := sweepStreams.Len(); n != len(want) {
+		t.Fatalf("sweep memo holds %d specs after one sweep, want the grid's %d", n, len(want))
+	}
+	b := testEngine(t, space)
+	for i := 0; i < b.Grid().Size(); i++ {
+		if got, ref := b.Evaluate(i), a.Evaluate(i); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("point %d: second engine %+v, first %+v", i, got, ref)
+		}
+	}
+	if n := sweepStreams.Len(); n != len(want) {
+		t.Fatalf("sweep memo holds %d specs after a repeated sweep, want %d", n, len(want))
+	}
+}
+
 func TestEngineConcurrentEvaluate(t *testing.T) {
 	e := testEngine(t, Space{
 		PeakGFLOPs: Axis{Values: []float64{2000, 8000}},

@@ -7,17 +7,13 @@ const StreamMemoCap = streamMemoCap
 
 // ResetStreamMemo empties the process-wide stream memo.
 func ResetStreamMemo() {
-	streamMemo.Lock()
+	streamMemo.mu.Lock()
 	clear(streamMemo.m)
-	streamMemo.Unlock()
+	streamMemo.mu.Unlock()
 }
 
 // StreamMemoLen is the number of memoized specs.
-func StreamMemoLen() int {
-	streamMemo.Lock()
-	defer streamMemo.Unlock()
-	return len(streamMemo.m)
-}
+func StreamMemoLen() int { return streamMemo.Len() }
 
 // KernelStatsUncached is KernelStats simulating its stream without the
 // memo.

@@ -27,10 +27,12 @@ func IsHostCopy(kernel string) bool {
 // device, launch excluded: the roofline-limited maximum of compute time
 // and memory time under the class's efficiency factors. Of its bytes, a
 // fraction l1Hit moves at L1 bandwidth, (1-l1Hit)·l2Hit at L2 bandwidth
-// and the rest at DRAM bandwidth; with both rates zero the memory time is
-// exactly bytes/(MemBWGBs·effM·1e9). A host↔device copy (hostCopy) crosses
-// the interconnect instead (unified-memory devices have H2DGBs == 0 and
-// keep the DRAM time).
+// and the rest at DRAM bandwidth. With both rates zero the memory time is
+// exactly bytes/(MemBWGBs·effM·1e9): on a device that passes Validate the
+// on-chip terms are b·0 over a positive bandwidth, +0, and the DRAM term's
+// b·1·1 is b. A host↔device copy (hostCopy) crosses the interconnect
+// instead (unified-memory devices have H2DGBs == 0 and keep the DRAM
+// time).
 func (d Device) KernelSeconds(class KernelClass, hostCopy bool, flops, bytes int64, l1Hit, l2Hit float64) float64 {
 	if hostCopy && d.H2DGBs > 0 {
 		return float64(bytes) / (d.H2DGBs * 1e9)
@@ -48,13 +50,9 @@ func (d Device) KernelSeconds(class KernelClass, hostCopy bool, flops, bytes int
 	}
 	if bytes > 0 {
 		b := float64(bytes)
-		if l1Hit == 0 && l2Hit == 0 {
-			tMemory = b / (d.MemBWGBs * effM * 1e9)
-		} else {
-			tMemory = b*l1Hit/(d.L1BWGBs*1e9) +
-				b*(1-l1Hit)*l2Hit/(d.L2BWGBs*1e9) +
-				b*(1-l1Hit)*(1-l2Hit)/(d.MemBWGBs*effM*1e9)
-		}
+		tMemory = b*l1Hit/(d.L1BWGBs*1e9) +
+			b*(1-l1Hit)*l2Hit/(d.L2BWGBs*1e9) +
+			b*(1-l1Hit)*(1-l2Hit)/(d.MemBWGBs*effM*1e9)
 	}
 	return math.Max(tCompute, tMemory)
 }

@@ -117,38 +117,57 @@ func (s StreamSpec) Simulate() cachesim.Stats {
 	return h.Stats()
 }
 
-// streamMemoCap bounds the stream memo. core.Analyze needs at most four
-// specs per workload×device and Tab4 four per device, 136 in all for the
-// registered suite, so it fits with room for batched variants; a caller
-// that overflows it evicts, which costs one re-simulation later, never a
-// wrong answer.
-const streamMemoCap = 1024
+// StreamMemo memoizes simulated stream stats by spec, holding at most a
+// fixed number of specs: a full memo evicts an arbitrary entry, which
+// costs one re-simulation later, never a wrong answer. It is safe for
+// concurrent use; simulations run outside the lock, and goroutines racing
+// on one spec store equal stats.
+type StreamMemo struct {
+	mu    sync.Mutex
+	limit int
+	m     map[StreamSpec]cachesim.Stats
+}
 
-// streamMemo maps specs to their simulated stats, process-wide.
-var streamMemo = struct {
-	sync.Mutex
-	m map[StreamSpec]cachesim.Stats
-}{m: make(map[StreamSpec]cachesim.Stats)}
+// NewStreamMemo returns an empty memo holding at most limit specs.
+func NewStreamMemo(limit int) *StreamMemo {
+	return &StreamMemo{limit: limit, m: make(map[StreamSpec]cachesim.Stats)}
+}
 
-// Stats returns s.Simulate(), memoized process-wide. The simulation runs
-// outside the lock; goroutines racing on one spec store equal stats. A
-// full memo evicts an arbitrary entry.
-func (s StreamSpec) Stats() cachesim.Stats {
-	streamMemo.Lock()
-	st, ok := streamMemo.m[s]
-	streamMemo.Unlock()
+// Stats returns s.Simulate(), memoized in m.
+func (m *StreamMemo) Stats(s StreamSpec) cachesim.Stats {
+	m.mu.Lock()
+	st, ok := m.m[s]
+	m.mu.Unlock()
 	if ok {
 		return st
 	}
 	st = s.Simulate()
-	streamMemo.Lock()
-	if _, ok := streamMemo.m[s]; !ok && len(streamMemo.m) >= streamMemoCap {
-		for k := range streamMemo.m {
-			delete(streamMemo.m, k)
+	m.mu.Lock()
+	if _, ok := m.m[s]; !ok && len(m.m) >= m.limit {
+		for k := range m.m {
+			delete(m.m, k)
 			break
 		}
 	}
-	streamMemo.m[s] = st
-	streamMemo.Unlock()
+	m.m[s] = st
+	m.mu.Unlock()
 	return st
 }
+
+// Len returns the number of specs m holds.
+func (m *StreamMemo) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.m)
+}
+
+// streamMemoCap bounds the report stream memo. core.Analyze needs at most
+// four specs per workload×device and Tab4 four per device, 136 in all for
+// the registered suite, so it fits with room for batched variants.
+const streamMemoCap = 1024
+
+// streamMemo is the process-wide memo of the streams reports simulate.
+var streamMemo = NewStreamMemo(streamMemoCap)
+
+// Stats returns s.Simulate(), memoized in the process-wide report memo.
+func (s StreamSpec) Stats() cachesim.Stats { return streamMemo.Stats(s) }
