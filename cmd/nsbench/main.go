@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -32,7 +33,7 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel backend worker count (0 = GOMAXPROCS)")
 	metricsOut := flag.String("metrics", "", "dump runtime/pool/operator metrics (Prometheus text) to this file at exit (\"-\" = stderr)")
 	chromeTrace := flag.String("chrome-trace", "", "write the suite's merged operator timeline (Chrome trace-event JSON, loadable in Perfetto) to this file; needs a suite experiment (fig2a/fig3*/fig4/all)")
-	batch := flag.Int("batch", 0, "run the continuous-batching comparison instead of -experiment: one batched pass of N items vs N sequential solo runs, per workload (N >= 2)")
+	batch := flag.Int("batch", 0, "run the continuous-batching comparison instead of -experiment: one CharacterizeBatch of N items vs N sequential solo runs, per workload (N >= 2)")
 	kernelBench := flag.String("kernel-bench", "", "benchmark naive vs tiled kernels over the workload operator shapes and write the roofline table (BENCH_kernels.json format) to this file instead of running -experiment")
 	explore := flag.String("explore", "", "run the design-space exploration smoke instead of -experiment: characterize -explore-workload once, sweep the default 256-point config space over the cached trace, and write the BENCH_explore.json artifact to this file")
 	exploreWorkload := flag.String("explore-workload", "NVSA", "workload the -explore sweep characterizes and projects")
@@ -66,7 +67,7 @@ func main() {
 		if *batch < 2 {
 			fatal(fmt.Errorf("-batch needs N >= 2, got %d", *batch))
 		}
-		if err := runBatchCompare(*batch, dev, eng); err != nil {
+		if err := runBatchCompare(*batch, dev, eng, os.Stdout); err != nil {
 			fatal(err)
 		}
 		return
@@ -110,16 +111,17 @@ func fatal(err error) {
 }
 
 // runBatchCompare times, per registered workload, n sequential solo
-// characterizations against one batched pass of n items and prints the
-// wall-clock speedup. Workloads with a native RunBatch amortize their
-// shared work across the batch; the rest go through the loop-per-item
-// adapter, whose speedup is ~1x — the table shows which is which.
-func runBatchCompare(n int, dev hwsim.Device, eng ops.Config) error {
+// characterizations against one core.CharacterizeBatch of n items and
+// prints the wall-clock speedup. Workloads with a native RunBatch fold
+// the items into one engine pass and amortize their shared work; the
+// rest run n solo passes, so their speedup is ~1x by construction — the
+// table shows which is which.
+func runBatchCompare(n int, dev hwsim.Device, eng ops.Config, out io.Writer) error {
 	pool := eng.NewPool()
 	defer pool.Close()
 	opts := core.Options{Pool: pool, Device: dev}
-	fmt.Printf("Continuous batching — one batched pass of n=%d vs n sequential solo runs\n", n)
-	fmt.Printf("%-16s %14s %14s %9s\n", "model", "sequential", "batched", "speedup")
+	fmt.Fprintf(out, "Continuous batching — one CharacterizeBatch of n=%d vs n sequential solo runs\n", n)
+	fmt.Fprintf(out, "%-16s %14s %14s %9s\n", "model", "sequential", "batched", "speedup")
 	for _, name := range core.WorkloadNames() {
 		seqStart := time.Now()
 		for i := 0; i < n; i++ {
@@ -132,16 +134,16 @@ func runBatchCompare(n int, dev hwsim.Device, eng ops.Config) error {
 			}
 		}
 		seq := time.Since(seqStart)
-		bw, err := core.BuildBatchWorkload(name)
+		wl, err := core.BuildWorkload(name)
 		if err != nil {
 			return err
 		}
 		batStart := time.Now()
-		if _, err := core.CharacterizeBatch(bw, n, opts); err != nil {
+		if _, err := core.CharacterizeBatch(wl, n, opts); err != nil {
 			return err
 		}
 		bat := time.Since(batStart)
-		fmt.Printf("%-16s %14v %14v %8.2fx\n", name, seq.Round(time.Millisecond), bat.Round(time.Millisecond), float64(seq)/float64(bat))
+		fmt.Fprintf(out, "%-16s %14v %14v %8.2fx\n", name, seq.Round(time.Millisecond), bat.Round(time.Millisecond), float64(seq)/float64(bat))
 	}
 	return nil
 }

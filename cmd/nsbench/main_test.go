@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/neurosym/nsbench/internal/core"
 	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/metrics"
 	"github.com/neurosym/nsbench/internal/ops"
@@ -51,5 +52,26 @@ func TestRunWithMetrics(t *testing.T) {
 func TestChromeTraceNeedsSuite(t *testing.T) {
 	if err := run("tab1", hwsim.RTX2080Ti, ops.Config{}, nil, t.TempDir()+"/t.json"); err == nil {
 		t.Fatal("-chrome-trace with a non-suite experiment must error")
+	}
+}
+
+// TestRunBatchCompare runs the -batch table at n=2 over the registry: every
+// registered workload gets one row (a solo and a batched characterization
+// of each must succeed).
+func TestRunBatchCompare(t *testing.T) {
+	var buf bytes.Buffer
+	if err := runBatchCompare(2, hwsim.RTX2080Ti, ops.Config{}, &buf); err != nil {
+		t.Fatalf("runBatchCompare: %v", err)
+	}
+	rows := map[string]bool{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && strings.HasSuffix(line, "x") {
+			rows[f[0]] = true
+		}
+	}
+	for _, name := range core.WorkloadNames() {
+		if !rows[name] {
+			t.Errorf("no row for %s in:\n%s", name, buf.String())
+		}
 	}
 }

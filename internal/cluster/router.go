@@ -181,8 +181,6 @@ type Router struct {
 	attemptLat   *metrics.Histogram    // successful-attempt latency; arms the hedge timer
 	nodeLat      *metrics.HistogramVec // nsrouter_node_attempt_seconds{node} (load scores)
 	fillsTotal   *metrics.CounterVec   // nsrouter_replica_fills_total{outcome}
-	clusterJoins *metrics.Counter      // ns_cluster_joins_total
-	clusterLeave *metrics.Counter      // ns_cluster_leaves_total
 
 	// recorder is the router's flight recorder: proxy attempts, retry
 	// backoffs, hedge races, and health transitions, as spans keyed by
@@ -233,10 +231,6 @@ func New(cfg Config) (*Router, error) {
 			metrics.LatencyBuckets(), "node"),
 		fillsTotal: reg.CounterVec("nsrouter_replica_fills_total",
 			"Replica cache fills fanned out for replicated keys, by outcome.", "outcome"),
-		clusterJoins: reg.Counter("ns_cluster_joins_total",
-			"Replicas that joined the cluster (new registrations, not heartbeats)."),
-		clusterLeave: reg.Counter("ns_cluster_leaves_total",
-			"Replicas that left the cluster (explicit leaves and TTL expiries)."),
 		exploreSweeps: reg.Counter("ns_explore_sweeps_total",
 			"Design-space sweeps fanned out across the cluster."),
 		exploreShards: reg.Counter("ns_explore_shards_total",
@@ -277,7 +271,6 @@ func New(cfg Config) (*Router, error) {
 	// node from both checker and ring immediately.
 	rt.member = membership.NewRegistry(cfg.Membership,
 		func(node string) {
-			rt.clusterJoins.Inc()
 			if rt.health.AddNode(node, true) {
 				rt.health.ProbeNow(node)
 			}
@@ -287,7 +280,6 @@ func New(cfg Config) (*Router, error) {
 			}
 		},
 		func(node, reason string) {
-			rt.clusterLeave.Inc()
 			rt.health.RemoveNode(node)
 			rt.ring.Remove(node)
 			rt.recordRouterSpan(membershipTraceID, "membership.leave("+node+" "+reason+")", time.Now())
@@ -302,6 +294,10 @@ func New(cfg Config) (*Router, error) {
 		func() float64 { return float64(len(rt.health.Ejected())) })
 	reg.GaugeFunc("ns_cluster_members", "Current cluster membership (static + dynamic).",
 		func() float64 { return float64(rt.member.Len()) })
+	reg.CounterFunc("ns_cluster_joins_total", "Replicas that joined the cluster (new registrations, not heartbeats).",
+		func() uint64 { joins, _ := rt.member.Counts(); return joins })
+	reg.CounterFunc("ns_cluster_leaves_total", "Replicas that left the cluster (explicit leaves and TTL expiries).",
+		func() uint64 { _, leaves := rt.member.Counts(); return leaves })
 	rt.door = frontdoor.New(reg, cfg.Logger, frontdoor.Tier{
 		MetricPrefix:     "nsrouter",
 		IDPrefix:         "nsr",

@@ -1,14 +1,13 @@
-// Batched characterization: one engine pass executing N compatible
-// requests, split back into per-item reports. This is the core of the
-// continuous-batching serving path — the paper's workloads are dominated
-// by small low-intensity kernels that leave hardware idle, and batching
-// across requests is the standard production move that closes the gap.
+// Batched characterization: n items of one workload, split back into
+// per-item reports. The paper's workloads are dominated by small
+// low-intensity kernels that leave hardware idle; a workload that folds
+// its items into one engine pass (a native BatchWorkload) amortizes that
+// idle time across requests, which is what the serving coalescer exploits.
 package core
 
 import (
 	"fmt"
 
-	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/ops"
 	"github.com/neurosym/nsbench/internal/trace"
 )
@@ -27,134 +26,43 @@ type BatchWorkload interface {
 	RunBatch(e *ops.Engine, n int) error
 }
 
-// ItemOptions carries the per-item analysis knobs of one batch member.
-// Zero fields fall back to the batch-level Options.
-type ItemOptions struct {
-	Device hwsim.Device
+// ExecuteBatch runs n items of w and returns one trace per item. A native
+// BatchWorkload with n > 1 runs one RunBatch pass whose trace is split
+// uniformly; everything else runs n plain Execute passes, so n == 1 is
+// Execute exactly. Every item's trace is what a solo run of w records.
+func ExecuteBatch(w Workload, n int, opts Options) ([]*trace.Trace, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("core: ExecuteBatch batch size %d", n)
+	}
+	if bw, ok := w.(BatchWorkload); ok && n > 1 {
+		e := opts.engine()
+		defer e.Recycle()
+		if err := bw.RunBatch(e, n); err != nil {
+			return nil, fmt.Errorf("core: batch of %d × %s: %w", n, w.Name(), err)
+		}
+		return trace.SplitBatch(e.Trace(), n)
+	}
+	traces := make([]*trace.Trace, n)
+	for i := range traces {
+		tr, err := Execute(w, opts)
+		if err != nil {
+			return nil, err
+		}
+		traces[i] = tr
+	}
+	return traces, nil
 }
 
-// CharacterizeBatch executes one batched inference of n items and derives
-// a per-item report for each. Native BatchWorkloads run one batched
-// engine pass whose trace is split uniformly; everything else goes
-// through the loop-per-item adapter (BuildBatchWorkload), which runs the
-// instance once per item on the shared engine inside an "item[i]" span
-// and splits the trace at the recorded item boundaries. items, when
-// present, must have length n and selects each item's analysis device —
-// the serving coalescer batches requests for different devices together,
-// since the device only matters to analysis, not execution.
-func CharacterizeBatch(w Workload, n int, opts Options, items ...ItemOptions) ([]*Report, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("core: CharacterizeBatch batch size %d", n)
-	}
-	if len(items) != 0 && len(items) != n {
-		return nil, fmt.Errorf("core: CharacterizeBatch got %d item options for batch size %d", len(items), n)
-	}
-	opts.defaults()
-	e := opts.engine()
-	defer e.Recycle()
-
-	var parts []*trace.Trace
-	var err error
-	switch bw := w.(type) {
-	case *loopBatch:
-		parts, err = bw.runSplit(e, n)
-	case BatchWorkload:
-		if err = bw.RunBatch(e, n); err == nil {
-			parts, err = trace.SplitBatch(e.Trace(), n)
-		}
-	default:
-		// A plain workload outside the registry: loop it on the shared
-		// engine, like n successive Characterize calls.
-		parts, err = (&loopBatch{w}).runSplit(e, n)
-	}
+// CharacterizeBatch executes n items of w (ExecuteBatch) and analyzes
+// each item's trace against opts.Device.
+func CharacterizeBatch(w Workload, n int, opts Options) ([]*Report, error) {
+	traces, err := ExecuteBatch(w, n, opts)
 	if err != nil {
-		return nil, fmt.Errorf("core: batch of %d × %s: %w", n, w.Name(), err)
+		return nil, err
 	}
-
 	reports := make([]*Report, n)
-	for i, p := range parts {
-		iopts := opts
-		if len(items) == n && items[i].Device.Name != "" {
-			iopts.Device = items[i].Device
-		}
-		reports[i] = Analyze(w.Name(), w.Category(), p, iopts)
+	for i, tr := range traces {
+		reports[i] = Analyze(w.Name(), w.Category(), tr, opts)
 	}
 	return reports, nil
-}
-
-// BuildBatchWorkload returns a registered workload ready for batched
-// execution: its shared model itself when it implements BatchWorkload
-// natively, or the loop-per-item adapter around it otherwise — so every
-// registered workload is batchable.
-func BuildBatchWorkload(name string) (BatchWorkload, error) {
-	w, err := BuildWorkload(name)
-	if err != nil {
-		return nil, err
-	}
-	if bw, ok := w.(BatchWorkload); ok {
-		return bw, nil
-	}
-	return &loopBatch{w}, nil
-}
-
-// loopBatch adapts any workload to BatchWorkload by running it once per
-// item sequentially on the shared engine, recording each item's
-// event/param/span boundaries for exact trace splitting. A Run writes
-// nothing in its instance, so every item reports what a solo run does.
-type loopBatch struct{ Workload }
-
-func (a *loopBatch) RunBatch(e *ops.Engine, n int) error {
-	_, err := a.runItems(e, n)
-	return err
-}
-
-// itemBounds records the trace high-water marks after one item.
-type itemBounds struct{ events, params, spans int }
-
-func (a *loopBatch) runItems(e *ops.Engine, n int) ([]itemBounds, error) {
-	tr := e.Trace()
-	bounds := make([]itemBounds, 0, n)
-	for i := 0; i < n; i++ {
-		// Each item must start from the state its solo run would see on a
-		// fresh engine.
-		e.ResetRunState()
-		e.Begin(fmt.Sprintf("item[%d]", i))
-		err := a.Run(e)
-		e.End()
-		if err != nil {
-			return nil, fmt.Errorf("item %d: %w", i, err)
-		}
-		bounds = append(bounds, itemBounds{events: len(tr.Events), params: len(tr.Params()), spans: len(tr.Spans())})
-	}
-	e.ResetRunState()
-	return bounds, nil
-}
-
-// runSplit runs the adapter and carves the trace at the item boundaries.
-// Unlike the native path's uniform division, adapter items own disjoint
-// contiguous trace regions, so the split is an exact partition.
-func (a *loopBatch) runSplit(e *ops.Engine, n int) ([]*trace.Trace, error) {
-	bounds, err := a.runItems(e, n)
-	if err != nil {
-		return nil, err
-	}
-	tr := e.Trace()
-	parts := make([]*trace.Trace, n)
-	var prev itemBounds
-	for i, b := range bounds {
-		p := trace.New()
-		p.SetEpoch(tr.Epoch())
-		for _, ev := range tr.Events[prev.events:b.events] {
-			p.Append(ev) // renumbers Seq from 0, like a solo trace
-		}
-		for _, pa := range tr.Params()[prev.params:b.params] {
-			p.RegisterParam(pa)
-		}
-		for _, sp := range tr.Spans()[prev.spans:b.spans] {
-			p.AddSpan(sp)
-		}
-		parts[i] = p
-		prev = b
-	}
-	return parts, nil
 }

@@ -78,7 +78,7 @@ func detJSON(t *testing.T, r *Report) []byte {
 // byte-identical to n sequential solo characterizations on fresh
 // instances, and whose per-item traces match the solo traces event for
 // event (modulo wall time and tensor IDs). Native workloads exercise the
-// uniform-split path; the rest exercise the loop-per-item adapter.
+// uniform-split path; the rest run n solo passes.
 func TestCharacterizeBatchMatchesSequential(t *testing.T) {
 	const n = 2
 	backends := []ops.Config{
@@ -107,14 +107,14 @@ func TestCharacterizeBatchMatchesSequential(t *testing.T) {
 					want = append(want, detJSON(t, r))
 				}
 
-				bw, err := BuildBatchWorkload(name)
+				w, err := BuildWorkload(name)
 				if err != nil {
 					t.Fatalf("build batch: %v", err)
 				}
-				if _, native := bw.(*loopBatch); !native {
+				if _, native := w.(BatchWorkload); native {
 					t.Logf("%s: native batch path", name)
 				}
-				reports, err := CharacterizeBatch(bw, n, Options{Pool: pool})
+				reports, err := CharacterizeBatch(w, n, Options{Pool: pool})
 				if err != nil {
 					t.Fatalf("batch run: %v", err)
 				}
@@ -129,45 +129,5 @@ func TestCharacterizeBatchMatchesSequential(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestAdapterPathOnNativeWorkloads forces the loop-per-item adapter onto
-// workloads that implement BatchWorkload natively, pinning that both
-// batching mechanisms agree with sequential execution.
-func TestAdapterPathOnNativeWorkloads(t *testing.T) {
-	for _, name := range WorkloadNames() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			w, err := BuildWorkload(name)
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			if _, ok := w.(BatchWorkload); !ok {
-				t.Skip("adapter is the default path; covered by the main property test")
-			}
-			adapter := &loopBatch{w}
-
-			sw, err := BuildWorkload(name)
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			solo, err := Characterize(sw, Options{})
-			if err != nil {
-				t.Fatalf("sequential: %v", err)
-			}
-			reports, err := CharacterizeBatch(adapter, 2, Options{})
-			if err != nil {
-				t.Fatalf("adapter batch: %v", err)
-			}
-			want := detJSON(t, solo)
-			for i, r := range reports {
-				sameTraceModuloTiming(t, fmt.Sprintf("item %d", i), r.Trace, solo.Trace)
-				if got := detJSON(t, r); string(got) != string(want) {
-					t.Errorf("adapter item %d diverges from sequential run:\nbatch: %s\nsolo:  %s", i, got, want)
-				}
-			}
-		})
 	}
 }

@@ -37,7 +37,10 @@ type Workload interface {
 type Report struct {
 	Name     string
 	Category string
-	Trace    *trace.Trace
+	// Device names the reference device the roofline (Fig. 3c) was placed
+	// on: Options.Device of the analysis.
+	Device string
+	Trace  *trace.Trace
 
 	// Latency (Fig. 2a).
 	Total         time.Duration
@@ -177,6 +180,7 @@ func Analyze(name, category string, tr *trace.Trace, opts Options) *Report {
 	r := &Report{
 		Name:     name,
 		Category: category,
+		Device:   opts.Device.Name,
 		Trace:    tr,
 	}
 	r.Total = tr.Duration()

@@ -36,22 +36,16 @@ func TestRegistryComplete(t *testing.T) {
 
 // TestWorkloadsOwnNoBackend pins who owns execution backends: the caller
 // that runs the engine (Options.Pool), never the workload. A registered
-// workload, or its batch form, with a Close method would be holding
-// something that outlives a run.
+// workload with a Close method would be holding something that outlives a
+// run.
 func TestWorkloadsOwnNoBackend(t *testing.T) {
 	for _, name := range WorkloadNames() {
 		w, err := BuildWorkload(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bw, err := BuildBatchWorkload(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, x := range []Workload{w, bw} {
-			if _, ok := x.(interface{ Close() }); ok {
-				t.Errorf("%s (%T) has a Close method; workloads hold models, not execution backends", name, x)
-			}
+		if _, ok := w.(interface{ Close() }); ok {
+			t.Errorf("%s (%T) has a Close method; workloads hold models, not execution backends", name, w)
 		}
 	}
 }
@@ -107,6 +101,12 @@ func TestAnalyzeEmptyTrace(t *testing.T) {
 	}
 }
 
+// TestFig2cScaling runs the Fig. 2c rows on the host and logs their
+// wall-clock 3x3/2x2 scale and symbolic shares: both move with host load
+// (the scale read 1.008 once on a busy 2-vCPU host), so nothing here
+// gates them. TestFig2cProjectedScaling and nvsa's
+// TestProjectedSymbolicShare gate the same claims over deterministic
+// quantities.
 func TestFig2cScaling(t *testing.T) {
 	rows, err := Fig2c(Options{})
 	if err != nil {
@@ -115,15 +115,8 @@ func TestFig2cScaling(t *testing.T) {
 	if len(rows) != 2 || rows[0].TaskSize != "2x2" || rows[1].TaskSize != "3x3" {
 		t.Fatalf("rows = %+v", rows)
 	}
-	// The paper's core scalability observation: 3x3 is several times more
-	// expensive than 2x2 (5.02× in the paper) with a stable symbolic share.
-	// The threshold allows for the wall-clock noise of shared CI machines.
-	if rows[1].ScaleVs2x2 < 1.2 {
-		t.Fatalf("3x3/2x2 scale = %v, want > 1.2", rows[1].ScaleVs2x2)
-	}
-	if rows[1].SymbolicShare < 0.5 || rows[0].SymbolicShare < 0.5 {
-		t.Fatalf("symbolic share should remain dominant: %+v", rows)
-	}
+	t.Logf("host 3x3/2x2 scale = %.3f (paper: 5.02), symbolic share 2x2 = %.3f, 3x3 = %.3f",
+		rows[1].ScaleVs2x2, rows[0].SymbolicShare, rows[1].SymbolicShare)
 }
 
 func TestFig2bOrdering(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 type reportJSON struct {
 	Name              string                        `json:"name"`
 	Category          string                        `json:"category"`
+	Device            string                        `json:"device"`
 	TotalNs           int64                         `json:"total_ns"`
 	NeuralNs          int64                         `json:"neural_ns"`
 	SymbolicNs        int64                         `json:"symbolic_ns"`
@@ -82,6 +83,7 @@ func (r *Report) summary() reportJSON {
 	out := reportJSON{
 		Name:              r.Name,
 		Category:          r.Category,
+		Device:            r.Device,
 		TotalNs:           r.Total.Nanoseconds(),
 		NeuralNs:          r.NeuralTime.Nanoseconds(),
 		SymbolicNs:        r.SymbolicTime.Nanoseconds(),

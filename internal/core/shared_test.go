@@ -30,7 +30,7 @@ func TestRegistryRecordsIdentity(t *testing.T) {
 // TestSharedModelReportsMatchFreshBuild is the contract that lets every
 // caller share one model per workload: for every registered workload, the
 // 1st, 2nd and 3rd characterizations through BuildWorkload, a batch of
-// three through BuildBatchWorkload, and three concurrent characterizations
+// three through CharacterizeBatch, and three concurrent characterizations
 // of one shared instance each report exactly what a freshly built
 // instance's first run reports, on every modeled device (traces modulo
 // wall time and tensor IDs). Under -race the concurrent runs also check
@@ -59,7 +59,7 @@ func TestSharedModelReportsMatchFreshBuild(t *testing.T) {
 				sameReportsOnAllDevices(t, fmt.Sprintf("characterization %d", i+1), []*Report{r}, want)
 			}
 
-			bw, err := BuildBatchWorkload(name)
+			bw, err := BuildWorkload(name)
 			if err != nil {
 				t.Fatal(err)
 			}

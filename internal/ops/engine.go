@@ -152,19 +152,6 @@ func (e *Engine) InReplicas(k int, f func()) {
 	f()
 }
 
-// ResetRunState restores the recording defaults a fresh engine starts
-// with — neural phase, no stage label, sparsity measurement off at the
-// default epsilon, no replica amplification — without touching the trace.
-// The loop-per-item batch adapter calls it between items so each item
-// begins from the state its solo run would see.
-func (e *Engine) ResetRunState() {
-	e.phase = trace.Neural
-	e.stage = ""
-	e.measureSparsity = false
-	e.sparsityEps = defaultSparsityEps
-	e.replicas = 0
-}
-
 // MeasureSparsity toggles per-event output sparsity measurement.
 func (e *Engine) MeasureSparsity(on bool) { e.measureSparsity = on }
 

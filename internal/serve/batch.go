@@ -5,19 +5,18 @@ import (
 	"errors"
 	"net/http"
 	"time"
-
-	"github.com/neurosym/nsbench/internal/core"
-	"github.com/neurosym/nsbench/internal/hwsim"
 )
 
 // Request coalescing. With Config.BatchWindow > 0, cache-missing requests
 // for the same workload that arrive within the window are grouped into one
-// pending batch and executed as a single batched engine pass
-// (core.CharacterizeBatch). The batch contract is replica semantics, so
-// every item's report is byte-identical to what a solo run would have
-// produced — coalescing changes throughput, never results. Items of one
-// group may name different analysis devices: the device only matters to
-// the per-item analysis, not to execution, so it does not fragment groups.
+// pending batch and executed as one pass of core.ExecuteBatch: a single
+// batched engine pass for a workload with a native RunBatch, solo passes
+// one after another for any other. The batch contract is replica
+// semantics, so every item's report is byte-identical to what a solo run
+// would have produced — coalescing changes throughput, never results.
+// Items of one group may name different analysis devices: the device only
+// matters to the per-item analysis, not to execution, so it does not
+// fragment groups.
 //
 // A group flushes when its window timer fires, when it reaches BatchMax
 // items, or when the server drains on Close. Groups count against the
@@ -103,10 +102,12 @@ func (s *Server) drainPendingLocked() {
 	}
 }
 
-// runBatch executes one dequeued batch: abandoned flights are retired
-// individually, a singleton falls through to the solo path, and a real
-// batch runs one batched characterization whose per-item reports finish
-// each flight — and fill the cache — individually.
+// runBatch executes one dequeued pass of any size: abandoned flights are
+// retired individually, and the live ones run as one pass (Server.run)
+// whose per-item reports finish each flight — and fill the cache —
+// individually. Recorder attribution is scoped under the first live
+// flight's request ID (the pass leader), mirroring the singleflight
+// convention.
 func (s *Server) runBatch(fs []*flight) {
 	dequeued := time.Now()
 	live := make([]*flight, 0, len(fs))
@@ -128,21 +129,31 @@ func (s *Server) runBatch(fs []*flight) {
 	if len(live) == 0 {
 		return
 	}
+	lead := live[0]
 	if s.cfg.BatchWindow > 0 {
-		// The coalescing window itself, attributed to the batch leader
-		// (whose ID also scopes the batched pass's engine events).
-		if lead := live[0]; !lead.enqueuedAt.IsZero() {
+		// The coalescing window itself, attributed to the pass leader.
+		if !lead.enqueuedAt.IsZero() {
 			s.recordServeSpanAt(lead.id, "batch.window", lead.enqueuedAt, dequeued)
 		}
 		s.st.occupancy.Observe(float64(len(live)))
 	}
-	if len(live) == 1 {
-		s.runFlight(live[0])
-		return
+	reqs := make([]Request, len(live))
+	for i, f := range live {
+		reqs[i] = f.req
 	}
 	s.st.inflight.Inc()
 	start := time.Now()
-	results, err := s.characterizeBatch(live)
+	reports, err := s.run(reqs, lead.id)
+	results := make([][]byte, len(reports))
+	if err == nil {
+		encStart := time.Now()
+		for i, r := range reports {
+			if results[i], err = json.Marshal(r); err != nil {
+				break
+			}
+		}
+		s.recordServeSpan(lead.id, "core.encode", encStart)
+	}
 	s.st.recordRun(time.Since(start))
 	s.st.inflight.Dec()
 	if err != nil {
@@ -157,46 +168,4 @@ func (s *Server) runBatch(fs []*flight) {
 		f.res = results[i]
 		s.finish(f, true)
 	}
-}
-
-// characterizeBatch runs the flights' shared workload once as a batch of
-// len(fs) items — one per flight, each analyzed against its own device —
-// and returns the marshaled per-item reports in flight order. Recorder
-// attribution is scoped under the first flight's request ID (the batch
-// leader), mirroring the singleflight convention.
-func (s *Server) characterizeBatch(fs []*flight) ([][]byte, error) {
-	start := time.Now()
-	bw, err := core.BuildBatchWorkload(fs[0].req.Workload)
-	if err != nil {
-		return nil, err
-	}
-	s.recordServeSpan(fs[0].id, "core.build", start)
-	items := make([]core.ItemOptions, len(fs))
-	for i, f := range fs {
-		dev, err := hwsim.DeviceByName(f.req.Device)
-		if err != nil {
-			return nil, err
-		}
-		items[i] = core.ItemOptions{Device: dev}
-	}
-	reports, err := core.CharacterizeBatch(bw, len(fs), core.Options{Pool: s.pool, Observer: s.runObserver(fs[0].id)}, items...)
-	if err != nil {
-		return nil, err
-	}
-	if len(reports) > 0 {
-		// One engine pass served the whole group; its timeline lives under
-		// the leader's ID like the recorder events do.
-		s.recordRunSpans(fs[0].id, reports[0].Trace)
-	}
-	start = time.Now()
-	defer s.recordServeSpan(fs[0].id, "core.encode", start)
-	out := make([][]byte, len(reports))
-	for i, r := range reports {
-		b, err := json.Marshal(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = b
-	}
-	return out, nil
 }

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +16,7 @@ import (
 	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/ops"
 	"github.com/neurosym/nsbench/internal/tensor"
+	"github.com/neurosym/nsbench/internal/trace"
 )
 
 // batchTestWorkload is a native BatchWorkload whose work is entirely
@@ -103,6 +107,140 @@ func TestCoalescerFlushOnFull(t *testing.T) {
 	}
 }
 
+// detReport is the deterministic subset of a served report: every field
+// that does not follow wall-clock time.
+type detReport struct {
+	Name              string          `json:"name"`
+	Category          string          `json:"category"`
+	Device            string          `json:"device"`
+	SymbolicFLOPShare float64         `json:"symbolic_flop_share"`
+	MovementH2DPct    float64         `json:"movement_h2d_pct"`
+	Memory            json.RawMessage `json:"memory"`
+	Roofline          []struct {
+		Name string  `json:"name"`
+		AI   float64 `json:"arithmetic_intensity"`
+	} `json:"roofline"`
+	Dataflow struct {
+		Events           int `json:"events"`
+		Edges            int `json:"edges"`
+		Depth            int `json:"depth"`
+		MaxWidth         int `json:"max_width"`
+		NeuralToSymbolic int `json:"neural_to_symbolic_edges"`
+		SymbolicToNeural int `json:"symbolic_to_neural_edges"`
+	} `json:"dataflow"`
+	Stages []struct {
+		Stage    string  `json:"stage"`
+		Events   int     `json:"events"`
+		Sparsity float64 `json:"sparsity"`
+	} `json:"stages"`
+}
+
+func detFields(t *testing.T, body []byte) string {
+	t.Helper()
+	var d detReport
+	if err := json.Unmarshal(body, &d); err != nil {
+		t.Fatalf("decoding report %q: %v", body, err)
+	}
+	b, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// characterizeAs posts one characterize request for workload on device
+// under the given request ID.
+func characterizeAs(h http.Handler, id, workload, device string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/v1/characterize",
+		strings.NewReader(fmt.Sprintf(`{"workload":%q,"device":%q}`, workload, device)))
+	req.Header.Set("X-Request-ID", id)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// requestTrace fetches the replica's recorded trace of one request.
+func requestTrace(t *testing.T, h http.Handler, id string) trace.RequestTrace {
+	t.Helper()
+	var rt trace.RequestTrace
+	if err := json.Unmarshal(get(h, "/v1/trace?request_id="+id).Body.Bytes(), &rt); err != nil {
+		t.Fatalf("request trace %s: %v", id, err)
+	}
+	return rt
+}
+
+// TestCoalescerNonNativePass verifies the pass of a workload without a
+// native RunBatch: three concurrent misses for testfast on three devices
+// coalesce into one pass of three solo engine runs, each report's
+// deterministic fields equal a solo miss's on a server without
+// coalescing, and the pass leader's request trace holds the pass's
+// core.build, core.analyze and core.encode spans and all of its
+// operator events.
+func TestCoalescerNonNativePass(t *testing.T) {
+	resetCtl(false)
+	s := newTestServer(t, Config{BatchWindow: 500 * time.Millisecond, BatchMax: 3})
+	solo := newTestServer(t, Config{})
+	h, soloH := s.Handler(), solo.Handler()
+	devs := hwsim.AllDevices()[:3]
+
+	var wg sync.WaitGroup
+	recs := make([]*httptest.ResponseRecorder, len(devs))
+	for i, d := range devs {
+		wg.Add(1)
+		go func(i int, dev string) {
+			defer wg.Done()
+			recs[i] = characterizeAs(h, fmt.Sprintf("pass-%d", i), "testfast", dev)
+		}(i, d.Name)
+	}
+	wg.Wait()
+	if got := s.st.occupancy.Count(); got != 1 {
+		t.Fatalf("passes = %d, want 1 (one coalesced pass)", got)
+	}
+	if got := s.st.occupancy.Sum(); got != 3 {
+		t.Fatalf("pass items = %v, want 3", got)
+	}
+	if got := testCtl.runs.Load(); got != 3 {
+		t.Fatalf("engine runs = %d, want 3 (one solo run per item)", got)
+	}
+	for i, d := range devs {
+		if recs[i].Code != http.StatusOK {
+			t.Fatalf("request %d (%s): status %d: %s", i, d.Name, recs[i].Code, recs[i].Body)
+		}
+		want := characterizeAs(soloH, fmt.Sprintf("solo-%d", i), "testfast", d.Name)
+		if want.Code != http.StatusOK {
+			t.Fatalf("solo %s: status %d", d.Name, want.Code)
+		}
+		if got, want := detFields(t, recs[i].Body.Bytes()), detFields(t, want.Body.Bytes()); got != want {
+			t.Errorf("%s: coalesced report diverges from a solo miss:\npass: %s\nsolo: %s", d.Name, got, want)
+		}
+	}
+
+	soloEvents := len(requestTrace(t, soloH, "solo-0").Events)
+	leaders := 0
+	for i := range devs {
+		rt := requestTrace(t, h, fmt.Sprintf("pass-%d", i))
+		spans := map[string]bool{}
+		for _, sp := range rt.Spans {
+			spans[sp.Name] = true
+		}
+		if !spans["core.build"] {
+			continue
+		}
+		leaders++
+		for _, want := range []string{"core.analyze", "core.encode"} {
+			if !spans[want] {
+				t.Errorf("leader pass-%d's trace has no %s span: %v", i, want, spans)
+			}
+		}
+		if got := len(rt.Events); got != 3*soloEvents {
+			t.Errorf("leader pass-%d's trace holds %d events, want 3 × %d", i, got, soloEvents)
+		}
+	}
+	if leaders != 1 {
+		t.Fatalf("%d requests carry the pass's core.build span, want 1 (the leader)", leaders)
+	}
+}
+
 // TestCoalescerWindowFlush verifies the timer path: a lone miss waits out
 // the window, then runs as an occupancy-1 pass.
 func TestCoalescerWindowFlush(t *testing.T) {
@@ -183,9 +321,10 @@ func TestCoalescerMixedWorkloadsGroupSeparately(t *testing.T) {
 
 // TestCoalescerSoak is the race-detector smoke the CI runs: sustained
 // mixed hit/miss traffic over a small cache with a 2ms window, across
-// both the native-batch and adapter workloads and every device. It must
-// finish with zero failed characterizations and an average occupancy
-// above 1 (i.e. real coalescing happened). Gated behind
+// every device and two workloads: testbatch, which folds a pass into one
+// batched engine run, and testfast, whose pass runs one solo engine run
+// per item. It must finish with zero failed characterizations and an
+// average occupancy above 1 (i.e. real coalescing happened). Gated behind
 // NSBENCH_COALESCER_SOAK because it burns a few wall-clock seconds.
 func TestCoalescerSoak(t *testing.T) {
 	if os.Getenv("NSBENCH_COALESCER_SOAK") == "" {

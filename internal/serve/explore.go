@@ -56,14 +56,14 @@ func (s *Server) workloadTrace(key string, req Request, runID string) (*trace.Tr
 	s.traceMu.Unlock()
 
 	start := time.Now()
-	report, err := s.run(req, runID)
+	reports, err := s.run([]Request{req}, runID)
 	if err != nil {
 		e.err = err
 		s.traceMu.Lock()
 		delete(s.traces, key)
 		s.traceMu.Unlock()
 	} else {
-		e.tr = report.Trace
+		e.tr = reports[0].Trace
 		s.st.recordRun(time.Since(start))
 	}
 	close(e.done)

@@ -83,7 +83,8 @@ type Config struct {
 	Pprof bool
 	// BatchWindow, when positive, enables request coalescing: cache-missing
 	// requests for the same workload arriving within the window execute as
-	// one batched engine pass with per-item reports (and cache fills).
+	// one pass with per-item reports (and cache fills), a single batched
+	// engine pass when the workload has a native RunBatch.
 	// Zero disables coalescing — the library default; cmd/nsserve enables
 	// it with a 2ms window.
 	BatchWindow time.Duration
@@ -231,8 +232,8 @@ type Server struct {
 	flights  map[string]*flight
 	shutdown bool
 
-	// queue carries dequeued batches to the workers: one entry per engine
-	// pass, holding every flight the pass serves (a single flight when
+	// queue carries dequeued batches to the workers: one entry per pass,
+	// holding every flight the pass serves (a single flight when
 	// coalescing is off). pending holds the batch groups still inside
 	// their coalescing window, keyed by workload name.
 	queue   chan []*flight
@@ -550,8 +551,9 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if !reportFor(fill.Report, canon.Workload) {
-		http.Error(w, "fill report is not a JSON object named "+strconv.Quote(canon.Workload), http.StatusBadRequest)
+	if !reportFor(fill.Report, canon) {
+		http.Error(w, "fill report is not a JSON object named "+strconv.Quote(canon.Workload)+
+			" on device "+strconv.Quote(canon.Device), http.StatusBadRequest)
 		return
 	}
 	s.mu.Lock()
@@ -567,17 +569,20 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 }
 
 // reportFor reports whether report is a JSON object whose "name" is the
-// canonical workload, as every report of it is: a registered workload's
-// Name() is its registry name. Later hits serve a filled report's bytes
-// as they are, so a fill that fails this would answer for the wrong
-// workload, or with something that is no report at all.
-func reportFor(report json.RawMessage, workload string) bool {
+// canonical workload and whose "device" is the canonical device, as every
+// report of the request is: a registered workload's Name() is its
+// registry name, and a report names the device it was analyzed against.
+// Later hits serve a filled report's bytes as they are, so a fill that
+// fails this would answer for the wrong workload or device, or with
+// something that is no report at all.
+func reportFor(report json.RawMessage, canon Request) bool {
 	var fields map[string]json.RawMessage
 	if json.Unmarshal(report, &fields) != nil {
 		return false
 	}
-	var name string
-	return json.Unmarshal(fields["name"], &name) == nil && name == workload
+	var name, device string
+	return json.Unmarshal(fields["name"], &name) == nil && name == canon.Workload &&
+		json.Unmarshal(fields["device"], &device) == nil && device == canon.Device
 }
 
 // retryAfterHint estimates, in whole seconds, when a rejected client has
@@ -617,25 +622,6 @@ func (s *Server) worker() {
 	}
 }
 
-// runFlight executes one characterization and publishes the result to
-// every waiter, caching it on success. Its caller, runBatch, has already
-// retired the flight if every waiter left the queue.
-func (s *Server) runFlight(f *flight) {
-	s.st.inflight.Inc()
-	start := time.Now()
-	res, err := s.characterize(f.req, f.id)
-	s.st.recordRun(time.Since(start))
-	s.st.inflight.Dec()
-	if err != nil {
-		s.st.failures.Inc()
-		f.err = err
-		s.finish(f, false)
-		return
-	}
-	f.res = res
-	s.finish(f, true)
-}
-
 // finish retires the flight from the singleflight table, optionally
 // caches its bytes, and wakes every waiter.
 func (s *Server) finish(f *flight, cache bool) {
@@ -648,45 +634,40 @@ func (s *Server) finish(f *flight, cache bool) {
 	close(f.done)
 }
 
-// characterize builds the workload and runs it on an engine borrowed from
-// the server's shared backend pool, feeding the run's operator events to
-// the metrics observer and (scoped under runID) the flight recorder.
-// The report's JSON encoding is recorded as a core.encode span under runID.
-func (s *Server) characterize(req Request, runID string) ([]byte, error) {
-	report, err := s.run(req, runID)
-	if err != nil {
-		return nil, err
-	}
+// run executes one pass of len(reqs) items of the requests' shared
+// workload (core.ExecuteBatch) on an engine borrowed from the server's
+// shared backend pool, and analyzes each item against its own request's
+// device. runID scopes the pass in the flight recorder: its operator
+// events, its timeline spans (the first item's), and core.build and
+// core.analyze spans for the steps around the engine run, so
+// /v1/trace?request_id= can rebuild the timeline later.
+func (s *Server) run(reqs []Request, runID string) ([]*core.Report, error) {
 	start := time.Now()
-	defer s.recordServeSpan(runID, "core.encode", start)
-	return json.Marshal(report)
-}
-
-// run executes one characterization and returns the full report (trace
-// included). runID scopes the run's events in the flight recorder; the
-// run's stage spans are copied into the recorder under the same ID
-// so /v1/trace?request_id= can rebuild the engine timeline later, next to
-// core.build and core.analyze spans for the steps around the engine run.
-func (s *Server) run(req Request, runID string) (*core.Report, error) {
-	start := time.Now()
-	wl, err := core.BuildWorkload(req.Workload)
+	wl, err := core.BuildWorkload(reqs[0].Workload)
 	if err != nil {
 		return nil, err
 	}
 	s.recordServeSpan(runID, "core.build", start)
-	dev, err := hwsim.DeviceByName(req.Device)
+	devs := make([]hwsim.Device, len(reqs))
+	for i, req := range reqs {
+		if devs[i], err = hwsim.DeviceByName(req.Device); err != nil {
+			return nil, err
+		}
+	}
+	opts := core.Options{Pool: s.pool, Observer: s.runObserver(runID)}
+	traces, err := core.ExecuteBatch(wl, len(reqs), opts)
 	if err != nil {
 		return nil, err
 	}
-	opts := core.Options{Device: dev, Pool: s.pool, Observer: s.runObserver(runID)}
-	tr, err := core.Execute(wl, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.recordRunSpans(runID, tr)
+	s.recordRunSpans(runID, traces[0])
 	start = time.Now()
 	defer s.recordServeSpan(runID, "core.analyze", start)
-	return core.Analyze(wl.Name(), wl.Category(), tr, opts), nil
+	reports := make([]*core.Report, len(traces))
+	for i, tr := range traces {
+		opts.Device = devs[i]
+		reports[i] = core.Analyze(wl.Name(), wl.Category(), tr, opts)
+	}
+	return reports, nil
 }
 
 // recordRunSpans copies a finished run's timeline spans into the flight
@@ -740,16 +721,16 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	report, err := s.run(canon, frontdoor.RequestID(r))
+	reports, err := s.run([]Request{canon}, frontdoor.RequestID(r))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if format == "chrome" {
-		err = report.Trace.WriteChromeTrace(w)
+		err = reports[0].Trace.WriteChromeTrace(w)
 	} else {
-		err = report.Trace.WriteJSON(w)
+		err = reports[0].Trace.WriteJSON(w)
 	}
 	if err != nil && s.logger != nil {
 		s.logger.Error("trace write failed", "id", frontdoor.RequestID(r), "err", err)

@@ -568,24 +568,29 @@ func FuzzCanonicalize(f *testing.F) {
 
 // FuzzCacheFill posts any body to /v1/cache/fill on an empty cache. The
 // replica installs it (204) exactly when the body's request canonicalizes
-// and its report is a JSON object whose "name" is the canonical workload;
-// a hit on that key then serves the report's bytes unchanged. Any other
+// and its report is a JSON object whose "name" is the canonical workload
+// and whose "device" is the canonical device; a hit on that key then serves the report's bytes unchanged. Any other
 // body is refused with 400 and leaves the cache empty.
 func FuzzCacheFill(f *testing.F) {
 	for _, seed := range []string{
-		`{"request":{"workload":"LNN"},"report":{"name":"LNN","total_ns":1}}`,
-		`{"request":{"workload":"nvsa","device":"jetson tx2"},"report":{"name":"NVSA"}}`,
-		`{"request":{"workload":"NVSA"},"report":{"name":"LNN"}}`,
-		`{"request":{"workload":"NVSA"},"report":{"name":"nvsa"}}`,
-		`{"request":{"workload":"NVSA"},"report":{"NAME":"NVSA"}}`,
-		`{"request":{"workload":"NVSA"},"report":{"name":"LNN","name":"NVSA"}}`,
-		`{"request":{"workload":"NVSA"},"report":{"name":null}}`,
+		`{"request":{"workload":"LNN"},"report":{"name":"LNN","device":"RTX 2080 Ti","total_ns":1}}`,
+		`{"request":{"workload":"nvsa","device":"jetson tx2"},"report":{"name":"NVSA","device":"Jetson TX2"}}`,
+		`{"request":{"workload":"NVSA","device":"Jetson TX2"},"report":{"name":"NVSA","device":"RTX 2080 Ti"}}`,
+		`{"request":{"workload":"NVSA","device":"Jetson TX2"},"report":{"name":"NVSA","device":"jetson tx2"}}`,
+		`{"request":{"workload":"NVSA"},"report":{"name":"NVSA"}}`,
+		`{"request":{"workload":"NVSA"},"report":{"name":"NVSA","DEVICE":"RTX 2080 Ti"}}`,
+		`{"request":{"workload":"NVSA"},"report":{"name":"NVSA","device":null}}`,
+		`{"request":{"workload":"NVSA"},"report":{"name":"LNN","device":"RTX 2080 Ti"}}`,
+		`{"request":{"workload":"NVSA"},"report":{"name":"nvsa","device":"RTX 2080 Ti"}}`,
+		`{"request":{"workload":"NVSA"},"report":{"NAME":"NVSA","device":"RTX 2080 Ti"}}`,
+		`{"request":{"workload":"NVSA"},"report":{"name":"LNN","name":"NVSA","device":"RTX 2080 Ti"}}`,
+		`{"request":{"workload":"NVSA"},"report":{"name":null,"device":"RTX 2080 Ti"}}`,
 		`{"request":{"workload":"NVSA"},"report":1}`,
 		`{"request":{"workload":"NVSA"},"report":["name","NVSA"]}`,
 		`{"request":{"workload":"NVSA"},"report":null}`,
 		`{"request":{"workload":"NVSA"}}`,
-		`{"request":{"workload":"GPT"},"report":{"name":"GPT"}}`,
-		`{"request":{"workload":"NVSA"},"report":{"name":"NVSA"}} trailing`,
+		`{"request":{"workload":"GPT"},"report":{"name":"GPT","device":"RTX 2080 Ti"}}`,
+		`{"request":{"workload":"NVSA"},"report":{"name":"NVSA","device":"RTX 2080 Ti"}} trailing`,
 		`{"request":`,
 		``,
 	} {
@@ -604,7 +609,7 @@ func FuzzCacheFill(f *testing.F) {
 		var report map[string]any
 		want := http.StatusBadRequest
 		if json.NewDecoder(bytes.NewReader(body)).Decode(&fill) == nil && json.Unmarshal(fill.Report, &report) == nil {
-			if canon, _, err := Canonicalize(fill.Request); err == nil && report["name"] == canon.Workload {
+			if canon, _, err := Canonicalize(fill.Request); err == nil && report["name"] == canon.Workload && report["device"] == canon.Device {
 				want = http.StatusNoContent
 			}
 		}

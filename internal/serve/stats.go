@@ -34,7 +34,7 @@ type stats struct {
 	cacheLen, queueLen func() int
 
 	// Coalescing (Config.BatchWindow > 0): occupancy is the size of every
-	// engine pass dispatched through the coalescer (including singletons —
+	// pass dispatched through the coalescer (including singletons —
 	// occupancy 1 means the window bought nothing), so its count is the
 	// passes and its sum the requests they served; coalesceFlushes counts
 	// why each group left its window (window, full, drain).
@@ -76,7 +76,7 @@ func newStats(reg *metrics.Registry, cacheLen, queueLen func() int) stats {
 		inflight:   reg.Gauge("nsserve_inflight_runs", "Characterizations executing right now."),
 		cacheLen:   cacheLen,
 		queueLen:   queueLen,
-		occupancy: reg.Histogram("nsserve_batch_occupancy", "Requests per coalesced engine pass.",
+		occupancy: reg.Histogram("nsserve_batch_occupancy", "Requests per coalesced pass.",
 			[]float64{1, 2, 4, 8, 16, 32}),
 		coalesceFlushes: reg.CounterVec("nsserve_coalesce_flushes_total",
 			"Batch group flushes by outcome (window expired, group full, drain on close).", "outcome"),
@@ -116,7 +116,7 @@ type Snapshot struct {
 	// CacheSize and QueueDepth are point-in-time gauges.
 	CacheSize  int `json:"cache_size"`
 	QueueDepth int `json:"queue_depth"`
-	// BatchesRun counts engine passes dispatched through the request
+	// BatchesRun counts passes dispatched through the request
 	// coalescer; AvgOccupancy is the mean requests served per such pass
 	// (0 with coalescing disabled). Appended after the pre-batching
 	// fields so existing consumers see an unchanged prefix.
