@@ -1,10 +1,10 @@
 // Command nschaos runs a deterministic chaos/soak scenario against an
 // in-process nsbench serving cluster: a real nsrouter with dynamic
 // membership, N real nsserve replicas behind fault-injection proxies,
-// seeded mixed traffic (characterize, coalescing bursts, design-space
-// sweeps), and a seeded fault schedule of hard kills, restarts that
-// re-join the ring at runtime, extra joins, and latency/connection-drop
-// windows.
+// seeded mixed traffic (characterize, bursts of identical requests,
+// design-space sweeps), and a seeded fault schedule of hard kills,
+// restarts that re-join the ring at runtime, extra joins, and
+// latency/connection-drop windows.
 //
 // The run passes when the serving tier's availability contract held:
 // zero failed requests, deterministic report fields byte-stable across

@@ -2,16 +2,13 @@
 // that executes neuro-symbolic workload characterizations on a shared
 // backend worker pool, caches the deterministic reports, deduplicates
 // concurrent identical requests, and sheds load with 429s when its
-// admission queue fills. Cache-missing requests for the same workload
-// arriving within -batch-window (2ms by default) coalesce into one pass
-// with per-item reports (one batched engine pass for a workload with a
-// native RunBatch) — see the "Batching" section of the README.
+// admission queue fills. Each cache miss runs as one characterization of
+// its own on the next free worker — see the "Batching" section of the
+// README for why misses are not grouped.
 //
 // Usage:
 //
 //	nsserve -addr :8080 -backend parallel -workers 4
-//	nsserve -batch-window 5ms -batch-max 16   # wider request coalescing
-//	nsserve -batch-window 0                   # disable coalescing
 //
 //	curl localhost:8080/v1/workloads
 //	curl -X POST localhost:8080/v1/characterize -d '{"workload":"NVSA"}'
@@ -66,8 +63,6 @@ func main() {
 	drainGrace := flag.Duration("drain-grace", 0, "time to answer 503 on /readyz before the listener closes (lets routers eject this replica first)")
 	recorderSize := flag.Int("flight-recorder", 0, "flight-recorder capacity in events (0 = default 512, negative disables)")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "request-coalescing window: cache-missing requests for the same workload arriving within it run as one pass, batched where the workload batches natively (0 disables)")
-	batchMax := flag.Int("batch-max", 0, "max requests coalesced into one batch (0 = default 8)")
 	exploreMaxPoints := flag.Int("explore-max-points", 0, "max grid points per /v1/explore sweep (0 = default 65536)")
 	exploreConcurrency := flag.Int("explore-concurrency", 0, "concurrent /v1/explore sweeps before 429 (0 = default 2)")
 	nodeName := flag.String("node-name", "", "replica identity in stitched traces (default <hostname>-<pid>)")
@@ -91,8 +86,6 @@ func main() {
 		RecorderSize:       *recorderSize,
 		Logger:             logger,
 		Pprof:              *enablePprof,
-		BatchWindow:        *batchWindow,
-		BatchMax:           *batchMax,
 		ExploreMaxPoints:   *exploreMaxPoints,
 		ExploreConcurrency: *exploreConcurrency,
 		NodeName:           *nodeName,

@@ -5,7 +5,8 @@
 // all on real localhost listeners — and then does two things at once:
 //
 //   - drives sustained mixed traffic (characterize hits and misses,
-//     coalescing bursts, design-space sweeps) from seeded generators, and
+//     bursts of identical requests, design-space sweeps) from seeded
+//     generators, and
 //   - executes a seeded fault schedule against the replicas: hard kills
 //     (listener severed mid-flight, no leave announcement), delayed
 //     restarts that re-join the ring at runtime as new generations,
@@ -316,9 +317,8 @@ func (r *runner) startGen(slot int) (*replicaGen, error) {
 	r.mu.Unlock()
 	name := fmt.Sprintf("replica-%d-gen%d", slot, seq)
 	s, err := serve.New(serve.Config{
-		CacheSize:   512,
-		BatchWindow: 2 * time.Millisecond,
-		NodeName:    name,
+		CacheSize: 512,
+		NodeName:  name,
 	})
 	if err != nil {
 		return nil, err
@@ -516,8 +516,8 @@ func maxInt(a, b int) int {
 }
 
 // client is one traffic generator: a seeded mix of characterize reads,
-// coalescing bursts, and design-space sweeps, as fast as the cluster
-// answers them.
+// bursts of identical requests, and design-space sweeps, as fast as the
+// cluster answers them.
 func (r *runner) client(ctx context.Context, idx int) {
 	rng := mrand.New(mrand.NewSource(r.cfg.Seed + int64(idx)*7919))
 	for n := 0; ctx.Err() == nil; n++ {
@@ -619,8 +619,11 @@ func (r *runner) characterizeOnce(ctx context.Context, workload, device, id stri
 	}
 }
 
-// doBatch fires a burst of identical requests so cache-missing ones
-// coalesce into a batched engine pass on the owning replica.
+// doBatch fires a burst of four identical concurrent requests for one
+// key. What it exercises is singleflight, not a batched pass: on the
+// owning replica, requests that arrive while the key's run is in flight
+// join that one flight and share its report bytes, and later ones hit
+// the cache it filled.
 func (r *runner) doBatch(ctx context.Context, rng *mrand.Rand) {
 	w, d := r.pickKey(rng)
 	var wg sync.WaitGroup

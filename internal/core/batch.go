@@ -2,7 +2,8 @@
 // per-item reports. The paper's workloads are dominated by small
 // low-intensity kernels that leave hardware idle; a workload that folds
 // its items into one engine pass (a native BatchWorkload) amortizes that
-// idle time across requests, which is what the serving coalescer exploits.
+// idle time across items, which nsbench -batch measures against n solo
+// runs.
 package core
 
 import (
@@ -26,41 +27,36 @@ type BatchWorkload interface {
 	RunBatch(e *ops.Engine, n int) error
 }
 
-// ExecuteBatch runs n items of w and returns one trace per item. A native
-// BatchWorkload with n > 1 runs one RunBatch pass whose trace is split
-// uniformly; everything else runs n plain Execute passes, so n == 1 is
-// Execute exactly. Every item's trace is what a solo run of w records.
-func ExecuteBatch(w Workload, n int, opts Options) ([]*trace.Trace, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("core: ExecuteBatch batch size %d", n)
-	}
-	if bw, ok := w.(BatchWorkload); ok && n > 1 {
-		e := opts.engine()
-		defer e.Recycle()
-		if err := bw.RunBatch(e, n); err != nil {
-			return nil, fmt.Errorf("core: batch of %d × %s: %w", n, w.Name(), err)
-		}
-		return trace.SplitBatch(e.Trace(), n)
-	}
-	traces := make([]*trace.Trace, n)
-	for i := range traces {
-		tr, err := Execute(w, opts)
-		if err != nil {
-			return nil, err
-		}
-		traces[i] = tr
-	}
-	return traces, nil
-}
-
-// CharacterizeBatch executes n items of w (ExecuteBatch) and analyzes
-// each item's trace against opts.Device.
+// CharacterizeBatch runs n items of w and analyzes each item's trace
+// against opts.Device. A native BatchWorkload with n > 1 runs one
+// RunBatch pass whose trace trace.SplitBatch splits uniformly; everything
+// else runs n plain Characterize passes, so n == 1 is Characterize
+// exactly. Every item's report is what a solo run of w reports.
 func CharacterizeBatch(w Workload, n int, opts Options) ([]*Report, error) {
-	traces, err := ExecuteBatch(w, n, opts)
+	if n <= 0 {
+		return nil, fmt.Errorf("core: CharacterizeBatch batch size %d", n)
+	}
+	reports := make([]*Report, n)
+	bw, native := w.(BatchWorkload)
+	if !native || n == 1 {
+		for i := range reports {
+			r, err := Characterize(w, opts)
+			if err != nil {
+				return nil, err
+			}
+			reports[i] = r
+		}
+		return reports, nil
+	}
+	e := opts.engine()
+	defer e.Recycle()
+	if err := bw.RunBatch(e, n); err != nil {
+		return nil, fmt.Errorf("core: batch of %d × %s: %w", n, w.Name(), err)
+	}
+	traces, err := trace.SplitBatch(e.Trace(), n)
 	if err != nil {
 		return nil, err
 	}
-	reports := make([]*Report, n)
 	for i, tr := range traces {
 		reports[i] = Analyze(w.Name(), w.Category(), tr, opts)
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/neurosym/nsbench/internal/hwsim"
 )
@@ -49,64 +48,42 @@ func BenchmarkServeMiss(b *testing.B) {
 	}
 }
 
-// benchServeConcurrent drives b.N cache-missing characterize requests
-// through cfg with the given client concurrency, cycling the analysis
-// device so concurrent requests carry distinct cache keys (identical keys
-// would measure singleflight, not the execution path under test). It
-// reports the mean coalesced pass size (occupancy, 0 unbatched) and the
-// engine passes run per request (passes/req).
-func benchServeConcurrent(b *testing.B, cfg Config, clients int) {
-	resetCtl(false)
-	registerBatchWorkload()
-	s := newTestServer(b, cfg)
-	h := s.Handler()
-	devs := hwsim.AllDevices()
-	var next atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= b.N {
-					return
-				}
-				dev := devs[i%len(devs)].Name
-				rec := post(h, fmt.Sprintf(`{"workload":"testbatch","device":%q}`, dev))
-				if rec.Code != http.StatusOK {
-					b.Errorf("request: %d %s", rec.Code, rec.Body)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	b.StopTimer()
-	snap := s.st.snapshot()
-	b.ReportMetric(snap.AvgOccupancy, "occupancy")
-	b.ReportMetric(float64(snap.Runs)/float64(b.N), "passes/req")
-}
-
-// BenchmarkServeBatch compares cache-miss serving throughput with and
-// without request coalescing at client concurrencies 8 and 32. The
-// workload is the native-batch testbatch, whose amplified pass makes a
-// coalesced batch of n cost about one solo run — the serving win the
-// batching tier exists for. Results are recorded in BENCH_baseline.json.
-func BenchmarkServeBatch(b *testing.B) {
+// BenchmarkServeConcurrentMiss measures cache-miss serving throughput at
+// client concurrencies 8 and 32: b.N testmatmul requests with the cache
+// disabled, cycling the analysis device so concurrent requests carry
+// distinct cache keys. With four devices several clients still share a
+// key, and singleflight joins them onto one run; runs/req reports the
+// engine runs per request. Results are recorded in BENCH_baseline.json.
+func BenchmarkServeConcurrentMiss(b *testing.B) {
 	for _, clients := range []int{8, 32} {
-		b.Run(fmt.Sprintf("unbatched/c%d", clients), func(b *testing.B) {
-			benchServeConcurrent(b, Config{CacheSize: -1, QueueDepth: 256}, clients)
-		})
-		b.Run(fmt.Sprintf("batched/c%d", clients), func(b *testing.B) {
-			benchServeConcurrent(b, Config{
-				CacheSize:   -1,
-				QueueDepth:  256,
-				BatchWindow: 2 * time.Millisecond,
-				BatchMax:    8,
-			}, clients)
+		b.Run(fmt.Sprintf("c%d", clients), func(b *testing.B) {
+			resetCtl(false)
+			s := newTestServer(b, Config{CacheSize: -1, QueueDepth: 256})
+			h := s.Handler()
+			devs := hwsim.AllDevices()
+			var next atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						i := int(next.Add(1)) - 1
+						if i >= b.N {
+							return
+						}
+						if code := postDevice(h, "testmatmul", devs[i%len(devs)].Name); code != http.StatusOK {
+							b.Errorf("request: status %d", code)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(s.st.runSeconds.Count())/float64(b.N), "runs/req")
 		})
 	}
 }

@@ -56,14 +56,14 @@ func (s *Server) workloadTrace(key string, req Request, runID string) (*trace.Tr
 	s.traceMu.Unlock()
 
 	start := time.Now()
-	reports, err := s.run([]Request{req}, runID)
+	report, err := s.run(req, runID)
 	if err != nil {
 		e.err = err
 		s.traceMu.Lock()
 		delete(s.traces, key)
 		s.traceMu.Unlock()
 	} else {
-		e.tr = reports[0].Trace
+		e.tr = report.Trace
 		s.st.recordRun(time.Since(start))
 	}
 	close(e.done)

@@ -6,9 +6,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/ops"
@@ -135,59 +133,48 @@ func TestStatsMatchesMetrics(t *testing.T) {
 	}
 }
 
-// TestStatsReadsHistograms: /v1/stats derives runs, batches_run and
-// avg_occupancy from the histograms /metrics exposes, not from counters
-// of their own, so the two views agree exactly.
+// TestStatsReadsHistograms: /v1/stats derives runs from the histogram
+// /metrics exposes, not from a counter of its own, so the two views agree
+// exactly. Nothing counts batches: /metrics has no batch family and
+// batches_run and avg_occupancy read 0.
 func TestStatsReadsHistograms(t *testing.T) {
 	resetCtl(false)
-	registerBatchWorkload()
-	s := newTestServer(t, Config{BatchWindow: 20 * time.Millisecond, BatchMax: 3})
+	s := newTestServer(t, Config{})
 	h := s.Handler()
-	devs := hwsim.AllDevices()
-	var wg sync.WaitGroup
-	for _, d := range devs[:3] {
-		wg.Add(1)
-		go func(dev string) {
-			defer wg.Done()
-			postDevice(h, "testbatch", dev)
-		}(d.Name)
+	for _, d := range hwsim.AllDevices() {
+		postDevice(h, "testfast", d.Name)
 	}
-	wg.Wait()
-	postDevice(h, "testbatch", devs[3].Name)
 
 	var snap Snapshot
 	if err := json.Unmarshal(get(h, "/v1/stats").Body.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}
 	scrape := get(h, "/metrics").Body.String()
-	for _, gone := range []string{"nsserve_runs_total", "nsserve_batches_total", "nsserve_batch_items_total"} {
+	for _, gone := range []string{"nsserve_runs_total", "nsserve_batches_total", "nsserve_batch_items_total",
+		"nsserve_batch_occupancy", "nsserve_coalesce_flushes_total"} {
 		if strings.Contains(scrape, gone) {
 			t.Errorf("/metrics still exposes %s", gone)
 		}
 	}
-	sample := func(name string) float64 {
-		for _, line := range strings.Split(scrape, "\n") {
-			if v, ok := strings.CutPrefix(line, name+" "); ok {
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return f
+	var runs float64
+	found := false
+	for _, line := range strings.Split(scrape, "\n") {
+		if v, ok := strings.CutPrefix(line, "nsserve_run_seconds_count "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
 			}
+			runs, found = f, true
 		}
-		t.Fatalf("/metrics has no %s sample", name)
-		return 0
 	}
-	runs := sample("nsserve_run_seconds_count")
-	batches, items := sample("nsserve_batch_occupancy_count"), sample("nsserve_batch_occupancy_sum")
+	if !found {
+		t.Fatal("/metrics has no nsserve_run_seconds_count sample")
+	}
 	if snap.Runs == 0 || float64(snap.Runs) != runs {
 		t.Errorf("runs = %d, nsserve_run_seconds_count = %v", snap.Runs, runs)
 	}
-	if snap.BatchesRun == 0 || float64(snap.BatchesRun) != batches {
-		t.Errorf("batches_run = %d, nsserve_batch_occupancy_count = %v", snap.BatchesRun, batches)
-	}
-	if snap.AvgOccupancy != items/batches {
-		t.Errorf("avg_occupancy = %v, nsserve_batch_occupancy _sum/_count = %v", snap.AvgOccupancy, items/batches)
+	if snap.BatchesRun != 0 || snap.AvgOccupancy != 0 {
+		t.Errorf("batches_run = %d, avg_occupancy = %v, want 0 and 0", snap.BatchesRun, snap.AvgOccupancy)
 	}
 }
 

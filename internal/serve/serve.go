@@ -81,17 +81,10 @@ type Config struct {
 	// Pprof mounts net/http/pprof under /debug/pprof/ when true. Off by
 	// default: profiling endpoints are opt-in on shared deployments.
 	Pprof bool
-	// BatchWindow, when positive, enables request coalescing: cache-missing
-	// requests for the same workload arriving within the window execute as
-	// one pass with per-item reports (and cache fills), a single batched
-	// engine pass when the workload has a native RunBatch.
-	// Zero disables coalescing — the library default; cmd/nsserve enables
-	// it with a 2ms window.
+	// BatchWindow configures nothing: nothing reads it, and every cache
+	// miss runs as one pass of its own. It stays because the end-to-end
+	// benchmark module (e2ebench), whose source is held fixed, sets it.
 	BatchWindow time.Duration
-	// BatchMax caps how many requests coalesce into one batch; a full
-	// group flushes immediately instead of waiting out the window. 0
-	// selects 8. Only meaningful with BatchWindow > 0.
-	BatchMax int
 	// ExploreMaxPoints caps the grid size a single /v1/explore sweep may
 	// request; 0 selects 65536. Larger grids are rejected with 400 — split
 	// them across shards (the cluster router does this automatically).
@@ -121,9 +114,6 @@ func (c *Config) defaults() {
 	}
 	if c.RecorderSize == 0 {
 		c.RecorderSize = trace.DefaultRecorderCapacity
-	}
-	if c.BatchMax == 0 {
-		c.BatchMax = 8
 	}
 	if c.ExploreMaxPoints == 0 {
 		c.ExploreMaxPoints = 1 << 16
@@ -232,13 +222,10 @@ type Server struct {
 	flights  map[string]*flight
 	shutdown bool
 
-	// queue carries dequeued batches to the workers: one entry per pass,
-	// holding every flight the pass serves (a single flight when
-	// coalescing is off). pending holds the batch groups still inside
-	// their coalescing window, keyed by workload name.
-	queue   chan []*flight
-	pending map[string]*batchGroup
-	wg      sync.WaitGroup // characterization workers
+	// queue carries admitted flights to the workers; each flight runs as
+	// one pass of its own.
+	queue chan *flight
+	wg    sync.WaitGroup // characterization workers
 
 	// Design-space exploration (/v1/explore): the trace cache behind
 	// trace-once/project-many and a semaphore bounding concurrent sweeps.
@@ -283,8 +270,7 @@ func New(cfg Config) (*Server, error) {
 		pool:       cfg.Engine.NewPool(),
 		cache:      newLRU(cfg.CacheSize),
 		flights:    make(map[string]*flight),
-		queue:      make(chan []*flight, cfg.QueueDepth),
-		pending:    make(map[string]*batchGroup),
+		queue:      make(chan *flight, cfg.QueueDepth),
 		reg:        reg,
 		logger:     cfg.Logger,
 		traces:     make(map[string]*traceEntry),
@@ -360,10 +346,6 @@ func (s *Server) Close() {
 		s.draining.Store(true)
 		s.mu.Lock()
 		s.shutdown = true
-		// Flush groups still inside their window so their waiters are
-		// answered; timers that fire later see flushed groups (or the
-		// shutdown flag) and never touch the closed queue.
-		s.drainPendingLocked()
 		s.mu.Unlock()
 		close(s.queue)
 		s.wg.Wait()
@@ -402,17 +384,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // recordServeSpan records one serving-layer range (kind "serve") from
 // start to now on lane 0 under id. No-op with the recorder disabled.
 func (s *Server) recordServeSpan(id, name string, start time.Time) {
-	s.recordServeSpanAt(id, name, start, time.Now())
-}
-
-// recordServeSpanAt is recordServeSpan with an explicit end time, for
-// call sites (the batch worker) that measure several ranges against one
-// shared instant.
-func (s *Server) recordServeSpanAt(id, name string, start, end time.Time) {
 	if s.recorder == nil {
 		return
 	}
-	s.recorder.RecordSpan(id, trace.SpanAt(name, "serve", 0, start, end))
+	s.recorder.RecordSpan(id, trace.SpanAt(name, "serve", 0, start, time.Now()))
 }
 
 // handleCharacterize is the serving hot path: canonicalize, cache lookup,
@@ -466,8 +441,11 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		// worker, or a fast dequeue could mistake it for abandoned.
 		f.join()
 		// Admission happens under the same lock that guards shutdown, so
-		// a send can never race the queue close.
-		if !s.admitLocked(f) {
+		// a send can never race the queue close. The queue is buffered,
+		// making the send non-blocking.
+		select {
+		case s.queue <- f:
+		default:
 			s.mu.Unlock()
 			s.st.rejected.Inc()
 			w.Header().Set("Retry-After", s.retryAfterHint())
@@ -599,11 +577,6 @@ func (s *Server) retryAfterHint() string {
 		mean = time.Duration(s.st.runNanos.Value() / runs)
 	}
 	est := time.Duration(float64(mean) * float64(len(s.queue)+1) / float64(s.cfg.Concurrency))
-	// With coalescing on, admission additionally waits out a batch window
-	// before a fresh group can even start executing.
-	if s.cfg.BatchWindow > 0 {
-		est += s.cfg.BatchWindow
-	}
 	secs := int(math.Ceil(est.Seconds()))
 	if secs < 1 {
 		secs = 1
@@ -617,9 +590,40 @@ func (s *Server) retryAfterHint() string {
 // worker executes queued flights until the queue is closed and drained.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for fs := range s.queue {
-		s.runBatch(fs)
+	for f := range s.queue {
+		s.runFlight(f)
 	}
+}
+
+// runFlight executes one dequeued flight, or drops it unrun when every
+// waiter has left, and finishes it: a report's bytes fill the cache under
+// the flight's key and answer every waiter.
+func (s *Server) runFlight(f *flight) {
+	if f.loadWaiting() == 0 {
+		s.st.abandoned.Inc()
+		f.err = errors.New("abandoned: all waiters left the queue")
+		f.code = http.StatusServiceUnavailable
+		s.finish(f, false)
+		return
+	}
+	// Queue wait: admission to worker pickup, so the request's timeline
+	// shows the gap before its run.
+	s.recordServeSpan(f.id, "queue.wait", f.enqueuedAt)
+	s.st.inflight.Inc()
+	start := time.Now()
+	report, err := s.run(f.req, f.id)
+	if err == nil {
+		encStart := time.Now()
+		f.res, err = json.Marshal(report)
+		s.recordServeSpan(f.id, "core.encode", encStart)
+	}
+	s.st.recordRun(time.Since(start))
+	s.st.inflight.Dec()
+	if err != nil {
+		s.st.failures.Inc()
+		f.err = err
+	}
+	s.finish(f, err == nil)
 }
 
 // finish retires the flight from the singleflight table, optionally
@@ -634,40 +638,32 @@ func (s *Server) finish(f *flight, cache bool) {
 	close(f.done)
 }
 
-// run executes one pass of len(reqs) items of the requests' shared
-// workload (core.ExecuteBatch) on an engine borrowed from the server's
-// shared backend pool, and analyzes each item against its own request's
-// device. runID scopes the pass in the flight recorder: its operator
-// events, its timeline spans (the first item's), and core.build and
+// run executes one inference of the request's workload (core.Execute) on
+// an engine borrowed from the server's shared backend pool and analyzes
+// it against the request's device. runID scopes the run in the flight
+// recorder: its operator events, its timeline spans, and core.build and
 // core.analyze spans for the steps around the engine run, so
 // /v1/trace?request_id= can rebuild the timeline later.
-func (s *Server) run(reqs []Request, runID string) ([]*core.Report, error) {
+func (s *Server) run(req Request, runID string) (*core.Report, error) {
 	start := time.Now()
-	wl, err := core.BuildWorkload(reqs[0].Workload)
+	wl, err := core.BuildWorkload(req.Workload)
 	if err != nil {
 		return nil, err
 	}
 	s.recordServeSpan(runID, "core.build", start)
-	devs := make([]hwsim.Device, len(reqs))
-	for i, req := range reqs {
-		if devs[i], err = hwsim.DeviceByName(req.Device); err != nil {
-			return nil, err
-		}
-	}
-	opts := core.Options{Pool: s.pool, Observer: s.runObserver(runID)}
-	traces, err := core.ExecuteBatch(wl, len(reqs), opts)
+	dev, err := hwsim.DeviceByName(req.Device)
 	if err != nil {
 		return nil, err
 	}
-	s.recordRunSpans(runID, traces[0])
+	opts := core.Options{Device: dev, Pool: s.pool, Observer: s.runObserver(runID)}
+	tr, err := core.Execute(wl, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.recordRunSpans(runID, tr)
 	start = time.Now()
 	defer s.recordServeSpan(runID, "core.analyze", start)
-	reports := make([]*core.Report, len(traces))
-	for i, tr := range traces {
-		opts.Device = devs[i]
-		reports[i] = core.Analyze(wl.Name(), wl.Category(), tr, opts)
-	}
-	return reports, nil
+	return core.Analyze(wl.Name(), wl.Category(), tr, opts), nil
 }
 
 // recordRunSpans copies a finished run's timeline spans into the flight
@@ -721,16 +717,16 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	reports, err := s.run([]Request{canon}, frontdoor.RequestID(r))
+	report, err := s.run(canon, frontdoor.RequestID(r))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if format == "chrome" {
-		err = reports[0].Trace.WriteChromeTrace(w)
+		err = report.Trace.WriteChromeTrace(w)
 	} else {
-		err = reports[0].Trace.WriteJSON(w)
+		err = report.Trace.WriteJSON(w)
 	}
 	if err != nil && s.logger != nil {
 		s.logger.Error("trace write failed", "id", frontdoor.RequestID(r), "err", err)

@@ -82,12 +82,26 @@ func (f *fakeWorkload) Run(e *ops.Engine) error {
 	return nil
 }
 
+// matmulWorkload is a miss with real engine work: one dim×dim MatMul and
+// a Softmax over its result.
+type matmulWorkload struct{ dim int }
+
+func (w *matmulWorkload) Name() string     { return "testmatmul" }
+func (w *matmulWorkload) Category() string { return "Test" }
+
+func (w *matmulWorkload) Run(e *ops.Engine) error {
+	g := tensor.NewRNG(1)
+	e.Softmax(e.MatMul(g.Normal(0, 1, w.dim, w.dim), g.Normal(0, 1, w.dim, w.dim)))
+	return nil
+}
+
 var registerOnce sync.Once
 
 func registerTestWorkloads() {
 	registerOnce.Do(func() {
 		core.RegisterWorkload("testfast", "Test", func() core.Workload { return &fakeWorkload{name: "testfast"} })
 		core.RegisterWorkload("testgate", "Test", func() core.Workload { return &fakeWorkload{name: "testgate", gated: true} })
+		core.RegisterWorkload("testmatmul", "Test", func() core.Workload { return &matmulWorkload{dim: 160} })
 	})
 }
 
@@ -108,6 +122,11 @@ func post(h http.Handler, body string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return rec
+}
+
+// postDevice issues one characterize request for workload on device.
+func postDevice(h http.Handler, workload, device string) int {
+	return post(h, fmt.Sprintf(`{"workload":%q,"device":%q}`, workload, device)).Code
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -755,4 +774,51 @@ func TestLRUEvicts(t *testing.T) {
 	if _, ok := disabled.Get("x"); ok {
 		t.Fatal("disabled cache must not store")
 	}
+}
+
+// TestServeSoak is sustained mixed hit/miss traffic over a small cache,
+// across every device and two workloads (testmatmul with real engine
+// work, testfast with almost none), for the race detector: it must
+// finish with zero failed requests and characterizations.
+func TestServeSoak(t *testing.T) {
+	resetCtl(false)
+	s := newTestServer(t, Config{
+		CacheSize:   3, // smaller than the key space: sustained misses
+		QueueDepth:  256,
+		Concurrency: 2,
+	})
+	h := s.Handler()
+	devs := hwsim.AllDevices()
+	workloads := []string{"testmatmul", "testfast"}
+
+	const clients = 16
+	const perClient = 30
+	var bad atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				// Clients c and c+8 share a key: one often hits what the
+				// other cached moments ago or joins its flight, drifted
+				// clients miss — the sustained hit/miss mix.
+				wl := workloads[(c+i)%len(workloads)]
+				dev := devs[(c/2+i)%len(devs)].Name
+				if code := postDevice(h, wl, dev); code != http.StatusOK {
+					bad.Add(1)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if n := bad.Load(); n != 0 {
+		t.Fatalf("%d requests failed", n)
+	}
+	if n := s.st.failures.Value(); n != 0 {
+		t.Fatalf("%d characterizations failed", n)
+	}
+	snap := s.st.snapshot()
+	t.Logf("soak: %d runs, %d cache hits, %d misses, %d singleflight joins",
+		snap.Runs, snap.CacheHits, snap.CacheMiss, snap.DedupJoins)
 }

@@ -33,14 +33,6 @@ type stats struct {
 	// nsserve_queue_depth gauges.
 	cacheLen, queueLen func() int
 
-	// Coalescing (Config.BatchWindow > 0): occupancy is the size of every
-	// pass dispatched through the coalescer (including singletons —
-	// occupancy 1 means the window bought nothing), so its count is the
-	// passes and its sum the requests they served; coalesceFlushes counts
-	// why each group left its window (window, full, drain).
-	occupancy       *metrics.Histogram
-	coalesceFlushes *metrics.CounterVec
-
 	// Design-space exploration (/v1/explore).
 	sweepsRun       *metrics.Counter
 	pointsEvaluated *metrics.Counter
@@ -76,10 +68,7 @@ func newStats(reg *metrics.Registry, cacheLen, queueLen func() int) stats {
 		inflight:   reg.Gauge("nsserve_inflight_runs", "Characterizations executing right now."),
 		cacheLen:   cacheLen,
 		queueLen:   queueLen,
-		occupancy: reg.Histogram("nsserve_batch_occupancy", "Requests per coalesced pass.",
-			[]float64{1, 2, 4, 8, 16, 32}),
-		coalesceFlushes: reg.CounterVec("nsserve_coalesce_flushes_total",
-			"Batch group flushes by outcome (window expired, group full, drain on close).", "outcome"),
+
 		sweepsRun:       reg.Counter("ns_explore_sweeps_total", "Design-space sweeps completed."),
 		pointsEvaluated: reg.Counter("ns_explore_points_total", "Design-space grid points evaluated."),
 		shardsInFly:     reg.Gauge("ns_explore_shards_inflight", "Sweep shards streaming right now."),
@@ -116,10 +105,10 @@ type Snapshot struct {
 	// CacheSize and QueueDepth are point-in-time gauges.
 	CacheSize  int `json:"cache_size"`
 	QueueDepth int `json:"queue_depth"`
-	// BatchesRun counts passes dispatched through the request
-	// coalescer; AvgOccupancy is the mean requests served per such pass
-	// (0 with coalescing disabled). Appended after the pre-batching
-	// fields so existing consumers see an unchanged prefix.
+	// BatchesRun and AvgOccupancy counted the passes of a request
+	// coalescer the replica no longer has and their mean size: a replica
+	// always reports 0 for both. They stay, after the pre-batching fields,
+	// because the /v1/stats shape only grows.
 	BatchesRun   int64   `json:"batches_run"`
 	AvgOccupancy float64 `json:"avg_occupancy"`
 	// SweepsRun and PointsEvaluated count /v1/explore activity. Appended
@@ -165,8 +154,7 @@ func (s *Snapshot) Add(o Snapshot) {
 // monitoring — with one deliberate ordering: Runs is read *before*
 // RunNanos while writers add the nanos before they observe the run
 // (recordRun), so AvgRunNanos can only over-approximate, never report an
-// impossibly low average from a torn read. Occupancy observations are
-// small integers, so the histogram's float sum is exact.
+// impossibly low average from a torn read.
 func (s *stats) snapshot() Snapshot {
 	out := Snapshot{
 		Requests:   int64(s.requests.Value()),
@@ -181,7 +169,6 @@ func (s *stats) snapshot() Snapshot {
 		RunNanos:   int64(s.runNanos.Value()),
 		CacheSize:  s.cacheLen(),
 		QueueDepth: s.queueLen(),
-		BatchesRun: int64(s.occupancy.Count()),
 
 		SweepsRun:       int64(s.sweepsRun.Value()),
 		PointsEvaluated: int64(s.pointsEvaluated.Value()),
@@ -189,9 +176,6 @@ func (s *stats) snapshot() Snapshot {
 	}
 	if out.Runs > 0 {
 		out.AvgRunNanos = out.RunNanos / out.Runs
-	}
-	if out.BatchesRun > 0 {
-		out.AvgOccupancy = s.occupancy.Sum() / float64(out.BatchesRun)
 	}
 	return out
 }

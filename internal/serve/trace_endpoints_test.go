@@ -3,12 +3,15 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
+	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/trace"
 )
 
@@ -256,5 +259,82 @@ func TestRequestTraceEndpointDisabled(t *testing.T) {
 	s := newTestServer(t, Config{RecorderSize: -1})
 	if rec := get(s.Handler(), "/v1/trace?request_id=x"); rec.Code != http.StatusNotFound {
 		t.Fatalf("status = %d, want 404 with recorder disabled", rec.Code)
+	}
+}
+
+// TestConcurrentMissesAttributedPerRequest pins per-request attribution:
+// three concurrent testfast misses on three devices, on a server with the
+// default Config, each run as a pass of their own, so every request's
+// /v1/trace?request_id= holds exactly one core.build, core.analyze,
+// core.encode and queue.wait span and exactly a solo miss's operator
+// events.
+func TestConcurrentMissesAttributedPerRequest(t *testing.T) {
+	resetCtl(false)
+	s := newTestServer(t, Config{})
+	solo := newTestServer(t, Config{})
+	h := s.Handler()
+	devs := hwsim.AllDevices()[:3]
+
+	characterizeAs := func(h http.Handler, id, device string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/characterize",
+			strings.NewReader(fmt.Sprintf(`{"workload":"testfast","device":%q}`, device)))
+		req.Header.Set("X-Request-ID", id)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	eventNames := func(id string, h http.Handler) ([]string, map[string]int) {
+		var rt trace.RequestTrace
+		if err := json.Unmarshal(get(h, "/v1/trace?request_id="+id).Body.Bytes(), &rt); err != nil {
+			t.Fatalf("request trace %s: %v", id, err)
+		}
+		names := make([]string, len(rt.Events))
+		for i, ev := range rt.Events {
+			names[i] = ev.Name
+		}
+		spans := map[string]int{}
+		for _, sp := range rt.Spans {
+			spans[sp.Name]++
+		}
+		return names, spans
+	}
+
+	if rec := characterizeAs(solo.Handler(), "solo", devs[0].Name); rec.Code != http.StatusOK {
+		t.Fatalf("solo miss: status %d: %s", rec.Code, rec.Body)
+	}
+	want, _ := eventNames("solo", solo.Handler())
+	if len(want) == 0 {
+		t.Fatal("a solo miss recorded no operator events")
+	}
+
+	var wg sync.WaitGroup
+	recs := make([]*httptest.ResponseRecorder, len(devs))
+	for i, d := range devs {
+		wg.Add(1)
+		go func(i int, dev string) {
+			defer wg.Done()
+			recs[i] = characterizeAs(h, fmt.Sprintf("req-%d", i), dev)
+		}(i, d.Name)
+	}
+	wg.Wait()
+	for i, rec := range recs {
+		if rec.Code != http.StatusOK || rec.Header().Get("X-NSServe-Cache") != "miss" {
+			t.Fatalf("req-%d: status %d, cache %q, want 200 miss: %s", i, rec.Code, rec.Header().Get("X-NSServe-Cache"), rec.Body)
+		}
+	}
+	if got := testCtl.runs.Load(); got != 1+int64(len(devs)) {
+		t.Fatalf("engine runs = %d, want %d (the solo miss and one per request)", got, 1+len(devs))
+	}
+	for i := range devs {
+		id := fmt.Sprintf("req-%d", i)
+		got, spans := eventNames(id, h)
+		for _, name := range []string{"queue.wait", "core.build", "core.analyze", "core.encode"} {
+			if spans[name] != 1 {
+				t.Errorf("%s's trace holds %d %s spans, want 1: %v", id, spans[name], name, spans)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s's trace holds events %v, want a solo miss's %v", id, got, want)
+		}
 	}
 }

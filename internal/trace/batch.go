@@ -1,6 +1,6 @@
 // Batch trace splitting: turning the trace of one batched engine pass
-// back into per-item traces so every request in a coalesced batch gets an
-// individual report.
+// back into per-item traces so every item of the batch gets a report of
+// its own (core.CharacterizeBatch).
 package trace
 
 import (
